@@ -28,7 +28,6 @@ from .coeffs import (
     ZeroDenominatorError,
 )
 from .qcore import (
-    TruncSeries,
     factorial_ratio,
     gauss_binomial,
     q_euler_number,
@@ -42,13 +41,11 @@ from .polys import (
     MPoly,
     d_operator,
     dbar_operator,
-    jackson_antiderivative,
     jackson_integral_numeric,
     q_binomial_power,
-    q_binomial_power_by_product,
+    q_binomial_weights,
     q_laplacian,
     q_laplacian_chain,
-    q_power_closed,
     q_power_product,
 )
 from .hermite import (
@@ -60,6 +57,7 @@ from .hermite import (
 from .identities import (
     IDENTITY_CHECKS,
     Verdict,
+    one_directional_check,
     verify_double_q_analytic,
     verify_exp_factorization,
     verify_exp_product,
@@ -70,12 +68,14 @@ from .identities import (
     verify_xi_identity,
 )
 from .qwave import (
+    NAMED_SOURCES,
     SYMBOLIC_SPEED,
     InitialData,
+    PostconditionError,
     WaveSolution,
     dalembert_solve,
+    named_source,
     named_wave,
-    one_directional_check,
     poly_from_coefficients,
     q_binomial_substitute,
     qwave_operator,

@@ -2,7 +2,8 @@
 q-wave IVP, and sample solutions to CSV.
 
 Exit codes: 0 success / all identities verified, 1 an identity check found a
-counterexample (or --check rejected a solution), 2 usage or input error.
+counterexample (or the solver's self-check refused a solution), 2 usage or
+input error.
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 """
 
@@ -10,20 +11,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
 
-from .coeffs import GR_I, QCalcError
+from .coeffs import GR_I, QCalcError, UnsupportedOrderError
 from .hermite import hermite_classical, q_hermite, q_hermite_dual
 from .identities import IDENTITY_CHECKS
 from .polys import MPoly, q_binomial_power
-from .qcore import UnsupportedOrderError, q_int, q_trig_series
+from .qcore import q_int
 from .qwave import (
+    NAMED_SOURCES,
     SYMBOLIC_SPEED,
     InitialData,
+    PostconditionError,
     dalembert_solve,
+    named_source,
     poly_from_coefficients,
     q_binomial_substitute,
     sample_grid,
@@ -51,8 +54,6 @@ _DEFAULT_RANGES = {
     "traveling-hermite": 10,
 }
 
-_NAMED_WAVES = ("cos_q", "sin_q", "q-gaussian")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,14 +77,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="solve the q-wave IVP in d'Alembert form")
     p.add_argument("--f", help="comma-separated rational coefficients of f, low degree first")
-    p.add_argument("--f-named", choices=_NAMED_WAVES, help="named initial displacement")
+    p.add_argument("--f-named", choices=NAMED_SOURCES, help="named initial displacement")
     p.add_argument("--g", help="comma-separated rational coefficients of g, low degree first")
-    p.add_argument("--g-named", choices=_NAMED_WAVES + ("neg-2q-cx",),
+    p.add_argument("--g-named", choices=NAMED_SOURCES + ("neg-2q-cx",),
                    help="named initial q-velocity")
     p.add_argument("--c", required=True, help="wave speed as a rational p/q")
     p.add_argument("--order", type=int, default=20, help="truncation order for named series data")
     p.add_argument("--check", action="store_true",
-                   help="re-apply the wave operator and refuse to emit on a nonzero residual")
+                   help="accepted for compatibility: the solver always checks its "
+                   "output and exits 1 instead of emitting a refused solution")
 
     p = sub.add_parser("sample", parents=[common], help="evaluate a wave solution on a float grid (CSV)")
     p.add_argument("--in", dest="infile", default="-", help="wave solution JSON (default stdin)")
@@ -138,17 +140,7 @@ def _initial_part(coeffs_text, named, which, c, order):
         return poly_from_coefficients(_parse_coeff_list(coeffs_text)), None
     if named == "neg-2q-cx":
         return MPoly(("x",), {(1,): q_int(2)}).scale(-c), None
-    if named == "q-gaussian":
-        source = MPoly(
-            ("x",),
-            {
-                (2 * n,): Fraction((-1) ** n, math.factorial(n))
-                for n in range(order + 1)
-            },
-        )
-        return source, 2 * order + 1
-    series = q_trig_series(named[:3], order)
-    return MPoly(("x",), {(d,): v for d, v in enumerate(series.coeffs)}), order
+    return named_source(named, order)
 
 
 def _cmd_verify(args, out) -> int:
@@ -187,9 +179,6 @@ def _cmd_solve(args, out) -> int:
     orders = [o for o in (f_order, g_order) if o is not None]
     data = InitialData(f, g, min(orders) if orders else None)
     solution = dalembert_solve(data, c)
-    if args.check and not solution.residual_is_zero():
-        print("nonzero wave residual; refusing to emit", file=sys.stderr)
-        return EXIT_VIOLATED
     out.write(json.dumps(wave_to_json(solution), indent=2) + "\n")
     return EXIT_OK
 
@@ -256,6 +245,9 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as out:
                 return _COMMANDS[args.command](args, out)
         return _COMMANDS[args.command](args, sys.stdout)
+    except PostconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     except (SerializationError, UnsupportedOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,11 +17,18 @@ Three layers, all immutable and exact (no floating point ever enters a value):
 LaurentPoly is canonical (zero coefficients are never stored), which makes
 zero tests and denominator sharing cheap: mathematically equal denominators
 are structurally equal dicts.
+
+The q-combinatorics live here too, below the tower they are built from:
+q-integers, q-factorials and Gaussian binomial coefficients are cached
+LaurentPoly values (exponents even).  Gaussian binomials are built by exact
+polynomial division of q-factorials, which also makes them available as
+exact common-denominator multipliers elsewhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "QCalcError",
@@ -44,6 +51,11 @@ __all__ = [
     "CE_ONE",
     "CE_I",
     "CE_Q",
+    "q_int",
+    "q_int_reciprocal",
+    "q_factorial",
+    "factorial_ratio",
+    "gauss_binomial",
 ]
 
 _F0 = Fraction(0)
@@ -210,11 +222,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: GR_ONE} or (
-            len(self.coeffs) == 1 and self.coeffs.get(0) == GR_ONE
-        )
 
     def as_monomial(self):
         """Return (exponent, coefficient) if this is a single term, else None."""
@@ -634,3 +641,53 @@ CE_ZERO = CoefExpr(LP_ZERO)
 CE_ONE = CoefExpr(LP_ONE)
 CE_I = CoefExpr(LaurentPoly.const(GR_I))
 CE_Q = CoefExpr(LP_Q)
+
+
+@lru_cache(maxsize=None)
+def q_int(n: int) -> LaurentPoly:
+    """The q-integer 1 + q + ... + q**(n-1); q_int(0) = 0, reduces to n at q = 1."""
+    if n < 0:
+        raise UnsupportedOrderError("q-integers are defined for n >= 0 only")
+    return LaurentPoly({2 * j: 1 for j in range(n)})
+
+
+@lru_cache(maxsize=None)
+def q_int_reciprocal(n: int) -> LaurentPoly:
+    """The q -> 1/q image of the q-integer, equal to q_int(n) / q**(n-1)."""
+    return q_int(n).invert_s()
+
+
+@lru_cache(maxsize=None)
+def q_factorial(n: int) -> LaurentPoly:
+    """Product of the q-integers 1..n; q_factorial(0) = 1."""
+    if n < 0:
+        raise UnsupportedOrderError("q-factorials are defined for n >= 0 only")
+    if n == 0:
+        return LP_ONE
+    return q_factorial(n - 1) * q_int(n)
+
+
+@lru_cache(maxsize=None)
+def factorial_ratio(n: int, k: int) -> LaurentPoly:
+    """The exact polynomial q_factorial(n) / q_factorial(k), built as the
+    product of q-integers k+1 .. n (no division involved)."""
+    if not 0 <= k <= n:
+        raise UnsupportedOrderError("factorial_ratio needs 0 <= k <= n")
+    if n == k:
+        return LP_ONE
+    return factorial_ratio(n - 1, k) * q_int(n)
+
+
+@lru_cache(maxsize=None)
+def gauss_binomial(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial coefficient as an honest polynomial in q.
+
+    Computed as the exact quotient ([n]!/[n-k]!) / [k]!; degree k(n-k) in q,
+    symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1.
+    """
+    if not 0 <= k <= n:
+        raise UnsupportedOrderError("gauss_binomial needs 0 <= k <= n")
+    q = factorial_ratio(n, n - k).divexact(q_factorial(k))
+    if q is None:  # pragma: no cover - the quotient is a theorem
+        raise ArithmeticError("q-factorial division was not exact")
+    return q

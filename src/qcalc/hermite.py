@@ -6,13 +6,14 @@ exact polynomial (-1)^k [n]_q! [2]_q^(n-2k) / ([k]_q! [n-2k]_q!), assembled
 from cached q-factorial ratios so no division is ever performed.  The
 sqrt(q) recurrence is exercised in the test suite rather than used to build.
 
-Degree-n entries are cached per family; caches are append-only behind a lock
-and every returned value is immutable.
+Every family is cached with functools.lru_cache and every returned value is
+immutable.  The classical recurrence is filled bottom-up, so a large degree
+never nests the recursion more than one level deep.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 from .coeffs import CE_ZERO, CoefExpr, UnsupportedOrderError
 from .polys import MPoly
@@ -25,30 +26,25 @@ __all__ = [
     "q_hermite_special_value",
 ]
 
-_lock = threading.Lock()
-_classical: list[MPoly] = []
-_deformed: list[MPoly] = []
-_dual: list[MPoly] = []
-
 
 def hermite_classical(n: int) -> MPoly:
     """Physicists' Hermite polynomial of degree n, by the standard recurrence
     H_{k+1} = 2x H_k - 2k H_{k-1}; integer coefficients, leading term (2x)^n."""
     if n < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
-    with _lock:
-        if not _classical:
-            _classical.append(MPoly.const(("x",), 1))
-            _classical.append(MPoly.monomial(("x",), (1,), 2))
-        x2 = _classical[1]
-        while len(_classical) <= n:
-            k = len(_classical) - 1
-            _classical.append(
-                x2 * _classical[k] - _classical[k - 1].scale(2 * k)
-            )
-        return _classical[n]
+    for k in range(2, n):
+        _classical(k)
+    return _classical(n)
 
 
+@lru_cache(maxsize=None)
+def _classical(n: int) -> MPoly:
+    if n < 2:
+        return MPoly.monomial(("x",), (n,), 2**n)
+    return _classical(1) * _classical(n - 1) - _classical(n - 2).scale(2 * (n - 1))
+
+
+@lru_cache(maxsize=None)
 def q_hermite(n: int) -> MPoly:
     """Degree-n q-Hermite polynomial in x with LaurentPoly coefficients.
 
@@ -59,13 +55,6 @@ def q_hermite(n: int) -> MPoly:
     """
     if n < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
-    with _lock:
-        while len(_deformed) <= n:
-            _deformed.append(_build_q_hermite(len(_deformed)))
-        return _deformed[n]
-
-
-def _build_q_hermite(n: int) -> MPoly:
     two = q_int(2)
     terms = {}
     for k in range(n // 2 + 1):
@@ -81,17 +70,16 @@ def _build_q_hermite(n: int) -> MPoly:
 def q_hermite_dual(k: int, var: str = "w") -> MPoly:
     """The companion polynomial H_k(q w; 1/q): the q -> 1/q image of the
     degree-k q-Hermite polynomial with its variable rescaled by q."""
+    p = _dual(k)
+    return p.rename_var("x", var) if var != "x" else p
+
+
+@lru_cache(maxsize=None)
+def _dual(k: int) -> MPoly:
     if k < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
-    with _lock:
-        while len(_dual) <= k:
-            m = len(_dual)
-            while len(_deformed) <= m:
-                _deformed.append(_build_q_hermite(len(_deformed)))
-            p = _deformed[m].map_coeffs(lambda c: c.substitute_inverse_q())
-            _dual.append(p.scale_substitute("x", 2))
-        entry = _dual[k]
-    return entry.rename_var("x", var) if var != "x" else entry
+    p = q_hermite(k).map_coeffs(lambda c: c.substitute_inverse_q())
+    return p.scale_substitute("x", 2)
 
 
 def q_hermite_special_value(n: int) -> CoefExpr:

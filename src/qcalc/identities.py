@@ -26,6 +26,8 @@ from .coeffs import (
     LP_ONE,
     LaurentPoly,
     PoleError,
+    UnsupportedOrderError,
+    _gauss_pow,
 )
 from .hermite import hermite_classical, q_hermite, q_hermite_dual
 from .polys import (
@@ -34,9 +36,9 @@ from .polys import (
     dbar_operator,
     q_binomial_power,
     q_laplacian_chain,
-    q_power_closed,
 )
 from .qcore import gauss_binomial, q_factorial, q_int
+from .qwave import SYMBOLIC_SPEED, q_binomial_substitute
 
 __all__ = [
     "Verdict",
@@ -48,6 +50,7 @@ __all__ = [
     "verify_double_q_analytic",
     "verify_q_laplacian_identity",
     "verify_traveling_hermite_expansion",
+    "one_directional_check",
     "IDENTITY_CHECKS",
 ]
 
@@ -118,63 +121,38 @@ def verify_xi_identity(n_max: int) -> Verdict:
     t0 = time.perf_counter()
     v = Verdict("xi", f"n<={n_max}")
     half = Fraction(1, 2)
+    i_half = GaussianRational(0, half)
     for n in range(n_max + 1):
-        # main: 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(i xi/2) H_k(xi/2) == xi^n
-        acc = MPoly.zero(("xi",))
-        for k in range(n + 1):
-            a = _scaled_hermite(n - k, "xi", GaussianRational(0, half))
-            b = _scaled_hermite(k, "xi", half)
-            coef = _gauss_int_pow(GaussianRational(0, -1), n - k) * math.comb(n, k)
-            acc = acc + (a * b).scale(coef)
-        lhs = acc.scale(Fraction(1, 2**n))
-        rhs = MPoly.monomial(("xi",), (n,), 1)
-        res = lhs - rhs
-        if not res.is_zero():
-            return _fail(v, res, f"main form fails at n={n}", t0)
-
-        # form A: 2^-2n sum_k C(n,k) i^k H_{n-k}(z) H_k(-iz) == z^n
-        acc = MPoly.zero(("z",))
-        ik = GR_ONE
-        for k in range(n + 1):
-            a = hermite_classical(n - k).rename_var("x", "z")
-            b = _scaled_hermite(k, "z", GaussianRational(0, -1))
-            acc = acc + (a * b).scale(ik * math.comb(n, k))
-            ik = ik * GR_I
-        res = acc.scale(Fraction(1, 2 ** (2 * n))) - MPoly.monomial(("z",), (n,), 1)
-        if not res.is_zero():
-            return _fail(v, res, f"z-form fails at n={n}", t0)
-
-        # form B: the main form at xi = x (real axis)
-        acc = MPoly.zero(("u",))
-        for k in range(n + 1):
-            a = _scaled_hermite(n - k, "u", GaussianRational(0, half))
-            b = _scaled_hermite(k, "u", half)
-            coef = _gauss_int_pow(GaussianRational(0, -1), n - k) * math.comb(n, k)
-            acc = acc + (a * b).scale(coef)
-        res = acc.scale(Fraction(1, 2**n)) - MPoly.monomial(("u",), (n,), 1)
-        if not res.is_zero():
-            return _fail(v, res, f"x-form fails at n={n}", t0)
-
-        # form C: xi = iy gives 2^-n sum_k C(n,k)(-i)^(n-k) H_{n-k}(-y/2) H_k(iy/2) == i^n y^n
-        acc = MPoly.zero(("y",))
-        for k in range(n + 1):
-            a = _scaled_hermite(n - k, "y", -half)
-            b = _scaled_hermite(k, "y", GaussianRational(0, half))
-            coef = _gauss_int_pow(GaussianRational(0, -1), n - k) * math.comb(n, k)
-            acc = acc + (a * b).scale(coef)
-        res = acc.scale(Fraction(1, 2**n)) - MPoly.monomial(
-            ("y",), (n,), _gauss_int_pow(GR_I, n)
+        # (-i)^(n-k) = (-i)^n i^k turns the main and iy forms into pair sums
+        main = _gauss_pow(-GR_I, n) * Fraction(1, 2**n)
+        forms = (
+            # 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(i xi/2) H_k(xi/2) == xi^n
+            ("main form", "xi", i_half, half, main, GR_ONE),
+            # 2^-2n sum_k C(n,k) i^k H_{n-k}(z) H_k(-iz) == z^n
+            ("z-form", "z", GR_ONE, -GR_I, Fraction(1, 4**n), GR_ONE),
+            # the main form at xi = x (real axis)
+            ("x-form", "u", i_half, half, main, GR_ONE),
+            # xi = iy: 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(-y/2) H_k(iy/2) == i^n y^n
+            ("iy-form", "y", -half, i_half, main, _gauss_pow(GR_I, n)),
         )
-        if not res.is_zero():
-            return _fail(v, res, f"iy-form fails at n={n}", t0)
+        for name, var, a, b, scale, rhs in forms:
+            res = _hermite_pair_sum(n, var, a, b).scale(scale) - MPoly.monomial(
+                (var,), (n,), rhs
+            )
+            if not res.is_zero():
+                return _fail(v, res, f"{name} fails at n={n}", t0)
     return _finish(v, t0)
 
 
-def _gauss_int_pow(base: GaussianRational, n: int) -> GaussianRational:
-    out = GR_ONE
-    for _ in range(n):
-        out = out * base
-    return out
+def _hermite_pair_sum(n: int, var: str, a, b) -> MPoly:
+    """sum_k C(n,k) i^k H_{n-k}(a var) H_k(b var), classical Hermite."""
+    acc = MPoly.zero((var,))
+    ik = GR_ONE
+    for k in range(n + 1):
+        pair = _scaled_hermite(n - k, var, a) * _scaled_hermite(k, var, b)
+        acc = acc + pair.scale(ik * math.comb(n, k))
+        ik = ik * GR_I
+    return acc
 
 
 def verify_q_hermite_binomial(n_max: int) -> Verdict:
@@ -334,11 +312,9 @@ def verify_traveling_hermite_expansion(n_max: int) -> Verdict:
     t0 = time.perf_counter()
     v = Verdict("traveling-hermite", f"n<={n_max}")
     vs = ("x", "t", "c")
-    x = MPoly.var(vs, "x")
-    ct = MPoly.monomial(vs, (0, 1, 1), 1)
     minus_ict = MPoly.monomial(vs, (0, 1, 1), GaussianRational(0, -1))
     for n in range(n_max + 1):
-        lhs = q_power_closed(x, ct, n)
+        lhs = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), "+", SYMBOLIC_SPEED)
         rhs = MPoly.zero(vs)
         ik = GR_ONE
         for k in range(n + 1):
@@ -357,7 +333,32 @@ def verify_traveling_hermite_expansion(n_max: int) -> Verdict:
     return _finish(v, t0)
 
 
+def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
+    """(D_{1/q}^t -+ c D_q^x) annihilates (x +- c t)_q^n for the matched
+    operator sign; the mismatched operator leaves a nonzero residual for
+    n >= 1, which is attached to the verdict."""
+    t0 = time.perf_counter()
+    if n < 0:
+        raise UnsupportedOrderError("one-directional check needs n >= 0")
+    u = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), sign, c)
+    dt = u.q_derivative("t", "1/q")
+    dx = u.q_derivative("x", "q")
+    cdx = dx * MPoly.var(u.vars, "c") if isinstance(c, str) else dx.scale(c)
+    matched, mismatched = (dt - cdx, dt + cdx) if sign == "+" else (dt + cdx, dt - cdx)
+    v = Verdict("one-directional", f"n={n}, sign={sign}")
+    v.residual = mismatched
+    if not matched.is_zero():
+        v.status = "failed"
+        v.detail = "matched operator did not annihilate"
+    elif n >= 1 and mismatched.is_zero():
+        v.status = "failed"
+        v.detail = "mismatched operator unexpectedly annihilated"
+    return _finish(v, t0)
+
+
 # Registry used by the CLI: id -> (callable, parameter kind).
+# one_directional_check is a verifier too but stays out: `verify --identity all`
+# runs exactly these eight.
 IDENTITY_CHECKS = {
     "hermite-binomial": (verify_hermite_binomial, "n_max"),
     "xi": (verify_xi_identity, "n_max"),

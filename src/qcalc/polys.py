@@ -5,15 +5,17 @@ list.  The q-derivative is implemented by the monomial rule
 x**n -> [n]_q x**(n-1), which agrees with the difference quotient
 (f(qx) - f(x)) / ((q-1)x) on every polynomial and is total at x = 0.
 
-Also here: the q-binomial power (a + b)(a + qb)...(a + q**(n-1) b) in both
-its product and closed (Gaussian-binomial sum) routes, the holomorphic-pair
-operators on (z, w), the q-Laplacian family, Jackson antidifferentiation,
-and the truncated numeric Jackson integral.
+Also here: the q-binomial power (a + b)(a + qb)...(a + q**(n-1) b) by its
+closed Gaussian-binomial sum (one cached weight table, shared with the wave
+substitution in qwave) and by the repeated product (the independent
+cross-check route), the holomorphic-pair operators on (z, w), the
+q-Laplacian family and the truncated numeric Jackson integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeffs import (
     CE_ONE,
@@ -23,21 +25,21 @@ from .coeffs import (
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
+    gauss_binomial,
+    q_int,
+    q_int_reciprocal,
 )
-from .qcore import gauss_binomial, q_int, q_int_reciprocal
 
 __all__ = [
     "MPoly",
     "coef_to_complex",
+    "q_binomial_weights",
     "q_binomial_power",
-    "q_binomial_power_by_product",
-    "q_power_closed",
     "q_power_product",
     "dbar_operator",
     "d_operator",
     "q_laplacian",
     "q_laplacian_chain",
-    "jackson_antiderivative",
     "jackson_integral_numeric",
 ]
 
@@ -414,22 +416,13 @@ def q_power_product(a: MPoly, b: MPoly, n: int) -> MPoly:
     return out
 
 
-def q_power_closed(a: MPoly, b: MPoly, n: int) -> MPoly:
-    """Gaussian-binomial closed form of the same product:
-    sum_k gauss(n,k) q^(k(k-1)/2) a^(n-k) b^k."""
-    if n < 0:
-        raise UnsupportedOrderError("q-binomial powers need n >= 0")
-    out = MPoly.zero(a.vars)
-    a_pow = {0: MPoly.const(a.vars, 1)}
-    b_pow = {0: MPoly.const(a.vars, 1)}
-    for k in range(n + 1):
-        if n - k not in a_pow:
-            a_pow[n - k] = a ** (n - k)
-        if k not in b_pow:
-            b_pow[k] = b_pow[k - 1] * b
-        coef = CoefExpr.of(gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)))
-        out = out + (a_pow[n - k] * b_pow[k]).scale(coef)
-    return out
+@lru_cache(maxsize=None)
+def q_binomial_weights(n: int) -> tuple[LaurentPoly, ...]:
+    """Weights gauss(n, k) * q^(k(k-1)/2), k = 0..n, of the closed form
+    (a + b)(a + qb)...(a + q^(n-1) b) = sum_k weight_k a^(n-k) b^k."""
+    return tuple(
+        gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)) for k in range(n + 1)
+    )
 
 
 def q_binomial_power(a_var: str, b_coef, b_var: str, n: int, variables=None) -> MPoly:
@@ -444,26 +437,15 @@ def q_binomial_power(a_var: str, b_coef, b_var: str, n: int, variables=None) -> 
     b_coef = CoefExpr.of(b_coef)
     terms = {}
     bc = CE_ONE
-    for k in range(n + 1):
+    for k, weight in enumerate(q_binomial_weights(n)):
         exps = [0] * len(variables)
         exps[ia] = n - k
         exps[ib] = k
-        coef = bc * CoefExpr.of(gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)))
+        coef = bc * weight
         if not coef.is_zero():
             terms[tuple(exps)] = coef
         bc = bc * b_coef
     return MPoly._raw(variables, terms)
-
-
-def q_binomial_power_by_product(
-    a_var: str, b_coef, b_var: str, n: int, variables=None
-) -> MPoly:
-    """Same value as q_binomial_power but via the repeated product; kept as the
-    independent route for cross-checking."""
-    variables = tuple(variables) if variables is not None else (a_var, b_var)
-    a = MPoly.var(variables, a_var)
-    b = MPoly.var(variables, b_var).scale(b_coef)
-    return q_power_product(a, b, n)
 
 
 def dbar_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:
@@ -500,11 +482,6 @@ def q_laplacian_chain(p: MPoly, m: int, zvar: str = "z", wvar: str = "w") -> MPo
     for level in range(m):
         out = q_laplacian(out, level, zvar, wvar)
     return out
-
-
-def jackson_antiderivative(p: MPoly, name: str) -> MPoly:
-    """Module-level alias for MPoly.jackson_antiderivative."""
-    return p.jackson_antiderivative(name)
 
 
 def jackson_integral_numeric(g, a, b, q_value, terms: int):

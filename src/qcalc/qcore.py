@@ -1,27 +1,28 @@
 """q-combinatorics and q-exponential series.
 
-q-integers, q-factorials and Gaussian binomial coefficients are cached
-LaurentPoly values (q = s**2, so exponents are even).  Gaussian binomials
-are built by exact polynomial division of q-factorials, which also makes
-them available as exact common-denominator multipliers elsewhere.
+The cached q-integers, q-factorials and Gaussian binomials are defined in
+coeffs (MPoly needs them, so they sit below polys) and re-exported here.
 
-TruncSeries is a univariate power series truncated at a stated order:
-coefficient index equals monomial degree, and arithmetic on series of
-orders N and M is valid to order min(N, M).
+A truncated series is a univariate MPoly over ("x",) of degree <= order;
+the order travels beside it (InitialData.order, WaveSolution.order), since
+the polynomial alone cannot say where its truncation lies.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .coeffs import (
-    CE_ZERO,
     CoefExpr,
     LP_ONE,
     LP_ZERO,
     LaurentPoly,
     UnsupportedOrderError,
+    factorial_ratio,
+    gauss_binomial,
+    q_factorial,
+    q_int,
+    q_int_reciprocal,
 )
+from .polys import MPoly
 
 __all__ = [
     "q_int",
@@ -29,183 +30,14 @@ __all__ = [
     "q_factorial",
     "factorial_ratio",
     "gauss_binomial",
-    "TruncSeries",
     "q_exp_series",
     "q_trig_series",
     "q_euler_number",
 ]
 
 
-@lru_cache(maxsize=None)
-def q_int(n: int) -> LaurentPoly:
-    """The q-integer 1 + q + ... + q**(n-1); q_int(0) = 0, reduces to n at q = 1."""
-    if n < 0:
-        raise UnsupportedOrderError("q-integers are defined for n >= 0 only")
-    return LaurentPoly({2 * j: 1 for j in range(n)})
-
-
-@lru_cache(maxsize=None)
-def q_int_reciprocal(n: int) -> LaurentPoly:
-    """The q -> 1/q image of the q-integer, equal to q_int(n) / q**(n-1)."""
-    return q_int(n).invert_s()
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> LaurentPoly:
-    """Product of the q-integers 1..n; q_factorial(0) = 1."""
-    if n < 0:
-        raise UnsupportedOrderError("q-factorials are defined for n >= 0 only")
-    if n == 0:
-        return LP_ONE
-    return q_factorial(n - 1) * q_int(n)
-
-
-@lru_cache(maxsize=None)
-def factorial_ratio(n: int, k: int) -> LaurentPoly:
-    """The exact polynomial q_factorial(n) / q_factorial(k), built as the
-    product of q-integers k+1 .. n (no division involved)."""
-    if not 0 <= k <= n:
-        raise UnsupportedOrderError("factorial_ratio needs 0 <= k <= n")
-    if n == k:
-        return LP_ONE
-    return factorial_ratio(n - 1, k) * q_int(n)
-
-
-@lru_cache(maxsize=None)
-def gauss_binomial(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial coefficient as an honest polynomial in q.
-
-    Computed as the exact quotient ([n]!/[n-k]!) / [k]!; degree k(n-k) in q,
-    symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1.
-    """
-    if not 0 <= k <= n:
-        raise UnsupportedOrderError("gauss_binomial needs 0 <= k <= n")
-    q = factorial_ratio(n, n - k).divexact(q_factorial(k))
-    if q is None:  # pragma: no cover - the quotient is a theorem
-        raise ArithmeticError("q-factorial division was not exact")
-    return q
-
-
-class TruncSeries:
-    """Power series sum c_d * var**d for d = 0..order, coefficients CoefExpr."""
-
-    __slots__ = ("var", "order", "coeffs")
-
-    def __init__(self, var: str, order: int, coeffs=None):
-        if order < 0:
-            raise UnsupportedOrderError("series order must be >= 0")
-        self.var = var
-        self.order = order
-        cs = list(coeffs) if coeffs is not None else []
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs = [CoefExpr.of(c) for c in cs]
-        cs.extend(CE_ZERO for _ in range(order + 1 - len(cs)))
-        self.coeffs = cs
-
-    def coefficient(self, d: int) -> CoefExpr:
-        if 0 <= d <= self.order:
-            return self.coeffs[d]
-        raise IndexError(f"degree {d} beyond truncation order {self.order}")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def _check_var(self, other: TruncSeries):
-        if self.var != other.var:
-            raise ValueError(f"series variables differ: {self.var} vs {other.var}")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries(self.var, self.order, [CoefExpr.of(other)])
-        self._check_var(other)
-        n = min(self.order, other.order)
-        return TruncSeries(
-            self.var, n, [self.coeffs[d] + other.coeffs[d] for d in range(n + 1)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries(self.var, self.order, [CoefExpr.of(other)])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self.scale(other)
-        self._check_var(other)
-        n = min(self.order, other.order)
-        out = [CE_ZERO] * (n + 1)
-        for d in range(n + 1):
-            acc = CE_ZERO
-            for k in range(d + 1):
-                a = self.coeffs[k]
-                b = other.coeffs[d - k]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out[d] = acc
-        return TruncSeries(self.var, n, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> TruncSeries:
-        c = CoefExpr.of(value)
-        return TruncSeries(self.var, self.order, [x * c for x in self.coeffs])
-
-    def truncate(self, order: int) -> TruncSeries:
-        return TruncSeries(self.var, min(order, self.order), self.coeffs[: order + 1])
-
-    def compose_monomial(self, coef, power: int) -> TruncSeries:
-        """Substitute var -> coef * var**power (power >= 1).
-
-        The result is exact through degree power*(order+1) - 1 since the first
-        omitted source term lands at degree power*(order+1).
-        """
-        if power < 1:
-            raise UnsupportedOrderError("substitution power must be >= 1")
-        c = CoefExpr.of(coef)
-        new_order = power * (self.order + 1) - 1
-        out = [CE_ZERO] * (new_order + 1)
-        cp = CoefExpr.of(1)
-        for d, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                out[d * power] = a * cp
-            cp = cp * c
-        return TruncSeries(self.var, new_order, out)
-
-    def q_derivative(self) -> TruncSeries:
-        """Termwise q-derivative: var**d -> [d]_q var**(d-1); order drops by one."""
-        if self.order == 0:
-            return TruncSeries(self.var, 0, [CE_ZERO])
-        out = [
-            self.coeffs[d] * q_int(d) for d in range(1, self.order + 1)
-        ]
-        return TruncSeries(self.var, self.order - 1, out)
-
-    def jackson_antiderivative(self) -> TruncSeries:
-        """Termwise inverse of the q-derivative: var**d -> var**(d+1) / [d+1]_q."""
-        out = [CE_ZERO]
-        for d, c in enumerate(self.coeffs):
-            out.append(c * CoefExpr(LP_ONE, q_int(d + 1)))
-        return TruncSeries(self.var, self.order + 1, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        if self.var != other.var or self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __repr__(self):
-        return f"TruncSeries({self.var!r}, order={self.order}, {len(self.coeffs)} coeffs)"
-
-
-def q_exp_series(kind: str, order: int) -> TruncSeries:
-    """Jackson q-exponential series to the given order.
+def q_exp_series(kind: str, order: int) -> MPoly:
+    """Jackson q-exponential series through degree order, as an MPoly in x.
 
     kind "e" (alias "small-e"): coefficients 1/[n]_q!;
     kind "E" (alias "big-E"): q**(n(n-1)/2) / [n]_q!.
@@ -213,29 +45,30 @@ def q_exp_series(kind: str, order: int) -> TruncSeries:
     kind = {"small-e": "e", "big-E": "E"}.get(kind, kind)
     if kind not in ("e", "E"):
         raise ValueError("q-exponential kind must be 'e' or 'E'")
-    coeffs = []
+    if order < 0:
+        raise UnsupportedOrderError("series order must be >= 0")
+    terms = {}
     for n in range(order + 1):
         num = LP_ONE if kind == "e" else LaurentPoly.term(n * (n - 1))
-        coeffs.append(CoefExpr(num, q_factorial(n)))
-    return TruncSeries("x", order, coeffs)
+        terms[(n,)] = CoefExpr(num, q_factorial(n))
+    return MPoly(("x",), terms)
 
 
-def q_trig_series(kind: str, order: int) -> TruncSeries:
-    """q-cosine / q-sine series, normalised so that the q-derivative of sin is
-    cos and the q-derivative of cos is -sin, degree by degree."""
+def q_trig_series(kind: str, order: int) -> MPoly:
+    """q-cosine / q-sine series through degree order, as an MPoly in x,
+    normalised so that the q-derivative of sin is cos and the q-derivative of
+    cos is -sin, degree by degree."""
     kind = {"cos_q": "cos", "sin_q": "sin"}.get(kind, kind)
     if kind not in ("cos", "sin"):
         raise ValueError("q-trigonometric kind must be 'cos' or 'sin'")
+    if order < 0:
+        raise UnsupportedOrderError("series order must be >= 0")
     parity = 0 if kind == "cos" else 1
-    coeffs = []
-    for n in range(order + 1):
-        if n % 2 != parity:
-            coeffs.append(CE_ZERO)
-        else:
-            m = n // 2
-            sign = LP_ONE if m % 2 == 0 else LaurentPoly.const(-1)
-            coeffs.append(CoefExpr(sign, q_factorial(n)))
-    return TruncSeries("x", order, coeffs)
+    terms = {}
+    for n in range(parity, order + 1, 2):
+        sign = LP_ONE if n // 2 % 2 == 0 else LaurentPoly.const(-1)
+        terms[(n,)] = CoefExpr(sign, q_factorial(n))
+    return MPoly(("x",), terms)
 
 
 def q_euler_number(order: int) -> CoefExpr:

@@ -13,45 +13,43 @@ G+ - G- contains only odd powers of c.
 The solver checks its own output: u(x, 0) must reproduce f, the downward
 q-derivative in t at t = 0 must reproduce g, and the wave residual must
 vanish (identically for polynomial data, through total degree order-2 for
-truncated series data).
+truncated series data).  A failed condition raises PostconditionError.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .coeffs import (
-    CE_ONE,
-    CoefExpr,
-    LaurentPoly,
-    QCalcError,
-    UnsupportedOrderError,
-)
-from .identities import Verdict
-from .polys import MPoly, coef_to_complex
-from .qcore import TruncSeries, gauss_binomial, q_trig_series
+from .coeffs import CE_ONE, CoefExpr, QCalcError, UnsupportedOrderError
+from .polys import MPoly, coef_to_complex, q_binomial_weights
+from .qcore import q_trig_series
 
 __all__ = [
     "SYMBOLIC_SPEED",
+    "NAMED_SOURCES",
+    "PostconditionError",
     "InitialData",
     "WaveSolution",
     "poly_from_coefficients",
     "q_binomial_substitute",
     "qwave_operator",
-    "one_directional_check",
     "dalembert_solve",
+    "named_source",
     "named_wave",
     "sample_grid",
 ]
 
 SYMBOLIC_SPEED = "c"
+NAMED_SOURCES = ("cos_q", "sin_q", "q-gaussian")
 
 _XT = ("x", "t")
 _XTC = ("x", "t", "c")
+
+
+class PostconditionError(QCalcError):
+    """The solver's self-check refused the solution it built."""
 
 
 def _is_symbolic(c) -> bool:
@@ -100,22 +98,11 @@ class InitialData:
     def from_polys(cls, f, g) -> InitialData:
         return cls(_as_x_poly(f), _as_x_poly(g), None)
 
-    @classmethod
-    def from_series(cls, f: TruncSeries, g: TruncSeries) -> InitialData:
-        order = min(f.order, g.order)
-        return cls(_series_to_poly(f), _series_to_poly(g), order)
-
 
 def _as_x_poly(p) -> MPoly:
-    if isinstance(p, TruncSeries):
-        return _series_to_poly(p)
     if isinstance(p, MPoly):
         return p
     return MPoly.const(("x",), p)
-
-
-def _series_to_poly(s: TruncSeries) -> MPoly:
-    return MPoly(("x",), {(d,): c for d, c in enumerate(s.coeffs)})
 
 
 @dataclass(frozen=True)
@@ -137,17 +124,8 @@ class WaveSolution:
         return r.is_zero()
 
 
-@lru_cache(maxsize=None)
-def _expansion_terms(n: int):
-    """Cached (k, gauss(n,k) * q^(k(k-1)/2)) pairs of the degree-n expansion."""
-    return tuple(
-        (k, gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)))
-        for k in range(n + 1)
-    )
-
-
 def q_binomial_substitute(p, sign: str, c) -> MPoly:
-    """Apply x**n -> (x + sign * c t)_q**n linearly to a polynomial or series.
+    """Apply x**n -> (x + sign * c t)_q**n linearly to a polynomial.
 
     The result is homogeneous degree by degree: a source term of x-degree n
     contributes only monomials of total (x, t)-degree n.
@@ -166,7 +144,7 @@ def q_binomial_substitute(p, sign: str, c) -> MPoly:
     for e, coef in p.terms.items():
         n = e[xi]
         base_c = e[ci] if ci is not None else 0
-        for k, w in _expansion_terms(n):
+        for k, w in enumerate(q_binomial_weights(n)):
             v = coef * w
             if symbolic:
                 if neg and k % 2:
@@ -205,41 +183,6 @@ def qwave_operator(u, c=None) -> MPoly:
     return dtt - dxx.scale(speed * speed)
 
 
-def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
-    """(D_{1/q}^t -+ c D_q^x) annihilates (x +- c t)_q^n for the matched
-    operator sign; the mismatched operator leaves a nonzero residual for
-    n >= 1, which is attached to the verdict."""
-    t0 = time.perf_counter()
-    if n < 0:
-        raise UnsupportedOrderError("one-directional check needs n >= 0")
-    speed = _as_speed(c)
-    u = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), sign, speed)
-
-    def apply(op_sign: str) -> MPoly:
-        dt = u.q_derivative("t", "1/q")
-        dx = u.q_derivative("x", "q")
-        if _is_symbolic(speed):
-            cdx = dx * MPoly.monomial(
-                u.vars, tuple(1 if v == "c" else 0 for v in u.vars)
-            )
-        else:
-            cdx = dx.scale(speed)
-        return dt - cdx if op_sign == "-" else dt + cdx
-
-    matched = apply("-" if sign == "+" else "+")
-    mismatched = apply("+" if sign == "+" else "-")
-    v = Verdict("one-directional", f"n={n}, sign={sign}")
-    v.residual = mismatched
-    if not matched.is_zero():
-        v.status = "failed"
-        v.detail = "matched operator did not annihilate"
-    elif n >= 1 and mismatched.is_zero():
-        v.status = "failed"
-        v.detail = "mismatched operator unexpectedly annihilated"
-    v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return v
-
-
 def dalembert_solve(data: InitialData, c) -> WaveSolution:
     """Solve the q-wave initial-value problem in closed form.
 
@@ -276,40 +219,44 @@ def _check_solution(ws: WaveSolution, data: InitialData):
     u = ws.body
     zero_t = u.substitute("t", 0)
     if zero_t != data.f.with_vars(u.vars):
-        raise QCalcError("solver postcondition failed: u(x, 0) != f")
+        raise PostconditionError("solver postcondition failed: u(x, 0) != f")
     velocity = u.q_derivative("t", "1/q").substitute("t", 0)
     if velocity != data.g.with_vars(u.vars):
-        raise QCalcError("solver postcondition failed: initial q-velocity != g")
+        raise PostconditionError("solver postcondition failed: initial q-velocity != g")
     if not ws.residual_is_zero():
-        raise QCalcError("solver postcondition failed: nonzero wave residual")
+        raise PostconditionError("solver postcondition failed: nonzero wave residual")
 
 
-def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
-    """Ready-made traveling waves: q-trigonometric and q-Gaussian bodies.
+def named_source(name: str, order: int) -> tuple[MPoly, int]:
+    """A named initial datum in x and the total degree through which it is exact.
 
-    For cos_q/sin_q the order bounds the x-degree of the underlying series.
-    For the q-Gaussian (classical factorials, term (-1)^n (x -+ ct)_q^(2n)/n!)
-    the order counts series terms, so the body has degree 2*order and its
-    coefficients are exact through total degree 2*order + 1.
+    For cos_q/sin_q the order bounds the x-degree of the series.  For the
+    q-Gaussian (classical factorials, term (-1)^n x^(2n)/n!) the order counts
+    series terms, so the source has degree 2*order and is exact through
+    total degree 2*order + 1.
     """
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
-    speed = _as_speed(c)
     if name in ("cos_q", "sin_q"):
-        series = q_trig_series(name[:3], order)
-        body = q_binomial_substitute(series, sign, speed)
-        return WaveSolution(body, speed, order, "named-series")
+        return q_trig_series(name, order), order
     if name == "q-gaussian":
         source = MPoly(
             ("x",),
             {
-                (2 * n,): CoefExpr.of(Fraction((-1) ** n, math.factorial(n)))
+                (2 * n,): Fraction((-1) ** n, math.factorial(n))
                 for n in range(order + 1)
             },
         )
-        body = q_binomial_substitute(source, sign, speed)
-        return WaveSolution(body, speed, 2 * order + 1, "named-series")
+        return source, 2 * order + 1
     raise ValueError(f"unknown named wave {name!r}")
+
+
+def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
+    """Ready-made traveling wave: the named source carried along x -+ ct."""
+    speed = _as_speed(c)
+    source, exact = named_source(name, order)
+    body = q_binomial_substitute(source, sign, speed)
+    return WaveSolution(body, speed, exact, "named-series")
 
 
 def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):

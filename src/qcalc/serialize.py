@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .coeffs import CoefExpr, GaussianRational, LaurentPoly, QCalcError
 from .polys import MPoly
-from .qcore import TruncSeries
 from .qwave import SYMBOLIC_SPEED, WaveSolution
 
 __all__ = [
@@ -120,21 +119,26 @@ def mpoly_from_json(doc) -> MPoly:
         raise SerializationError(str(exc)) from None
 
 
-def series_to_json(s: TruncSeries) -> dict:
+def series_to_json(p: MPoly, order: int) -> dict:
+    """A truncated series (univariate MPoly of degree <= order) as
+    {"var", "order", "coeffs"} with one coefficient per degree 0..order."""
+    (var,) = p.vars
     return {
-        "var": s.var,
-        "order": s.order,
-        "coeffs": [coef_to_json(c) for c in s.coeffs],
+        "var": var,
+        "order": order,
+        "coeffs": [coef_to_json(p.coefficient((d,))) for d in range(order + 1)],
     }
 
 
-def series_from_json(doc) -> TruncSeries:
+def series_from_json(doc) -> tuple[MPoly, int]:
+    """Inverse of series_to_json: the series and its order; coefficients
+    beyond the order are dropped."""
     try:
-        return TruncSeries(
-            str(doc["var"]),
-            int(doc["order"]),
-            [coef_from_json(c) for c in doc["coeffs"]],
-        )
+        order = int(doc["order"])
+        if order < 0:
+            raise ValueError("series order must be >= 0")
+        coeffs = [coef_from_json(c) for c in doc["coeffs"][: order + 1]]
+        return MPoly((str(doc["var"]),), {(d,): c for d, c in enumerate(coeffs)}), order
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad series document: {exc}") from None
 
@@ -197,8 +201,6 @@ def verdict_to_json(v) -> dict:
     if v.residual is not None and v.status == "failed":
         if isinstance(v.residual, MPoly):
             doc["residual"] = mpoly_to_json(v.residual)
-        elif isinstance(v.residual, TruncSeries):
-            doc["residual"] = series_to_json(v.residual)
         elif isinstance(v.residual, CoefExpr):
             doc["residual"] = coef_to_json(v.residual)
     return doc

@@ -81,7 +81,7 @@ def test_05_trigonometric_ivp_order_16():
     total (x, t)-degree <= 14; both sides are scaled by 2c to stay
     polynomial in the symbolic speed."""
     order = 16
-    data = InitialData.from_series(q_trig_series("cos", order), q_trig_series("sin", order))
+    data = InitialData(q_trig_series("cos", order), q_trig_series("sin", order), order)
     ws = dalembert_solve(data, SYMBOLIC_SPEED)
     cos_minus = q_binomial_substitute(q_trig_series("cos", order), "-", SYMBOLIC_SPEED)
     cos_plus = q_binomial_substitute(q_trig_series("cos", order), "+", SYMBOLIC_SPEED)

@@ -106,6 +106,18 @@ class TestSolve:
         wave = wave_from_json(json.loads(out))
         assert wave.order == 8
 
+    def test_postcondition_failure_exits_one(self, capsys, monkeypatch):
+        from qcalc.qwave import WaveSolution
+
+        monkeypatch.setattr(WaveSolution, "residual_is_zero", lambda self: False)
+        for extra in ((), ("--check",)):
+            code, out, err = run(
+                capsys, "solve", "--f", "0,0,1", "--g", "0", "--c", "1", *extra
+            )
+            assert code == 1
+            assert out == ""
+            assert err == "error: solver postcondition failed: nonzero wave residual\n"
+
     def test_roundtrip_equality(self, capsys):
         code, out, _ = run(capsys, "solve", "--f", "0,1,2", "--g", "3,1", "--c", "1/2")
         assert code == 0

@@ -21,11 +21,12 @@ from qcalc.polys import (
     dbar_operator,
     jackson_integral_numeric,
     q_binomial_power,
-    q_binomial_power_by_product,
     q_laplacian,
     q_laplacian_chain,
+    q_power_product,
 )
 from qcalc.qcore import q_int
+from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
 
 
 def xpoly(terms):
@@ -162,15 +163,30 @@ class TestQBinomialPower:
         assert q_binomial_power("z", GR_I, "w", 0) == MPoly.const(("z", "w"), 1)
 
     def test_product_route_agreement(self):
+        zw = ("z", "w")
         for n in range(13):
             closed = q_binomial_power("z", GR_I, "w", n)
-            product = q_binomial_power_by_product("z", GR_I, "w", n)
+            product = q_power_product(MPoly.var(zw, "z"), MPoly.var(zw, "w").scale(GR_I), n)
             assert closed == product
         c = Fraction(-3, 2)
+        xt = ("x", "t")
         for n in range(9):
-            assert q_binomial_power("x", c, "t", n) == q_binomial_power_by_product(
-                "x", c, "t", n
-            )
+            product = q_power_product(MPoly.var(xt, "x"), MPoly.var(xt, "t").scale(c), n)
+            assert q_binomial_power("x", c, "t", n) == product
+        # the wave substitution x^n -> (x +- c t)_q^n, symbolic and rational c
+        xtc = ("x", "t", "c")
+        x, ct = MPoly.var(xtc, "x"), MPoly.monomial(xtc, (0, 1, 1), 1)
+        c = Fraction(5, 7)
+        for n in range(9):
+            xn = MPoly.monomial(("x",), (n,), 1)
+            for sign, unit in (("+", 1), ("-", -1)):
+                got = q_binomial_substitute(xn, sign, SYMBOLIC_SPEED)
+                assert got == q_power_product(x, ct.scale(unit), n)
+                got = q_binomial_substitute(xn, sign, c)
+                product = q_power_product(
+                    MPoly.var(xt, "x"), MPoly.var(xt, "t").scale(unit * c), n
+                )
+                assert got == product
 
     def test_negative_power_rejected(self):
         with pytest.raises(UnsupportedOrderError):

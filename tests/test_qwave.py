@@ -1,7 +1,9 @@
 """q-wave module tests: substitution, operators, the IVP solver, sampling."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from qcalc.coeffs import (
     GaussianRational,
     LaurentPoly,
 )
+from qcalc.identities import one_directional_check
 from qcalc.polys import MPoly
 from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_trig_series
 from qcalc.qwave import (
@@ -20,7 +23,6 @@ from qcalc.qwave import (
     WaveSolution,
     dalembert_solve,
     named_wave,
-    one_directional_check,
     poly_from_coefficients,
     q_binomial_substitute,
     qwave_operator,
@@ -72,7 +74,7 @@ class TestSubstitute:
         got = q_binomial_substitute(cos6, "+", SYMBOLIC_SPEED)
         # the t^0 slice is the original series
         for d in range(7):
-            assert got.coefficient((d, 0, 0)) == cos6.coefficient(d)
+            assert got.coefficient((d, 0, 0)) == cos6.coefficient((d,))
         # a mixed monomial carries the Gaussian-binomial weight over the same
         # factorial denominator: x^6 -> ... + gauss(6,2) q (ct)^2 x^4 + ...
         expected = CoefExpr(
@@ -318,3 +320,34 @@ class TestSampleGrid:
         rows_num = sample_grid(ws_num, 2.0, 123.0, [0.3, 1.7], [0.4])
         for a, b in zip(rows_sym, rows_num):
             assert abs(a[2] - b[2]) < 1e-12
+
+
+def test_package_import_graph():
+    """Intra-package imports form a DAG, and qwave sits below the identity
+    verifiers: it imports neither identities nor hermite."""
+    src = Path(__file__).resolve().parent.parent / "src" / "qcalc"
+    graph = {}
+    for path in src.glob("*.py"):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[path.stem] = deps - {"__init__"}
+    assert "qwave" in graph and not graph["qwave"] & {"identities", "hermite"}
+    done, active = set(), []
+
+    def visit(mod):
+        assert mod not in active, f"import cycle: {' -> '.join(active + [mod])}"
+        if mod in done:
+            return
+        active.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            visit(dep)
+        active.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)

@@ -90,11 +90,20 @@ class TestMPoly:
 class TestSeries:
     def test_roundtrip(self):
         s = q_exp_series("E", 5)
-        assert series_from_json(series_to_json(s)) == s
+        doc = series_to_json(s, 5)
+        assert len(doc["coeffs"]) == 6
+        assert series_from_json(doc) == (s, 5)
+        # a series stored beyond its order reads back truncated
+        assert series_from_json(series_to_json(s, 5) | {"order": 3}) == (
+            s.truncate_total_degree(3),
+            3,
+        )
 
     def test_malformed(self):
         with pytest.raises(SerializationError):
             series_from_json({"var": "x"})
+        with pytest.raises(SerializationError):
+            series_from_json({"var": "x", "order": -1, "coeffs": []})
 
 
 class TestWave:
