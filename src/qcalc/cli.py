@@ -10,6 +10,7 @@ Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -144,6 +145,9 @@ def _initial_part(coeffs_text, named, which, c, order):
 
 
 def _cmd_verify(args, out) -> int:
+    for flag, bound in (("--order", args.order), ("--n-max", args.n_max)):
+        if bound is not None and bound < 0:
+            raise SerializationError(f"{flag} must be >= 0")
     ids = sorted(IDENTITY_CHECKS) if args.identity == "all" else [args.identity]
     q_samples = [Fraction(1, 2), Fraction(3, 4), Fraction(2)]
     if args.seed is not None:
@@ -241,17 +245,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
-                return _COMMANDS[args.command](args, out)
-        return _COMMANDS[args.command](args, sys.stdout)
+        if not args.output:
+            return _COMMANDS[args.command](args, sys.stdout)
+        # render first, so a command that raises leaves no file behind
+        buf = io.StringIO()
+        code = _COMMANDS[args.command](args, buf)
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(buf.getvalue())
+        return code
     except PostconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
     except (SerializationError, UnsupportedOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QCalcError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QCalcError, ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

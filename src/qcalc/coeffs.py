@@ -20,9 +20,10 @@ are structurally equal dicts.
 
 The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials and Gaussian binomial coefficients are cached
-LaurentPoly values (exponents even).  Gaussian binomials are built by exact
-polynomial division of q-factorials, which also makes them available as
-exact common-denominator multipliers elsewhere.
+LaurentPoly values (exponents even).  Gaussian binomials are built by the
+q-Pascal rule from shifts and additions alone, so they are independent of
+the q-factorials and of exact division; both serve elsewhere as exact
+common-denominator multipliers.
 """
 
 from __future__ import annotations
@@ -682,12 +683,14 @@ def factorial_ratio(n: int, k: int) -> LaurentPoly:
 def gauss_binomial(n: int, k: int) -> LaurentPoly:
     """Gaussian binomial coefficient as an honest polynomial in q.
 
-    Computed as the exact quotient ([n]!/[n-k]!) / [k]!; degree k(n-k) in q,
-    symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1.
+    Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]; degree
+    k(n-k) in q, symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1.
     """
     if not 0 <= k <= n:
         raise UnsupportedOrderError("gauss_binomial needs 0 <= k <= n")
-    q = factorial_ratio(n, n - k).divexact(q_factorial(k))
-    if q is None:  # pragma: no cover - the quotient is a theorem
-        raise ArithmeticError("q-factorial division was not exact")
-    return q
+    if k == 0 or k == n:
+        return LP_ONE
+    for m in range(2, n):  # fill the band below bottom-up: recursion stays shallow
+        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
+            gauss_binomial(m, j)
+    return gauss_binomial(n - 1, k - 1) + gauss_binomial(n - 1, k).shift(2 * k)

@@ -44,23 +44,30 @@ __all__ = [
 ]
 
 
-def _laurent_to_complex(p: LaurentPoly, s_value: float) -> complex:
+def _laurent_to_complex(p: LaurentPoly, s_value: float) -> tuple[complex, int]:
+    """(v, m) with p(s) = v * s**m, where m is the exponent that dominates at s
+    (the largest for s >= 1, the smallest below), so no power in v overflows."""
+    if not p.coeffs:
+        return 0j, 0
+    m = max(p.coeffs) if s_value >= 1 else min(p.coeffs)
     total = 0j
     for e, c in p.coeffs.items():
-        total += complex(c) * s_value**e
-    return total
+        total += complex(c) * s_value ** (e - m)
+    return total, m
 
 
 def coef_to_complex(c: CoefExpr, q_value: float) -> complex:
     """Floating-point image of an exact coefficient at numeric q > 0.
 
     The only place where symbolic values meet floats; used by grid sampling.
+    Raises OverflowError when the value itself is out of float range.
     """
     s = q_value**0.5
-    d = _laurent_to_complex(c.den, s)
+    d, m_den = _laurent_to_complex(c.den, s)
     if d == 0:
         raise PoleError(f"denominator vanishes at q = {q_value}")
-    return _laurent_to_complex(c.num, s) / d
+    n, m_num = _laurent_to_complex(c.num, s)
+    return n / d * s ** (m_num - m_den)
 
 
 class MPoly:
@@ -377,17 +384,6 @@ class MPoly:
             keep = lambda e: sum(e[i] for i in idx) <= bound
         return MPoly._raw(self.vars, {e: c for e, c in self.terms.items() if keep(e)})
 
-    def eval_float(self, q_value: float, assign: dict[str, float]) -> complex:
-        point = [assign[v] for v in self.vars]
-        total = 0j
-        for e, c in self.terms.items():
-            p = coef_to_complex(c, q_value)
-            for x, d in zip(point, e):
-                if d:
-                    p *= x**d
-            total += p
-        return total
-
     def __repr__(self):
         return f"MPoly({self.vars}, {len(self.terms)} terms)"
 
@@ -420,9 +416,7 @@ def q_power_product(a: MPoly, b: MPoly, n: int) -> MPoly:
 def q_binomial_weights(n: int) -> tuple[LaurentPoly, ...]:
     """Weights gauss(n, k) * q^(k(k-1)/2), k = 0..n, of the closed form
     (a + b)(a + qb)...(a + q^(n-1) b) = sum_k weight_k a^(n-k) b^k."""
-    return tuple(
-        gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)) for k in range(n + 1)
-    )
+    return tuple(gauss_binomial(n, k).shift(k * (k - 1)) for k in range(n + 1))
 
 
 def q_binomial_power(a_var: str, b_coef, b_var: str, n: int, variables=None) -> MPoly:

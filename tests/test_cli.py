@@ -3,12 +3,14 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from qcalc.cli import main
 from qcalc.coeffs import CE_Q, CoefExpr
 from qcalc.polys import MPoly
-from qcalc.qcore import q_int
-from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
-from qcalc.serialize import mpoly_from_json, wave_from_json
+from qcalc.qcore import q_factorial, q_int
+from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, q_binomial_substitute
+from qcalc.serialize import mpoly_from_json, wave_from_json, wave_to_json
 
 
 def run(capsys, *argv):
@@ -60,6 +62,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--identity", "q-laplacian")
         assert code == 1
         assert json.loads(out)["status"] == "failed"
+
+    def test_negative_bounds_exit_two(self, capsys):
+        for flag, ident in (("--order", "exp-product"), ("--n-max", "xi")):
+            code, out, err = run(capsys, "verify", "--identity", ident, flag, "-1")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {flag} must be >= 0\n"
 
 
 class TestSolve:
@@ -165,6 +174,33 @@ class TestSample:
         )
         assert code == 2
 
+    def _one_term_wave(self, tmp_path):
+        # the constant [20]_q written unreduced as [20]! / [19]!, s-powers up to 380
+        body = MPoly(("x", "t"), {(0, 0): CoefExpr(q_factorial(20), q_factorial(19))})
+        path = tmp_path / "wave.json"
+        path.write_text(json.dumps(wave_to_json(WaveSolution(body, Fraction(1), None, "test"))))
+        return path
+
+    def test_large_q_samples_finite(self, capsys, tmp_path):
+        path = self._one_term_wave(tmp_path)
+        code, out, _ = run(
+            capsys, "sample", "--in", str(path), "--q", "100", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 0
+        values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert len(values) == 4
+        for v in values:
+            assert v == pytest.approx((100.0**20 - 1) / 99, rel=1e-12)
+
+    def test_out_of_range_value_exits_two(self, capsys, tmp_path):
+        path = self._one_term_wave(tmp_path)
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "1e300", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_grid_exits_two(self, capsys, tmp_path):
         path = tmp_path / "wave.json"
         main(["solve", "--f", "1", "--g", "0", "--c", "1", "--output", str(path)])
@@ -217,3 +253,21 @@ class TestHermiteAndExpand:
         code = main(["hermite", "--n", "2", "--output", str(path)])
         assert code == 0
         assert json.loads(path.read_text())["vars"] == ["x"]
+
+    def test_output_file_only_when_the_command_returns(self, capsys, tmp_path, monkeypatch):
+        from qcalc import cli
+        from qcalc.identities import Verdict
+
+        path = tmp_path / "o.json"
+        code = main(["solve", "--f", "0,zz", "--g", "0", "--c", "1", "--output", str(path)])
+        assert code == 2
+        assert not path.exists()
+
+        def broken(n_max):
+            return Verdict("q-laplacian", f"n<={n_max}", status="failed", detail="forced")
+
+        monkeypatch.setitem(cli.IDENTITY_CHECKS, "q-laplacian", (broken, "n_max"))
+        code = main(["verify", "--identity", "q-laplacian", "--output", str(path)])
+        assert code == 1
+        assert json.loads(path.read_text())["status"] == "failed"
+        assert capsys.readouterr().out == ""

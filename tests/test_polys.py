@@ -17,6 +17,7 @@ from qcalc.coeffs import (
 )
 from qcalc.polys import (
     MPoly,
+    coef_to_complex,
     d_operator,
     dbar_operator,
     jackson_integral_numeric,
@@ -25,7 +26,7 @@ from qcalc.polys import (
     q_laplacian_chain,
     q_power_product,
 )
-from qcalc.qcore import q_int
+from qcalc.qcore import q_factorial, q_int
 from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
 
 
@@ -269,6 +270,14 @@ class TestJacksonAntiderivative:
                 }
             )
             assert p.jackson_antiderivative("x").q_derivative("x") == p
+
+
+class TestCoefToComplex:
+    def test_dominant_power_factored_out(self):
+        # [20]! / [19]! has s-powers up to 380: 100**190 alone is out of float range
+        c = CoefExpr(q_factorial(20), q_factorial(19))
+        for q in (100.0, 0.01):
+            assert coef_to_complex(c, q) == pytest.approx((q**20 - 1) / (q - 1), rel=1e-12)
 
 
 class TestJacksonIntegralNumeric:

@@ -91,7 +91,8 @@ class TestGaussBinomial:
         assert gauss_binomial(4, 2) == LaurentPoly({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
 
     def test_against_partition_oracle(self):
-        for n in range(13):
+        # n <= 20 covers every binomial an order-20 wave solve reads
+        for n in range(21):
             for k in range(n + 1):
                 assert gauss_binomial(n, k) == _gauss_oracle(n, k)
 
@@ -108,6 +109,10 @@ class TestGaussBinomial:
                 if g != LP_ONE:
                     assert g.max_exp() == 2 * k * (n - k)
 
+    def test_deep_row_fills_bottom_up(self):
+        # a plainly recursive q-Pascal rule would exceed the recursion limit here
+        assert gauss_binomial(1100, 1) == q_int(1100)
+
     def test_out_of_range(self):
         with pytest.raises(UnsupportedOrderError):
             gauss_binomial(3, 4)
@@ -115,6 +120,7 @@ class TestGaussBinomial:
             gauss_binomial(3, -1)
 
     def test_pascal_recurrences(self):
+        # the first recurrence is the construction; the second checks it
         for n in range(1, 13):
             for k in range(1, n + 1):
                 left = gauss_binomial(n, k)
@@ -145,7 +151,7 @@ class TestGaussBinomial:
             assert total == product
 
     def test_reconstructs_factorial(self):
-        # gauss(n,k) [k]! [n-k]! == [n]! re-checked independently of divexact
+        # gauss(n,k) [k]! [n-k]! == [n]!: the table is built without q-factorials
         for n in range(13):
             for k in range(n + 1):
                 assert (
