@@ -13,6 +13,7 @@ import argparse
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -238,10 +239,27 @@ _COMMANDS = {
 }
 
 
+# Options whose value may begin with "-": argparse takes "-3/7,1" or "-1:1:0.5"
+# for an option name, so such a value is joined to its option as --f=-3/7,1.
+_VALUE_OPTIONS = ("--f", "--g", "--c", "--x", "--t")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -16,7 +16,12 @@ Three layers, all immutable and exact (no floating point ever enters a value):
 
 LaurentPoly is canonical (zero coefficients are never stored), which makes
 zero tests and denominator sharing cheap: mathematically equal denominators
-are structurally equal dicts.
+are structurally equal dicts.  Storage is that dict, but products are formed
+by Kronecker substitution: each operand is lifted to integer vectors (real
+and imaginary part) over one common denominator, each vector is packed into
+one int at s = 2**width, one big-int product is taken (up to four when the
+operands are complex), and the coefficients are read back as balanced
+width-bit digits.  A one-term operand is a shift plus a scale instead.
 
 The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials and Gaussian binomial coefficients are cached
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 __all__ = [
     "QCalcError",
@@ -281,23 +287,31 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return LP_ZERO
-        if len(a) > len(b):
-            a, b = b, a
+        if len(a) == 1 or len(b) == 1:
+            mono, rest = (a, other) if len(a) == 1 else (b, self)
+            ((e, c),) = mono.items()
+            if c.re == 1 and not c.im:
+                return rest.shift(e)  # rest itself when the term is 1
+            return LaurentPoly._raw({x + e: v * c for x, v in rest.coeffs.items()})
+        # Kronecker substitution: integer vectors over a common denominator,
+        # packed at s = 2**width, multiplied once and read back slot by slot.
+        lo_a, den_a, re_a, im_a, top_a = _lift(a)
+        lo_b, den_b, re_b, im_b, top_b = _lift(b)
+        bound = min(len(a), len(b)) * top_a * top_b  # largest |slot| possible
+        if im_a and im_b:
+            bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
+        width = bound.bit_length() + 1  # one sign bit for balanced digits
+        ra, ia = _pack(re_a, width), _pack(im_a, width)
+        rb, ib = _pack(re_b, width), _pack(im_b, width)
+        n = len(re_a) + len(re_b) - 1
+        packed_im = ia * rb + ra * ib
+        re = _unpack(ra * rb - ia * ib, n, width)
+        im = _unpack(packed_im, n, width) if packed_im else [0] * n
+        lo, den = lo_a + lo_b, den_a * den_b
         out: dict[int, GaussianRational] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                v = out.get(e)
-                p = ca * cb
-                if v is None:
-                    if p:
-                        out[e] = p
-                else:
-                    v = v + p
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
+        for k, (v, w) in enumerate(zip(re, im)):
+            if v or w:
+                out[lo + k] = _gr(Fraction(v, den), Fraction(w, den) if w else _F0)
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
@@ -439,6 +453,53 @@ class LaurentPoly:
             else:
                 parts.append(f"({c})*s^{e}")
         return " + ".join(parts)
+
+
+def _lift(coeffs: dict[int, GaussianRational]):
+    """(lowest exponent, common denominator, real and imaginary integer
+    vectors, largest absolute entry) of a nonzero coefficient dict; the
+    imaginary vector is empty when every coefficient is real."""
+    lo = min(coeffs)
+    size = max(coeffs) - lo + 1
+    parts = [c.re for c in coeffs.values()]
+    has_im = any(c.im for c in coeffs.values())
+    if has_im:
+        parts += [c.im for c in coeffs.values()]
+    den = lcm(*[p.denominator for p in parts])
+    re = [0] * size
+    im = [0] * size if has_im else []
+    for e, c in coeffs.items():
+        re[e - lo] = c.re.numerator * (den // c.re.denominator)
+        if has_im:
+            im[e - lo] = c.im.numerator * (den // c.im.denominator)
+    top = max(max(re), -min(re), max(im, default=0), -min(im, default=0))
+    return lo, den, re, im, top
+
+
+def _pack(vec: list[int], width: int) -> int:
+    """sum(v * 2**(width*k)) by Horner; signed entries need no special case."""
+    acc = 0
+    for v in reversed(vec):
+        acc = (acc << width) + v
+    return acc
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n balanced width-bit digits of x, lowest first: the inverse of
+    _pack when every digit lies in [-2**(width-1), 2**(width-1)).  Low bits
+    at or above half their range stand for a negative digit, which borrows
+    from the rest, so 1 is carried back into it."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(n):
+        v = x & mask
+        x >>= width
+        if v >= half:
+            v -= mask + 1
+            x += 1
+        out.append(v)
+    return out
 
 
 def _gauss_pow(base: GaussianRational, n: int) -> GaussianRational:

@@ -35,6 +35,7 @@ from .polys import (
     d_operator,
     dbar_operator,
     q_binomial_power,
+    q_binomial_weights,
     q_laplacian_chain,
 )
 from .qcore import gauss_binomial, q_factorial, q_int
@@ -168,7 +169,7 @@ def verify_q_hermite_binomial(n_max: int) -> Verdict:
         for k in range(n + 1):
             hz = q_hermite(n - k).rename_var("x", "z").with_vars(vs)
             hw = q_hermite_dual(k).with_vars(vs)
-            coef = CoefExpr.of(gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1))) * ik
+            coef = CoefExpr.of(q_binomial_weights(n)[k]) * ik
             rhs = rhs + (hz * hw).scale(coef)
             ik = ik * GR_I
         rhs = rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))
@@ -227,9 +228,7 @@ def verify_exp_factorization(order: int) -> Verdict:
             lhs = CoefExpr(
                 LaurentPoly.term(b * (b - 1)), q_factorial(a) * q_factorial(b)
             )
-            rhs = CoefExpr(
-                gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1)), q_factorial(n)
-            )
+            rhs = CoefExpr(q_binomial_weights(n)[k], q_factorial(n))
             if lhs != rhs:
                 res = MPoly(vs, {(a, b): lhs - rhs})
                 return _fail(v, res, f"coefficient x^{a} y^{b} differs", t0)
@@ -321,7 +320,7 @@ def verify_traveling_hermite_expansion(n_max: int) -> Verdict:
             hx = q_hermite(n - k).with_vars(vs)
             dual = q_hermite_dual(k).with_vars(vs + ("w",))
             dual = dual.substitute("w", minus_ict.with_vars(vs + ("w",))).with_vars(vs)
-            coef = CoefExpr.of(gauss_binomial(n, k) * LaurentPoly.term(k * (k - 1))) * ik
+            coef = CoefExpr.of(q_binomial_weights(n)[k]) * ik
             rhs = rhs + (hx * dual).scale(coef)
             ik = ik * GR_I
         rhs = rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))

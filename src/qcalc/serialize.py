@@ -174,19 +174,26 @@ def wave_to_json(w: WaveSolution) -> dict:
     return doc
 
 
+# "unknown" is what a document without a provenance reads as.
+_PROVENANCES = ("dalembert", "direct-binomial", "named-series", "unknown")
+_WAVE_VARS = {"x", "t", "c"}
+
+
 def wave_from_json(doc) -> WaveSolution:
     if not isinstance(doc, dict) or "c" not in doc:
         raise SerializationError("wave document needs a c field")
     body = mpoly_from_json(doc)
+    if not set(body.vars) <= _WAVE_VARS:
+        raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
     order = doc.get("order")
     if order is not None:
         order = int(order)
-    return WaveSolution(
-        body,
-        _speed_from_json(doc["c"]),
-        order,
-        str(doc.get("provenance", "unknown")),
-    )
+        if order < 0:
+            raise SerializationError(f"wave order {order} is negative")
+    provenance = str(doc.get("provenance", "unknown"))
+    if provenance not in _PROVENANCES:
+        raise SerializationError(f"unknown wave provenance {provenance!r}")
+    return WaveSolution(body, _speed_from_json(doc["c"]), order, provenance)
 
 
 def verdict_to_json(v) -> dict:

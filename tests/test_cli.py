@@ -127,6 +127,14 @@ class TestSolve:
             assert out == ""
             assert err == "error: solver postcondition failed: nonzero wave residual\n"
 
+    def test_values_beginning_with_minus(self, capsys):
+        joined = run(capsys, "solve", "--f=-3/7,1", "--g=-.5", "--c=-2/3")
+        spaced = run(capsys, "solve", "--f", "-3/7,1", "--g", "-.5", "--c", "-2/3")
+        assert joined[0] == 0
+        assert spaced == joined
+        wave = wave_from_json(json.loads(spaced[1]))
+        assert wave.c == CoefExpr.of(Fraction(-2, 3))
+
     def test_roundtrip_equality(self, capsys):
         code, out, _ = run(capsys, "solve", "--f", "0,1,2", "--g", "3,1", "--c", "1/2")
         assert code == 0
@@ -178,7 +186,7 @@ class TestSample:
         # the constant [20]_q written unreduced as [20]! / [19]!, s-powers up to 380
         body = MPoly(("x", "t"), {(0, 0): CoefExpr(q_factorial(20), q_factorial(19))})
         path = tmp_path / "wave.json"
-        path.write_text(json.dumps(wave_to_json(WaveSolution(body, Fraction(1), None, "test"))))
+        path.write_text(json.dumps(wave_to_json(WaveSolution(body, Fraction(1), None, "direct-binomial"))))
         return path
 
     def test_large_q_samples_finite(self, capsys, tmp_path):
@@ -200,6 +208,16 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_grid_beginning_with_minus(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        common = ("sample", "--in", str(path), "--q", "0.5")
+        joined = run(capsys, *common, "--x=-1:1:0.5", "--t=-.5:0:0.5")
+        spaced = run(capsys, *common, "--x", "-1:1:0.5", "--t", "-.5:0:0.5")
+        assert joined[0] == 0
+        assert spaced == joined
+        assert joined[1].splitlines()[1].startswith("-1,-0.5,")
 
     def test_bad_grid_exits_two(self, capsys, tmp_path):
         path = tmp_path / "wave.json"

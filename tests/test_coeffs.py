@@ -223,3 +223,77 @@ def test_sampled_equality_agrees_with_cross_multiplication():
         assert (a == b) == a.eq_by_sampling(b)
         agree += 1
     assert agree == 1000
+
+
+def _schoolbook_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Reference product by the double loop over both coefficient dicts: the
+    oracle for the Kronecker-substitution kernel in LaurentPoly.__mul__."""
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = ea + eb
+            v = out.get(e, GaussianRational(0)) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return LaurentPoly(out)
+
+
+def _assert_product(a, b):
+    expected = _schoolbook_mul(a, b)
+    assert (a * b).coeffs == expected.coeffs
+    assert (b * a).coeffs == expected.coeffs
+
+
+# Wide operands: exponents -60..60 with gaps, coefficients up to ~200 bits
+# with mixed signs and denominators, imaginary parts on some.
+_wide_part = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**40)),
+)
+_wide_gauss = st.builds(GaussianRational, _wide_part, st.one_of(st.just(0), _wide_part))
+_wide_laurent = st.one_of(
+    st.dictionaries(st.integers(-60, 60), _wide_gauss, max_size=40),
+    st.dictionaries(st.integers(-60, 60), st.builds(GaussianRational, _wide_part), max_size=40),
+).map(LaurentPoly)
+
+
+class TestKroneckerProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_laurent, _wide_laurent)
+    def test_matches_schoolbook(self, a, b):
+        _assert_product(a, b)
+
+    def test_cancelling_slots(self):
+        s, i = LP_S, GaussianRational(0, 1)
+        assert (LP_ONE + s) * (LP_ONE - s) == LP_ONE - s * s  # the s slot cancels
+        conj = (LP_ONE + s.scale(i)) * (LP_ONE - s.scale(i))  # imaginary part cancels
+        assert conj == LP_ONE + s * s
+        assert all(c.is_real() for c in conj.coeffs.values())
+        wide = lp({e: 1 - 2 * (e % 2) for e in range(-40, 40)})
+        _assert_product(wide, lp({0: 1, 1: 1}))
+        assert (wide * LaurentPoly()).is_zero()
+        assert (LaurentPoly() * wide).is_zero()
+
+    @pytest.mark.parametrize("length", [2, 121])
+    def test_slot_at_the_packing_bound(self, length):
+        # every coefficient at +-max: the middle slot of the product equals
+        # the bound the slot width is chosen from
+        big = 2**200 + 1
+        pos = lp({e: big for e in range(length)})
+        neg = lp({e: -big for e in range(length)})
+        _assert_product(pos, pos)
+        _assert_product(pos, neg)
+        assert (pos * pos).coeffs[length - 1] == GaussianRational(length * big * big)
+        za = lp({e: GaussianRational(big, big) for e in range(length)})
+        zb = lp({e: GaussianRational(big, -big) for e in range(length)})
+        _assert_product(za, zb)
+        assert (za * zb).coeffs[length - 1] == GaussianRational(2 * length * big * big)
+
+    def test_one_term_operand(self):
+        a = lp({-3: GaussianRational(Fraction(1, 3), 2), 5: 7, 9: Fraction(-2, 9)})
+        for mono in (lp({4: Fraction(-5, 7)}), lp({-2: GaussianRational(0, 1)}), LP_S):
+            _assert_product(a, mono)
+        assert a * LP_ONE is a
+        assert LP_ONE * a is a

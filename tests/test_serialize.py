@@ -139,6 +139,29 @@ class TestWave:
         with pytest.raises(SerializationError):
             wave_from_json({"vars": ["x", "t"], "terms": []})
 
+    @staticmethod
+    def _doc(**changes):
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CoefExpr.of(2), 4, "dalembert")
+        return {**wave_to_json(ws), **changes}
+
+    def test_missing_provenance_reads_unknown(self):
+        doc = self._doc()
+        del doc["provenance"]
+        assert wave_from_json(doc).provenance == "unknown"
+        assert wave_from_json(self._doc(order=0)).order == 0
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(SerializationError, match="order"):
+            wave_from_json(self._doc(order=-5))
+
+    def test_foreign_variable_rejected(self):
+        with pytest.raises(SerializationError, match="variables"):
+            wave_from_json(self._doc(vars=["x", "z"]))
+
+    def test_unknown_provenance_rejected(self):
+        with pytest.raises(SerializationError, match="provenance"):
+            wave_from_json(self._doc(provenance="guesswork"))
+
 
 class TestVerdictAndCsv:
     def test_verdict_json_shape(self):
