@@ -42,6 +42,7 @@ from .polys import (
     d_operator,
     dbar_operator,
     jackson_integral_numeric,
+    q_binomial_expand,
     q_binomial_power,
     q_binomial_weights,
     q_laplacian,

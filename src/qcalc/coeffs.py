@@ -63,6 +63,7 @@ __all__ = [
     "q_factorial",
     "factorial_ratio",
     "gauss_binomial",
+    "power",
 ]
 
 _F0 = Fraction(0)
@@ -149,6 +150,11 @@ class GaussianRational:
 
     def __rtruediv__(self, other):
         return as_gaussian(other) * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** -n
+        return power(self, n, GR_ONE)
 
     def __eq__(self, other):
         if isinstance(other, (GaussianRational, int, Fraction)):
@@ -336,15 +342,8 @@ class LaurentPoly:
                     "negative power of a non-monomial Laurent polynomial"
                 )
             e, c = mono
-            return LaurentPoly._raw({e * n: _gauss_pow(c.inverse(), -n)})
-        out = LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+            return LaurentPoly._raw({e * n: c**n})
+        return power(self, n, LP_ONE)
 
     def stretch(self, k: int) -> LaurentPoly:
         """Substitute s -> s**k (k nonzero); k = -1 is the involution q -> 1/q."""
@@ -364,31 +363,19 @@ class LaurentPoly:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at s = 0")
         total = GR_ZERO
         for e, c in self.coeffs.items():
-            if e >= 0:
-                p = GR_ONE if e == 0 else _gauss_pow(s, e)
-            else:
-                p = _gauss_pow(s.inverse(), -e)
-            total = total + c * p
+            total = total + c * s**e
         return total
 
     def eval_q(self, q_value) -> GaussianRational:
         """Exact evaluation with q = s**2 given; requires even exponents only."""
         q = as_gaussian(q_value)
         total = GR_ZERO
-        qinv = None
         for e, c in self.coeffs.items():
             if e % 2:
                 raise NeedsSquareRootError(
                     "odd power of s present; supply a square root of q"
                 )
-            k = e // 2
-            if k >= 0:
-                p = GR_ONE if k == 0 else _gauss_pow(q, k)
-            else:
-                if qinv is None:
-                    qinv = q.inverse()
-                p = _gauss_pow(qinv, -k)
-            total = total + c * p
+            total = total + c * q ** (e // 2)
         return total
 
     def at_one(self) -> GaussianRational:
@@ -502,15 +489,16 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
     return out
 
 
-def _gauss_pow(base: GaussianRational, n: int) -> GaussianRational:
-    out = GR_ONE
-    b = base
+def power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, starting from one; the one
+    loop behind every ring type's __pow__."""
+    out = one
     while n:
         if n & 1:
-            out = out * b
+            out = out * base
         n >>= 1
         if n:
-            b = b * b
+            base = base * base
     return out
 
 
@@ -610,15 +598,7 @@ class CoefExpr:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CE_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, CE_ONE)
 
     def __eq__(self, other):
         if isinstance(other, (CoefExpr, LaurentPoly, GaussianRational, int, Fraction)):

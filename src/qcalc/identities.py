@@ -27,7 +27,6 @@ from .coeffs import (
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
-    _gauss_pow,
 )
 from .hermite import hermite_classical, q_hermite, q_hermite_dual
 from .polys import (
@@ -39,7 +38,7 @@ from .polys import (
     q_laplacian_chain,
 )
 from .qcore import gauss_binomial, q_factorial, q_int
-from .qwave import SYMBOLIC_SPEED, q_binomial_substitute
+from .qwave import SYMBOLIC_SPEED, q_binomial_substitute, speed_poly
 
 __all__ = [
     "Verdict",
@@ -125,7 +124,7 @@ def verify_xi_identity(n_max: int) -> Verdict:
     i_half = GaussianRational(0, half)
     for n in range(n_max + 1):
         # (-i)^(n-k) = (-i)^n i^k turns the main and iy forms into pair sums
-        main = _gauss_pow(-GR_I, n) * Fraction(1, 2**n)
+        main = (-GR_I) ** n * Fraction(1, 2**n)
         forms = (
             # 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(i xi/2) H_k(xi/2) == xi^n
             ("main form", "xi", i_half, half, main, GR_ONE),
@@ -134,7 +133,7 @@ def verify_xi_identity(n_max: int) -> Verdict:
             # the main form at xi = x (real axis)
             ("x-form", "u", i_half, half, main, GR_ONE),
             # xi = iy: 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(-y/2) H_k(iy/2) == i^n y^n
-            ("iy-form", "y", -half, i_half, main, _gauss_pow(GR_I, n)),
+            ("iy-form", "y", -half, i_half, main, GR_I**n),
         )
         for name, var, a, b, scale, rhs in forms:
             res = _hermite_pair_sum(n, var, a, b).scale(scale) - MPoly.monomial(
@@ -162,21 +161,31 @@ def verify_q_hermite_binomial(n_max: int) -> Verdict:
     t0 = time.perf_counter()
     v = Verdict("q-hermite-binomial", f"n<={n_max}")
     vs = ("z", "w")
+    w = MPoly.var(vs, "w")
     for n in range(n_max + 1):
         lhs = q_binomial_power("z", GR_I, "w", n)
-        rhs = MPoly.zero(vs)
-        ik = GR_ONE
-        for k in range(n + 1):
-            hz = q_hermite(n - k).rename_var("x", "z").with_vars(vs)
-            hw = q_hermite_dual(k).with_vars(vs)
-            coef = CoefExpr.of(q_binomial_weights(n)[k]) * ik
-            rhs = rhs + (hz * hw).scale(coef)
-            ik = ik * GR_I
-        rhs = rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))
+        rhs = _q_hermite_pair_sum(n, vs, w)
         res = lhs - rhs
         if not res.is_zero():
             return _fail(v, res, f"first failure at n={n}", t0)
     return _finish(v, t0)
+
+
+def _q_hermite_pair_sum(n: int, vs: tuple[str, ...], w: MPoly) -> MPoly:
+    """[2]_q^-n sum_k weight_k i^k H_{n-k}(v; q) H_k(q w; 1/q) over vs, where
+    v = vs[0] and the dual's variable is sent to the one-term polynomial w."""
+    wide = vs if "w" in vs else vs + ("w",)
+    w = w.with_vars(wide)
+    rhs = MPoly.zero(vs)
+    ik = GR_ONE
+    for k, weight in enumerate(q_binomial_weights(n)):
+        h = q_hermite(n - k)
+        if vs[0] != "x":
+            h = h.rename_var("x", vs[0])
+        dual = q_hermite_dual(k).with_vars(wide).substitute("w", w).with_vars(vs)
+        rhs = rhs + (h.with_vars(vs) * dual).scale(CoefExpr.of(weight) * ik)
+        ik = ik * GR_I
+    return rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))
 
 
 def verify_exp_product(order: int, q_samples=None) -> Verdict:
@@ -314,16 +323,7 @@ def verify_traveling_hermite_expansion(n_max: int) -> Verdict:
     minus_ict = MPoly.monomial(vs, (0, 1, 1), GaussianRational(0, -1))
     for n in range(n_max + 1):
         lhs = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), "+", SYMBOLIC_SPEED)
-        rhs = MPoly.zero(vs)
-        ik = GR_ONE
-        for k in range(n + 1):
-            hx = q_hermite(n - k).with_vars(vs)
-            dual = q_hermite_dual(k).with_vars(vs + ("w",))
-            dual = dual.substitute("w", minus_ict.with_vars(vs + ("w",))).with_vars(vs)
-            coef = CoefExpr.of(q_binomial_weights(n)[k]) * ik
-            rhs = rhs + (hx * dual).scale(coef)
-            ik = ik * GR_I
-        rhs = rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))
+        rhs = _q_hermite_pair_sum(n, vs, minus_ict)
         if not rhs.is_real():
             return _fail(v, rhs, f"imaginary residue at n={n}", t0)
         res = lhs - rhs
@@ -342,7 +342,7 @@ def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
     u = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), sign, c)
     dt = u.q_derivative("t", "1/q")
     dx = u.q_derivative("x", "q")
-    cdx = dx * MPoly.var(u.vars, "c") if isinstance(c, str) else dx.scale(c)
+    cdx = dx * speed_poly(u.vars, c)
     matched, mismatched = (dt - cdx, dt + cdx) if sign == "+" else (dt + cdx, dt - cdx)
     v = Verdict("one-directional", f"n={n}, sign={sign}")
     v.residual = mismatched

@@ -5,27 +5,32 @@ list.  The q-derivative is implemented by the monomial rule
 x**n -> [n]_q x**(n-1), which agrees with the difference quotient
 (f(qx) - f(x)) / ((q-1)x) on every polynomial and is total at x = 0.
 
-Also here: the q-binomial power (a + b)(a + qb)...(a + q**(n-1) b) by its
-closed Gaussian-binomial sum (one cached weight table, shared with the wave
-substitution in qwave) and by the repeated product (the independent
-cross-check route), the holomorphic-pair operators on (z, w), the
-q-Laplacian family and the truncated numeric Jackson integral.
+One term-mapping kernel sends var**n to sum_k w_k var**(n-k) b**k, b a
+one-term polynomial: with the single pair (k = n, w = 1) it is
+MPoly.substitute, with the cached q-binomial weights it is q_binomial_expand
+(behind q_binomial_power and the wave substitution in qwave); the repeated
+product q_power_product stays as the independent cross-check.  Also here:
+the holomorphic-pair operators on (z, w), the q-Laplacian family and the
+truncated numeric Jackson integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .coeffs import (
     CE_ONE,
     CE_ZERO,
     CoefExpr,
     GR_I,
+    LP_ONE,
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
     gauss_binomial,
+    power,
     q_int,
     q_int_reciprocal,
 )
@@ -34,6 +39,7 @@ __all__ = [
     "MPoly",
     "coef_to_complex",
     "q_binomial_weights",
+    "q_binomial_expand",
     "q_binomial_power",
     "q_power_product",
     "dbar_operator",
@@ -224,15 +230,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise UnsupportedOrderError("negative polynomial powers are not supported")
-        out = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, MPoly.const(self.vars, 1))
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -289,20 +287,11 @@ class MPoly:
         )
 
     def substitute(self, name: str, replacement) -> MPoly:
-        """Replace a variable by an MPoly (over the same variables) or scalar."""
+        """Replace a variable by a one-term MPoly (over the same variables) or
+        a scalar; a replacement with two or more terms raises ValueError."""
         if not isinstance(replacement, MPoly):
             replacement = MPoly.const(self.vars, replacement)
-        self._check_vars(replacement)
-        i = self._index(name)
-        powers = {0: MPoly.const(self.vars, 1)}
-        out = MPoly.zero(self.vars)
-        for e, c in self.terms.items():
-            d = e[i]
-            if d not in powers:
-                powers[d] = replacement**d
-            rest = e[:i] + (0,) + e[i + 1 :]
-            out = out + powers[d] * MPoly._raw(self.vars, {rest: c})
-        return out
+        return _map_var(self, name, replacement, lambda n: ((n, LP_ONE),))
 
     def eval_univariate(self, value) -> CoefExpr:
         """Evaluate a one-variable polynomial at a CoefExpr point."""
@@ -346,12 +335,7 @@ class MPoly:
     def scale_substitute(self, name: str, s_power: int) -> MPoly:
         """Substitute var -> s**s_power * var; degree-d coefficients pick up
         s**(d*s_power).  s_power = 2 is x -> qx, s_power = 1 is x -> sqrt(q)x."""
-        i = self._index(name)
-        out = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            out[e] = c * LaurentPoly.term(d * s_power) if d else c
-        return MPoly._raw(self.vars, out)
+        return self.substitute(name, MPoly.var(self.vars, name).scale(LaurentPoly.term(s_power)))
 
     def jackson_antiderivative(self, name: str) -> MPoly:
         """Inverse of the q-derivative: x**n -> x**(n+1) / [n+1]_q."""
@@ -419,27 +403,59 @@ def q_binomial_weights(n: int) -> tuple[LaurentPoly, ...]:
     return tuple(gauss_binomial(n, k).shift(k * (k - 1)) for k in range(n + 1))
 
 
-def q_binomial_power(a_var: str, b_coef, b_var: str, n: int, variables=None) -> MPoly:
+def q_binomial_expand(p: MPoly, var: str, b: MPoly) -> MPoly:
+    """Apply var**n -> (var + b)(var + qb)...(var + q^(n-1) b) linearly to p,
+    by the closed form sum_k weight_k var**(n-k) b**k; b is a one-term
+    polynomial over p's variables (or zero)."""
+    return _map_var(p, var, b, lambda n: enumerate(q_binomial_weights(n)))
+
+
+def q_binomial_power(a_var: str, b_coef, b_var: str, n: int) -> MPoly:
     """Expansion of (a + b_coef*b)(a + q*b_coef*b)...(a + q^(n-1)*b_coef*b)
-    by the closed Gaussian-binomial form, built term by term."""
+    over the variables (a, b) by the closed Gaussian-binomial form."""
     if n < 0:
         raise UnsupportedOrderError("q-binomial powers need n >= 0")
     if a_var == b_var:
         raise ValueError("q_binomial_power needs two distinct variables")
-    variables = tuple(variables) if variables is not None else (a_var, b_var)
-    ia, ib = variables.index(a_var), variables.index(b_var)
-    b_coef = CoefExpr.of(b_coef)
-    terms = {}
-    bc = CE_ONE
-    for k, weight in enumerate(q_binomial_weights(n)):
-        exps = [0] * len(variables)
-        exps[ia] = n - k
-        exps[ib] = k
-        coef = bc * weight
-        if not coef.is_zero():
-            terms[tuple(exps)] = coef
-        bc = bc * b_coef
-    return MPoly._raw(variables, terms)
+    ab = (a_var, b_var)
+    b = MPoly.monomial(ab, (0, 1), b_coef)
+    return q_binomial_expand(MPoly.monomial(ab, (n, 0)), a_var, b)
+
+
+def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
+    """The one term-mapping kernel behind substitute and the q-binomial
+    expansion: each term coef * var**n * rest becomes
+    sum over (k, w) in pairs(n) of coef * w * var**(n-k) * b**k * rest.
+
+    b is a one-term polynomial over p's variables; a zero b is the term 0.
+    The powers b**k are built once and equal monomials are merged in the
+    order the terms are met.
+    """
+    p._check_vars(b)
+    if len(b.terms) > 1:
+        raise ValueError(f"replacement must be a single term, not {len(b.terms)} terms")
+    i = p._index(var)
+    zero = (0,) * len(p.vars)
+    ((step, b_coef),) = b.terms.items() or ((zero, CE_ZERO),)
+    step = step[:i] + (step[i] - 1,) + step[i + 1 :]  # var**-1 * b
+    powers = [(zero, CE_ONE)]  # var**-k * b**k as (exponent shift, coefficient)
+    out: dict[tuple[int, ...], CoefExpr] = {}
+    for e, coef in p.terms.items():
+        for k, w in pairs(e[i]):
+            while len(powers) <= k:
+                shift, c = powers[-1]
+                powers.append((tuple(map(add, shift, step)), c * b_coef))
+            shift, c = powers[k]
+            key = tuple(map(add, e, shift))
+            v = coef * w * c
+            prev = out.get(key)
+            if prev is not None:
+                v = prev + v
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return MPoly._raw(p.vars, out)
 
 
 def dbar_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:

@@ -1,14 +1,18 @@
 """q-traveling waves and the q-wave initial-value problem.
 
 A wave body lives in variables (x, t) with an optional extra variable c for
-a symbolic speed (sentinel SYMBOLIC_SPEED).  The core construction is the
-monomial rule x**n -> (x +- c t)_q**n extended linearly; the initial-value
+a symbolic speed (sentinel SYMBOLIC_SPEED).  A speed, symbolic or numeric,
+enters the arithmetic as a one-term polynomial (speed_poly).  The core
+construction is the monomial rule x**n -> (x +- c t)_q**n extended linearly,
+which is polys.q_binomial_expand with b = +-t * speed; the initial-value
 solver combines it with Jackson antidifferentiation:
 
     u = (f+ + f-)/2 + (G+ - G-)/(2c),   G = antiderivative of g.
 
 With a symbolic speed the division by 2c is exact because the difference
-G+ - G- contains only odd powers of c.
+G+ - G- contains only odd powers of c; it lowers the exponent of c, where a
+numeric speed divides the coefficients, so only that step tells the two
+kinds of speed apart.
 
 The solver checks its own output: u(x, 0) must reproduce f, the downward
 q-derivative in t at t = 0 must reproduce g, and the wave residual must
@@ -22,8 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import CE_ONE, CoefExpr, QCalcError, UnsupportedOrderError
-from .polys import MPoly, coef_to_complex, q_binomial_weights
+from .coeffs import CoefExpr, QCalcError, UnsupportedOrderError
+from .polys import MPoly, coef_to_complex, q_binomial_expand
 from .qcore import q_trig_series
 
 __all__ = [
@@ -33,6 +37,7 @@ __all__ = [
     "InitialData",
     "WaveSolution",
     "poly_from_coefficients",
+    "speed_poly",
     "q_binomial_substitute",
     "qwave_operator",
     "dalembert_solve",
@@ -124,6 +129,17 @@ class WaveSolution:
         return r.is_zero()
 
 
+def speed_poly(variables, c) -> MPoly:
+    """The wave speed as a one-term polynomial over the given variables: the
+    variable c for the symbolic speed, a nonzero constant otherwise."""
+    speed = _as_speed(c)
+    if _is_symbolic(speed):
+        if SYMBOLIC_SPEED not in variables:
+            raise ValueError("symbolic speed requires a polynomial with a c variable")
+        return MPoly.var(variables, SYMBOLIC_SPEED)
+    return MPoly.const(variables, speed)
+
+
 def q_binomial_substitute(p, sign: str, c) -> MPoly:
     """Apply x**n -> (x + sign * c t)_q**n linearly to a polynomial.
 
@@ -133,37 +149,11 @@ def q_binomial_substitute(p, sign: str, c) -> MPoly:
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     p = _as_x_poly(p)
-    speed = _as_speed(c)
-    symbolic = _is_symbolic(speed)
-    out_vars = _XTC if (symbolic or "c" in p.vars) else _XT
-    xi = p.vars.index("x")
-    ci = p.vars.index("c") if "c" in p.vars else None
-    neg = sign == "-"
-    terms: dict[tuple[int, ...], CoefExpr] = {}
-    cpow: dict[int, CoefExpr] = {0: CE_ONE}
-    for e, coef in p.terms.items():
-        n = e[xi]
-        base_c = e[ci] if ci is not None else 0
-        for k, w in enumerate(q_binomial_weights(n)):
-            v = coef * w
-            if symbolic:
-                if neg and k % 2:
-                    v = -v
-                key = (n - k, k, base_c + k)
-            else:
-                if k not in cpow:
-                    cpow[k] = cpow[k - 1] * speed
-                v = v * cpow[k]
-                if neg and k % 2:
-                    v = -v
-                key = (n - k, k) if out_vars is _XT else (n - k, k, base_c)
-            prev = terms.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = v
-    return MPoly._raw(out_vars, terms)
+    ct = MPoly.var(_XTC, "t") * speed_poly(_XTC, c)
+    # c stays a variable of the result when the source or the speed has it
+    out_vars = _XTC if "c" in p.vars or ct.degree_in("c") else _XT
+    b = ct.with_vars(out_vars).scale(1 if sign == "+" else -1)
+    return q_binomial_expand(p.with_vars(out_vars), "x", b)
 
 
 def qwave_operator(u, c=None) -> MPoly:
@@ -172,15 +162,10 @@ def qwave_operator(u, c=None) -> MPoly:
         body, speed = u.body, u.c if c is None else c
     else:
         body, speed = u, c
-    speed = _as_speed(speed if speed is not None else SYMBOLIC_SPEED)
+    speed = speed_poly(body.vars, speed if speed is not None else SYMBOLIC_SPEED)
     dtt = body.q_derivative("t", "1/q").q_derivative("t", "1/q")
     dxx = body.q_derivative("x", "q").q_derivative("x", "q")
-    if _is_symbolic(speed):
-        if "c" not in body.vars:
-            raise ValueError("symbolic speed requires a body with a c variable")
-        c2 = MPoly.monomial(body.vars, tuple(2 if v == "c" else 0 for v in body.vars))
-        return dtt - dxx * c2
-    return dtt - dxx.scale(speed * speed)
+    return dtt - dxx * speed**2
 
 
 def dalembert_solve(data: InitialData, c) -> WaveSolution:

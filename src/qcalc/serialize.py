@@ -5,7 +5,9 @@ A coefficient is {"num": [{"s": exp, "re": "p/q", "im": "p/q"}, ...],
 "den": [...]} with terms sorted by exponent; a polynomial is
 {"vars": [...], "terms": [{"deg": [...], "coef": ...}, ...]} sorted by
 degree tuple, so emitted documents are deterministic and round-trip to
-values equal under cross-multiplication.
+values equal under cross-multiplication.  A wave's speed "c" is "c" when
+symbolic, a rational string when rational, and otherwise a coefficient
+object (older documents carry that object as a JSON string; it still reads).
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def series_from_json(doc) -> tuple[MPoly, int]:
         raise SerializationError(f"bad series document: {exc}") from None
 
 
-def _speed_to_json(c) -> str:
+def _speed_to_json(c):
     if isinstance(c, str):
         return c
     c = CoefExpr.of(c)
@@ -153,17 +155,17 @@ def _speed_to_json(c) -> str:
         mono = None
     if mono is not None and mono[0] == 0 and mono[1].is_real():
         return rational_to_str(mono[1].re)
-    # q-dependent speeds embed their full coefficient document
-    return json.dumps(coef_to_json(c), sort_keys=True)
+    return coef_to_json(c)
 
 
-def _speed_from_json(text) -> object:
-    if text == SYMBOLIC_SPEED:
+def _speed_from_json(value) -> object:
+    if isinstance(value, str) and value.lstrip().startswith("{"):
+        value = json.loads(value)  # older documents: the object inside a string
+    if isinstance(value, dict):
+        return coef_from_json(value)
+    if value == SYMBOLIC_SPEED:
         return SYMBOLIC_SPEED
-    text = str(text)
-    if text.lstrip().startswith("{"):
-        return coef_from_json(json.loads(text))
-    return CoefExpr.of(rational_from_str(text))
+    return CoefExpr.of(rational_from_str(value))
 
 
 def wave_to_json(w: WaveSolution) -> dict:
@@ -187,7 +189,8 @@ def wave_from_json(doc) -> WaveSolution:
         raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
     order = doc.get("order")
     if order is not None:
-        order = int(order)
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise SerializationError(f"wave order {order!r} is not an integer")
         if order < 0:
             raise SerializationError(f"wave order {order} is negative")
     provenance = str(doc.get("provenance", "unknown"))

@@ -53,6 +53,29 @@ class TestGaussianRational:
         assert a.conjugate() == GaussianRational(2, -3)
         assert (a * a.conjugate()).is_real()
 
+    def test_power(self):
+        a = GaussianRational(Fraction(1, 2), -3)
+        want = GaussianRational(1)
+        for n in range(12):
+            assert a**n == want
+            want = want * a
+        assert GaussianRational(0, 1) ** 4 == GaussianRational(1)
+        assert a**-3 * a**3 == GaussianRational(1)
+        with pytest.raises(ZeroDenominatorError):
+            GaussianRational(0) ** -1
+
+
+def test_powers_match_repeated_products():
+    """Every ring type's __pow__ runs the one square-and-multiply helper."""
+    cases = (
+        (lp({-1: GaussianRational(1, 2), 3: Fraction(-2, 3)}), LP_ONE),
+        (CoefExpr(lp({0: 1, 2: GaussianRational(0, 1)}), q_int(3)), CE_ONE),
+    )
+    for base, want in cases:
+        for n in range(10):
+            assert base**n == want
+            want = want * base
+
 
 class TestLaurentPoly:
     def test_mul_one_plus_q_squared(self):

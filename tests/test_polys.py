@@ -21,6 +21,7 @@ from qcalc.polys import (
     d_operator,
     dbar_operator,
     jackson_integral_numeric,
+    q_binomial_expand,
     q_binomial_power,
     q_laplacian,
     q_laplacian_chain,
@@ -28,10 +29,52 @@ from qcalc.polys import (
 )
 from qcalc.qcore import q_factorial, q_int
 from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
+from qcalc.serialize import mpoly_to_json
 
 
 def xpoly(terms):
     return MPoly(("x",), terms)
+
+
+def substitute_by_powers(p, name, replacement):
+    """The earlier MPoly.substitute: raise the replacement to each power met
+    and add one product per term.  Kept as the oracle for the term-mapping
+    kernel; it also takes replacements with several terms."""
+    if not isinstance(replacement, MPoly):
+        replacement = MPoly.const(p.vars, replacement)
+    i = p.vars.index(name)
+    powers = {0: MPoly.const(p.vars, 1)}
+    out = MPoly.zero(p.vars)
+    for e, c in p.terms.items():
+        d = e[i]
+        if d not in powers:
+            powers[d] = replacement**d
+        rest = e[:i] + (0,) + e[i + 1 :]
+        out = out + powers[d] * MPoly(p.vars, {rest: c})
+    return out
+
+
+def expand_by_products(p, name, b):
+    """x**n -> (x + b)(x + qb)...(x + q^(n-1) b) term by term through the
+    ordered product, the independent route for q_binomial_expand."""
+    i = p.vars.index(name)
+    x = MPoly.var(p.vars, name)
+    out = MPoly.zero(p.vars)
+    for e, c in p.terms.items():
+        rest = MPoly(p.vars, {e[:i] + (0,) + e[i + 1 :]: c})
+        out = out + rest * q_power_product(x, b, e[i])
+    return out
+
+
+def random_coef(rng):
+    """A rational, Gaussian-rational or q-dependent coefficient."""
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return re
+    if kind == 1:
+        return GaussianRational(re, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return CoefExpr(LaurentPoly({rng.randint(-2, 1): re, 2: 1}), q_int(rng.randint(2, 4)))
 
 
 class TestMPolyBasics:
@@ -58,6 +101,39 @@ class TestMPolyBasics:
         assert at2 == MPoly(("x", "t"), {(2, 0): 1, (0, 0): 7})
         swapped = p.substitute("t", MPoly.var(("x", "t"), "x"))
         assert swapped == MPoly(("x", "t"), {(2, 0): 5, (0, 0): 7})
+
+    def test_substitute_matches_powers_and_products(self):
+        """The one-term kernel against the earlier powers-and-products
+        substitute, down to the coefficient documents."""
+        rng = random.Random(11)
+        xtc = ("x", "t", "c")
+        for _ in range(150):
+            p = MPoly(
+                xtc,
+                {
+                    tuple(rng.randint(0, 4) for _ in xtc): random_coef(rng)
+                    for _ in range(rng.randint(0, 6))
+                },
+            )
+            name = rng.choice(xtc)
+            kind = rng.randrange(3)
+            if kind == 0:
+                replacement = random_coef(rng) if rng.randrange(4) else 0
+            else:
+                exps = tuple(rng.randint(0, 2) for _ in xtc)
+                replacement = MPoly.monomial(xtc, exps, random_coef(rng))
+            got = p.substitute(name, replacement)
+            want = substitute_by_powers(p, name, replacement)
+            assert got == want
+            assert mpoly_to_json(got) == mpoly_to_json(want)
+
+    def test_substitute_rejects_several_terms(self):
+        xt = ("x", "t")
+        p = MPoly(xt, {(2, 1): 1})
+        with pytest.raises(ValueError, match="single term"):
+            p.substitute("t", MPoly.var(xt, "x") + 1)
+        with pytest.raises(ValueError):
+            p.substitute("t", MPoly.var(("x",), "x"))
 
     def test_with_vars_and_rename(self):
         p = MPoly(("x",), {(3,): 2})
@@ -188,6 +264,30 @@ class TestQBinomialPower:
                     MPoly.var(xt, "x"), MPoly.var(xt, "t").scale(unit * c), n
                 )
                 assert got == product
+        # q_binomial_expand with a complex and a q-dependent b, on a
+        # several-term source whose images share monomials
+        source = MPoly(xtc, {(3, 0, 0): 2, (2, 1, 1): GR_I, (1, 1, 2): -5, (0, 2, 2): 1})
+        for b_coef in (GaussianRational(Fraction(2, 5), -3), CoefExpr(LP_ONE, q_int(2))):
+            for exps in ((0, 1, 1), (0, 1, 0)):
+                b = MPoly.monomial(xtc, exps, b_coef)
+                assert q_binomial_expand(source, "x", b) == expand_by_products(source, "x", b)
+            for n in range(7):
+                closed = q_binomial_power("z", b_coef, "w", n)
+                zw_b = MPoly.var(zw, "w").scale(b_coef)
+                assert closed == q_power_product(MPoly.var(zw, "z"), zw_b, n)
+        # a source carrying c, under a symbolic and a numeric speed
+        xc = ("x", "c")
+        carried = MPoly(xc, {(n, n % 3): Fraction(1, n + 1) for n in range(7)})
+        wide = carried.with_vars(xtc)
+        for sign, unit in (("+", 1), ("-", -1)):
+            want = expand_by_products(wide, "x", ct.scale(unit))
+            assert q_binomial_substitute(carried, sign, SYMBOLIC_SPEED) == want
+            want = expand_by_products(wide, "x", MPoly.var(xtc, "t").scale(unit * c))
+            assert q_binomial_substitute(carried, sign, c) == want
+        # b = 0 leaves a^n (and any source) as it is
+        for n in range(5):
+            assert q_binomial_power("z", 0, "w", n) == MPoly.monomial(zw, (n, 0))
+        assert q_binomial_expand(source, "x", MPoly.zero(xtc)) == source
 
     def test_negative_power_rejected(self):
         with pytest.raises(UnsupportedOrderError):

@@ -132,8 +132,19 @@ class TestWave:
             None,
             "direct-binomial",
         )
-        back = wave_from_json(wave_to_json(ws))
+        doc = json.loads(json.dumps(wave_to_json(ws)))
+        assert doc["c"] == coef_to_json(ws.c)  # an object, not JSON in a string
+        back = wave_from_json(doc)
         assert back.c == ws.c
+        # the older form, the coefficient document inside a string, still reads
+        doc["c"] = json.dumps(coef_to_json(ws.c), sort_keys=True)
+        assert wave_from_json(doc).c == ws.c
+        assert wave_to_json(wave_from_json(doc))["c"] == coef_to_json(ws.c)
+
+    def test_rational_speed_stays_a_string(self):
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CoefExpr.of(Fraction(-5, 7)), None, "dalembert")
+        assert wave_to_json(ws)["c"] == "-5/7"
+        assert wave_from_json(wave_to_json(ws)).c == Fraction(-5, 7)
 
     def test_missing_speed(self):
         with pytest.raises(SerializationError):
@@ -153,6 +164,12 @@ class TestWave:
     def test_negative_order_rejected(self):
         with pytest.raises(SerializationError, match="order"):
             wave_from_json(self._doc(order=-5))
+
+    def test_non_integer_order_rejected(self):
+        for order in (2.7, 2.0, True, "3", [1]):
+            with pytest.raises(SerializationError, match="order"):
+                wave_from_json(self._doc(order=order))
+        assert wave_from_json(self._doc(order=3)).order == 3
 
     def test_foreign_variable_rejected(self):
         with pytest.raises(SerializationError, match="variables"):
