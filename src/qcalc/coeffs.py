@@ -610,20 +610,6 @@ class CoefExpr:
             return self.num * other.den == other.num * self.den
         return NotImplemented
 
-    def eq_by_sampling(self, other) -> bool:
-        """Decide equality by evaluating the cross-product difference at
-        span+1 distinct rational points s = 1, 2, 3, ...; agrees with
-        cross-multiplication because a polynomial of degree span with that
-        many roots is zero."""
-        other = CoefExpr.of(other)
-        diff = self.num * other.den - other.num * self.den
-        if diff.is_zero():
-            return True
-        span = diff.span()
-        return all(
-            diff.eval_s(Fraction(k)).is_zero() for k in range(1, span + 2)
-        )
-
     def substitute_inverse_q(self) -> CoefExpr:
         """Apply s -> 1/s to numerator and denominator (realises q -> 1/q)."""
         return CoefExpr(self.num.invert_s(), self.den.invert_s())

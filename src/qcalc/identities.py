@@ -245,7 +245,7 @@ def verify_exp_factorization(order: int) -> Verdict:
     for m in range(1, order // 2 + 1):
         num = LaurentPoly({})
         for j in range(m + 1):
-            term = gauss_binomial(m, j) * LaurentPoly.term((m - j) * (m - j - 1))
+            term = q_binomial_weights(m)[m - j]
             num = num + (-term if j % 2 else term)
         if not num.is_zero():
             res = MPoly(("t",), {(2 * m,): CoefExpr(num, q_factorial(m))})

@@ -76,6 +76,13 @@ def coef_to_complex(c: CoefExpr, q_value: float) -> complex:
     return n / d * s ** (m_num - m_den)
 
 
+def _position(variables: tuple[str, ...], name: str) -> int:
+    try:
+        return variables.index(name)
+    except ValueError:
+        raise ValueError(f"variable {name!r} not among {variables}") from None
+
+
 class MPoly:
     """Sparse polynomial in named variables with CoefExpr coefficients."""
 
@@ -121,7 +128,7 @@ class MPoly:
     def var(cls, variables, name) -> MPoly:
         variables = tuple(variables)
         exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
+        exps[_position(variables, name)] = 1
         return cls._raw(variables, {tuple(exps): CE_ONE})
 
     @classmethod
@@ -129,10 +136,7 @@ class MPoly:
         return cls(variables, {tuple(exps): coef})
 
     def _index(self, name: str) -> int:
-        try:
-            return self.vars.index(name)
-        except ValueError:
-            raise ValueError(f"variable {name!r} not among {self.vars}") from None
+        return _position(self.vars, name)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -226,6 +230,25 @@ class MPoly:
         if c.is_zero():
             return MPoly._raw(self.vars, {})
         return MPoly._raw(self.vars, {e: v * c for e, v in self.terms.items()})
+
+    def __truediv__(self, other):
+        """Exact division by a one-term MPoly (over the same variables) or a
+        nonzero scalar; a term the divisor's monomial does not divide, or a
+        divisor with no or several terms, raises ValueError."""
+        if not isinstance(other, MPoly):
+            other = MPoly.const(self.vars, other)
+        self._check_vars(other)
+        if len(other.terms) != 1:
+            raise ValueError("division needs a nonzero one-term divisor")
+        ((d, c),) = other.terms.items()
+        inv = c.inverse()
+        out = {}
+        for e, v in self.terms.items():
+            ne = tuple(a - b for a, b in zip(e, d))
+            if any(x < 0 for x in ne):
+                raise ValueError(f"term {e} not divisible by the monomial {d}")
+            out[ne] = v * inv
+        return MPoly._raw(self.vars, out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -345,18 +368,6 @@ class MPoly:
             d = e[i]
             ne = e[:i] + (d + 1,) + e[i + 1 :]
             out[ne] = c * CoefExpr(LaurentPoly({0: 1}), q_int(d + 1))
-        return MPoly._raw(self.vars, out)
-
-    def shift_var_exact(self, name: str, delta: int) -> MPoly:
-        """Multiply by var**delta; for negative delta every term must carry
-        enough powers of the variable (exact division)."""
-        i = self._index(name)
-        out = {}
-        for e, c in self.terms.items():
-            d = e[i] + delta
-            if d < 0:
-                raise ValueError(f"term {e} not divisible by {name}**{-delta}")
-            out[e[:i] + (d,) + e[i + 1 :]] = c
         return MPoly._raw(self.vars, out)
 
     def truncate_total_degree(self, bound: int, names=None) -> MPoly:

@@ -2,17 +2,17 @@
 
 A wave body lives in variables (x, t) with an optional extra variable c for
 a symbolic speed (sentinel SYMBOLIC_SPEED).  A speed, symbolic or numeric,
-enters the arithmetic as a one-term polynomial (speed_poly).  The core
-construction is the monomial rule x**n -> (x +- c t)_q**n extended linearly,
-which is polys.q_binomial_expand with b = +-t * speed; the initial-value
-solver combines it with Jackson antidifferentiation:
+enters the arithmetic as a one-term polynomial (speed_poly), so only
+_as_speed and speed_poly tell the two kinds apart.  The core construction is
+the monomial rule x**n -> (x +- c t)_q**n extended linearly, which is
+polys.q_binomial_expand with b = +-t * speed; the initial-value solver
+combines it with Jackson antidifferentiation:
 
-    u = (f+ + f-)/2 + (G+ - G-)/(2c),   G = antiderivative of g.
+    u = even_t(f(x+ct)_q) + odd_t(G(x+ct)_q) / c,   G = antiderivative of g.
 
-With a symbolic speed the division by 2c is exact because the difference
-G+ - G- contains only odd powers of c; it lowers the exponent of c, where a
-numeric speed divides the coefficients, so only that step tells the two
-kinds of speed apart.
+This is the d'Alembert form (f+ + f-)/2 + (G+ - G-)/(2c), since the minus
+expansion is the plus one with t -> -t.  Each power of t comes with the same
+power of the speed, so dividing the odd half by the speed is exact.
 
 The solver checks its own output: u(x, 0) must reproduce f, the downward
 q-derivative in t at t = 0 must reproduce g, and the wave residual must
@@ -171,33 +171,27 @@ def qwave_operator(u, c=None) -> MPoly:
 def dalembert_solve(data: InitialData, c) -> WaveSolution:
     """Solve the q-wave initial-value problem in closed form.
 
-    u = (f(x+ct)_q + f(x-ct)_q)/2 plus the Jackson integral of g between the
-    two substituted limits, realised as antidifferentiate-then-substitute.
-    The output is checked against all three defining conditions before it is
-    returned.
+    u = even_t(f(x+ct)_q) + odd_t(G(x+ct)_q) / c, G the Jackson antiderivative
+    of g, one expansion per datum (see the module docstring).  The output is
+    checked against all three defining conditions before it is returned.
     """
     speed = _as_speed(c)
-    f_plus = q_binomial_substitute(data.f, "+", speed)
-    f_minus = q_binomial_substitute(data.f, "-", speed)
-    u = (f_plus + f_minus).scale(Fraction(1, 2))
-    if not data.g.is_zero():
-        big_g = data.g.jackson_antiderivative("x")
-        diff = q_binomial_substitute(big_g, "+", speed) - q_binomial_substitute(
-            big_g, "-", speed
-        )
-        if _is_symbolic(speed):
-            integral = diff.shift_var_exact("c", -1).scale(Fraction(1, 2))
-        else:
-            integral = diff.scale((speed * CoefExpr.of(2)).inverse())
-        if u.vars != integral.vars:
-            # one side may carry the formal c parameter the other lacks
-            target = u.vars if len(u.vars) >= len(integral.vars) else integral.vars
-            u = u.with_vars(target)
-            integral = integral.with_vars(target)
-        u = u + integral
+    # c is a variable of the body when the speed or either datum has it
+    with_c = _is_symbolic(speed) or "c" in data.f.vars + data.g.vars
+    xc = ("x", "c") if with_c else ("x",)
+    even = _t_parity(q_binomial_substitute(data.f.with_vars(xc), "+", speed), 0)
+    big_g = data.g.with_vars(xc).jackson_antiderivative("x")
+    odd = _t_parity(q_binomial_substitute(big_g, "+", speed), 1)
+    u = even + odd / speed_poly(odd.vars, speed)
     ws = WaveSolution(u, speed, data.order, "dalembert")
     _check_solution(ws, data)
     return ws
+
+
+def _t_parity(p: MPoly, parity: int) -> MPoly:
+    """The terms of a body over (x, t[, c]) whose t-degree has the given parity."""
+    terms = p.terms.items()
+    return MPoly._raw(p.vars, {e: v for e, v in terms if e[1] % 2 == parity})
 
 
 def _check_solution(ws: WaveSolution, data: InitialData):

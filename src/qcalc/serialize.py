@@ -160,7 +160,10 @@ def _speed_to_json(c):
 
 def _speed_from_json(value) -> object:
     if isinstance(value, str) and value.lstrip().startswith("{"):
-        value = json.loads(value)  # older documents: the object inside a string
+        try:
+            value = json.loads(value)  # older documents: the object inside a string
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"bad wave speed c {value!r}: {exc.msg}") from None
     if isinstance(value, dict):
         return coef_from_json(value)
     if value == SYMBOLIC_SPEED:

@@ -222,6 +222,20 @@ class TestSample:
         assert out == ""
         assert "order" in err
 
+    def test_malformed_speed_object_names_the_field(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        doc["c"] = "{oops"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "wave speed c" in err
+
     def test_grid_beginning_with_minus(self, capsys, tmp_path):
         path = tmp_path / "wave.json"
         main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])

@@ -153,11 +153,22 @@ class TestMPolyBasics:
         p = MPoly(("x",), {(1,): 1, (0,): 1})
         assert p**3 == p * p * p
 
-    def test_shift_var_exact(self):
+    def test_one_term_division(self):
         p = MPoly(("x", "c"), {(1, 2): 1})
-        assert p.shift_var_exact("c", -2) == MPoly(("x", "c"), {(1, 0): 1})
+        c = MPoly.var(("x", "c"), "c")
+        assert p / c**2 == MPoly(("x", "c"), {(1, 0): 1})
         with pytest.raises(ValueError):
-            p.shift_var_exact("c", -3)
+            p / c**3
+
+    def test_division_by_a_scalar_or_several_terms(self):
+        p = MPoly(("x", "c"), {(1, 2): 1})
+        assert p / Fraction(2, 3) == MPoly(("x", "c"), {(1, 2): Fraction(3, 2)})
+        with pytest.raises(ValueError, match="one-term"):
+            p / (MPoly.var(("x", "c"), "c") + 1)
+
+    def test_var_names_a_missing_variable(self):
+        with pytest.raises(ValueError, match=r"variable 't' not among \('x',\)"):
+            MPoly.var(("x",), "t")
 
 
 class TestQDerivative:

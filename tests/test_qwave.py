@@ -28,6 +28,7 @@ from qcalc.qwave import (
     qwave_operator,
     sample_grid,
 )
+from qcalc.serialize import mpoly_to_json
 
 X2 = poly_from_coefficients([0, 0, 1])
 XTC = ("x", "t", "c")
@@ -42,6 +43,42 @@ def _eval_exact(body: MPoly, q0: Fraction, point: dict) -> GaussianRational:
                 v = v * GaussianRational(point[var] ** d)
         total = total + v
     return total
+
+
+def _random_datum(rng: random.Random, with_c: bool) -> MPoly:
+    """A random polynomial in x, or in x and c; one that has c is nonzero."""
+    if not with_c:
+        return poly_from_coefficients(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
+        )
+    terms = {
+        (rng.randint(0, 6), rng.randint(0, 2)): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 6))
+    }
+    return MPoly(("x", "c"), terms)
+
+
+def _four_substitution_body(data: InitialData, c) -> MPoly:
+    """The d'Alembert formula taken literally: (f+ + f-)/2 + (G+ - G-)/(2c)
+    from four expansions, every cancelling power of t built and dropped; a
+    symbolic speed is divided out of the exponents of c by hand."""
+    f, big_g = data.f, data.g.jackson_antiderivative("x")
+    u = (q_binomial_substitute(f, "+", c) + q_binomial_substitute(f, "-", c)).scale(
+        Fraction(1, 2)
+    )
+    if big_g.is_zero():
+        return u
+    diff = q_binomial_substitute(big_g, "+", c) - q_binomial_substitute(big_g, "-", c)
+    if c == SYMBOLIC_SPEED:
+        i = diff.vars.index("c")
+        integral = MPoly(
+            diff.vars,
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: v / 2 for e, v in diff.terms.items()},
+        )
+    else:
+        integral = diff.scale((CoefExpr.of(c) * 2).inverse())
+    target = max(u.vars, integral.vars, key=len)
+    return u.with_vars(target) + integral.with_vars(target)
 
 
 class TestSubstitute:
@@ -187,6 +224,32 @@ class TestDalembert:
             velocity = u.q_derivative("t", "1/q").substitute("t", 0)
             assert velocity == g.with_vars(u.vars)
             assert qwave_operator(u, c).is_zero()
+
+    def test_matches_the_four_substitution_formula(self):
+        """The parity solver against (f+ + f-)/2 + (G+ - G-)/(2c) built from
+        four expansions, on 30 seeded IVPs: rational speeds compare as wire
+        documents, symbolic and q-dependent speeds by ==; every other IVP
+        has data that carries c."""
+        rng = random.Random(20261018)
+        q_speeds = (CoefExpr(LaurentPoly.const(1), q_int(2)), CE_Q, CoefExpr.of(-q_int(3)))
+        for k in range(30):
+            with_c = k % 2 == 1
+            f = _random_datum(rng, with_c and rng.random() < 0.5)
+            g = _random_datum(rng, with_c)
+            kind = k % 3
+            if kind == 0:
+                c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])
+            elif kind == 1:
+                c = SYMBOLIC_SPEED
+            else:
+                c = rng.choice(q_speeds)
+            data = InitialData(f, g)
+            got = dalembert_solve(data, c).body
+            expected = _four_substitution_body(data, c)
+            if kind == 0:
+                assert mpoly_to_json(got) == mpoly_to_json(expected)
+            else:
+                assert got == expected
 
     def test_classical_limit_matches_dalembert(self):
         """At s = 1 the solver output equals the classical d'Alembert formula."""
