@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -113,6 +114,7 @@ def _parse_coeff_list(text: str):
 
 
 def _parse_grid(text: str):
+    """The points start + k*step that do not pass stop + step*1e-9, k = 0, 1, ..."""
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise SerializationError(f"grid {text!r} is not START:STOP:STEP")
@@ -120,17 +122,23 @@ def _parse_grid(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise SerializationError(f"grid {text!r} has non-numeric parts") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise SerializationError(f"grid {text!r} has a non-finite part")
     if step <= 0:
         raise SerializationError("grid step must be positive")
-    out = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + step * 1e-9:
-            break
-        out.append(v)
-        k += 1
-    return out
+    wide = max(start, stop, key=abs)
+    if wide + step == wide:
+        raise SerializationError(f"grid step {step!r} does not move {wide!r} in float arithmetic")
+    # start + k*step never falls as k grows, so the grid is every k before the
+    # first point past the limit: estimate that count, then correct it by the
+    # same float test, so the points are exactly those of a k = 0, 1, ... loop
+    limit = stop + step * 1e-9
+    count = max(0, math.floor(stop / step - start / step) + 1)
+    while start + count * step <= limit:
+        count += 1
+    while count and start + (count - 1) * step > limit:
+        count -= 1
+    return [start + k * step for k in range(count)]
 
 
 def _initial_part(coeffs_text, named, which, c, order):

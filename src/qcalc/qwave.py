@@ -238,40 +238,59 @@ def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
     return WaveSolution(body, speed, exact, "named-series")
 
 
+def _horner(coeffs, x):
+    """sum(c * x**k for k, c in enumerate(coeffs)), highest power first."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     """Evaluate a wave body on a float grid, x-major then t.
 
-    Returns rows (x, t, value, valid).  For truncated-series bodies the valid
-    flag goes False where the top truncation band (total degree >= order - 1)
-    contributes more than 1e-6 of the value magnitude, signalling that the
-    point is outside the stated validity of the truncation.
+    Returns rows (x, t, value, valid).  With each coefficient z evaluated at
+    q and the speed variable c set to c_value, the term x^a t^b c^g is
+    v = z * c_value**g * x**a * t**b; value is the real part of the sum of
+    all v.  For truncated-series bodies (order set) the tail is the sum of
+    |v| over the top truncation band, the terms with a + b >= order - 1, and
+    valid is tail <= 1e-6 * max(1, |value|): False signals that the point is
+    outside the stated validity of the truncation.  Bodies without an order
+    are valid everywhere.
+
+    The sums are taken by Horner's rule, first in x for each power of t,
+    then in t.  Raises OverflowError when a value or tail is not finite.
     """
     q_value = float(q_value)
     if q_value <= 0:
         raise ValueError("numeric sampling needs q > 0")
     c_value = float(c_value)
     body = u.body
-    coeffs = []
+    top = None if u.order is None else u.order - 1
+    terms = []
     for e, coef in body.terms.items():
-        z = coef_to_complex(coef, q_value)
         exps = dict(zip(body.vars, e))
-        coeffs.append(
-            (exps.get("x", 0), exps.get("t", 0), exps.get("c", 0), complex(z))
-        )
-    order = u.order
+        v = complex(coef_to_complex(coef, q_value)) * c_value ** exps.get("c", 0)
+        terms.append((exps.get("x", 0), exps.get("t", 0), v))
+    width = 1 + max((a for a, _, _ in terms), default=0)
+    height = 1 + max((b for _, b, _ in terms), default=0)
+    # value_rows[b][a]: Re of the merged coefficient of x^a t^b (x, t and c
+    # are real); tail_rows[b][a]: sum of |v| over its top-band terms, taken
+    # before terms that differ only in the power of c are merged.
+    value_rows = [[0.0] * width for _ in range(height)]
+    tail_rows = [[0.0] * width for _ in range(height)]
+    for a, b, v in terms:
+        value_rows[b][a] += v.real
+        if top is not None and a + b >= top:
+            tail_rows[b][a] += abs(v)
     rows = []
-    for x in x_grid:
-        x = float(x)
-        for t in t_grid:
-            t = float(t)
-            total = 0j
-            tail = 0.0
-            for a, b, g, z in coeffs:
-                v = z * (x**a) * (t**b) * (c_value**g)
-                total += v
-                if order is not None and a + b >= order - 1:
-                    tail += abs(v)
-            value = total.real
-            valid = order is None or tail <= 1e-6 * max(1.0, abs(value))
-            rows.append((x, t, value, valid))
+    for x in map(float, x_grid):
+        in_t = [_horner(row, x) for row in value_rows]
+        tail_in_t = [_horner(row, abs(x)) for row in tail_rows]
+        for t in map(float, t_grid):
+            value = _horner(in_t, t)
+            tail = _horner(tail_in_t, abs(t))
+            if not (math.isfinite(value) and math.isfinite(tail)):
+                raise OverflowError(f"wave value at x={x!r}, t={t!r} is out of float range")
+            rows.append((x, t, value, tail <= 1e-6 * max(1.0, abs(value))))
     return rows

@@ -48,8 +48,19 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
+    body = str(text).strip()
+    # Fast path for the form rational_to_str writes, -?digits[/digits]; every
+    # other form, and a zero denominator, goes through Fraction's parser.
+    num, slash, den = body.partition("/")
+    negative = num[:1] == "-"
+    digits = num[1:] if negative else num
     try:
-        return Fraction(str(text).strip())
+        if digits.isdecimal() and (not slash or den.isdecimal()):
+            p = -int(digits) if negative else int(digits)
+            q = int(den) if slash else 1
+            if q:
+                return Fraction(p, q)
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializationError(f"bad rational {text!r}: {exc}") from None
 

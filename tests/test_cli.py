@@ -256,6 +256,43 @@ class TestSample:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "grid", ["nan:1:0.5", "0:inf:1", "0:1:nan", "0:-inf:1", "1e154:1e154:1", "0:1e16:1"]
+    )
+    def test_grid_that_never_ends_exits_two(self, capsys, tmp_path, grid):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "1", "--g", "0", "--c", "1", "--output", str(path)])
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", grid, "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_grid_point_count(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "1", "--g", "0", "--c", "1", "--output", str(path)])
+        counts = {}
+        for grid in ("0:0:1", "1:0:1", "0:1:0.1", "-1:1:0.01", "0:0:1e-300"):
+            code, out, _ = run(
+                capsys, "sample", "--in", str(path), "--q", "0.5", "--x", grid, "--t", "0:0:1"
+            )
+            assert code == 0
+            counts[grid] = len(out.splitlines()) - 1
+        assert counts == {"0:0:1": 1, "1:0:1": 0, "0:1:0.1": 11, "-1:1:0.01": 201, "0:0:1e-300": 1}
+
+    def test_value_out_of_float_range_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,10", "--g", "0", "--c", "1", "--output", str(path)])
+        for grid in ("1e154:1.1e154:1e153", "2e154:2.1e154:1e153"):
+            code, out, err = run(
+                capsys, "sample", "--in", str(path), "--q", "0.5", "--x", grid, "--t", "0:0:1"
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestHermiteAndExpand:
     def test_hermite_two(self, capsys):
         code, out, _ = run(capsys, "hermite", "--n", "2")

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcalc.coeffs import (
     CE_ONE,
@@ -15,7 +17,7 @@ from qcalc.coeffs import (
     LaurentPoly,
 )
 from qcalc.identities import one_directional_check
-from qcalc.polys import MPoly
+from qcalc.polys import MPoly, coef_to_complex
 from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_trig_series
 from qcalc.qwave import (
     SYMBOLIC_SPEED,
@@ -342,6 +344,67 @@ class TestNamedWave:
         assert ws.residual_is_zero()
 
 
+def _sample_grid_by_terms(u: WaveSolution, q_value, c_value, x_grid, t_grid):
+    """Reference for sample_grid: every term's power product at every point,
+    with the validity tail summed term by term."""
+    q_value = float(q_value)
+    c_value = float(c_value)
+    coeffs = []
+    for e, coef in u.body.terms.items():
+        exps = dict(zip(u.body.vars, e))
+        z = complex(coef_to_complex(coef, q_value))
+        coeffs.append((exps.get("x", 0), exps.get("t", 0), exps.get("c", 0), z))
+    rows = []
+    for x in map(float, x_grid):
+        for t in map(float, t_grid):
+            total = 0j
+            tail = 0.0
+            for a, b, g, z in coeffs:
+                v = z * (x**a) * (t**b) * (c_value**g)
+                total += v
+                if u.order is not None and a + b >= u.order - 1:
+                    tail += abs(v)
+            value = total.real
+            valid = u.order is None or tail <= 1e-6 * max(1.0, abs(value))
+            rows.append((x, t, value, valid))
+    return rows
+
+
+_sample_coef = st.builds(
+    CoefExpr,
+    st.dictionaries(
+        st.integers(-3, 3),
+        st.builds(
+            GaussianRational,
+            st.fractions(min_value=-5, max_value=5, max_denominator=5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=5),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(LaurentPoly),
+    st.sampled_from([LaurentPoly({0: 1}), q_int(2), q_int(3), q_factorial(3), LaurentPoly({2: 1})]),
+)
+
+
+@st.composite
+def _sampled_waves(draw):
+    variables = draw(st.sampled_from([("x", "t"), XTC]))
+    degree = st.integers(0, 4)
+    terms = draw(
+        st.dictionaries(st.tuples(*[degree] * len(variables)), _sample_coef, max_size=8)
+    )
+    order = draw(st.none() | st.integers(0, 9))
+    return WaveSolution(MPoly(variables, terms), SYMBOLIC_SPEED, order, "direct-binomial")
+
+
+_coordinate = st.floats(-1.5, 1.5)
+# Top-band terms that cancel: x t - x t c at c = 1 and x t + x t c at c = -1
+# have value 0 but tail 2|x t|, which summing signed parts or merging the two
+# terms before abs would lose; at x = -1 the tail must still use |x|.
+_CANCELLING = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): -1}), SYMBOLIC_SPEED, 2, "x")
+_SIGNED = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): 1}), SYMBOLIC_SPEED, 2, "x")
+
+
 class TestSampleGrid:
     def test_time_zero_row_equals_f(self):
         data = InitialData.from_polys(X2, MPoly.zero(("x",)))
@@ -373,6 +436,30 @@ class TestSampleGrid:
         near, far = rows[0], rows[1]
         assert near[3] is True or near[3] == 1
         assert not far[3]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        _sampled_waves(),
+        st.floats(0.25, 4.0),
+        _coordinate,
+        st.lists(_coordinate, min_size=1, max_size=3),
+        st.lists(_coordinate, min_size=1, max_size=3),
+    )
+    @example(_CANCELLING, 0.5, 1.0, [0.5], [0.5])
+    @example(_SIGNED, 0.5, 1.0, [-1.0], [1.0])
+    @example(_SIGNED, 0.5, -1.0, [1.0], [-1.0])
+    def test_matches_the_term_by_term_sum(self, wave, q, c, xs, ts):
+        rows = sample_grid(wave, q, c, xs, ts)
+        expected = _sample_grid_by_terms(wave, q, c, xs, ts)
+        assert [r[:2] for r in rows] == [r[:2] for r in expected]
+        assert [r[3] for r in rows] == [r[3] for r in expected]
+        for row, ref in zip(rows, expected):
+            assert abs(row[2] - ref[2]) <= 1e-12 * max(1.0, abs(ref[2]))
+
+    def test_non_finite_value_raises(self):
+        ws = WaveSolution(MPoly(("x", "t"), {(2, 0): 10}), CE_ONE, None, "dalembert")
+        with pytest.raises(OverflowError):
+            sample_grid(ws, 0.5, 1.0, [1e154], [0.0])
 
     def test_symbolic_body_takes_numeric_speed(self):
         u_sym = q_binomial_substitute(X2, "-", SYMBOLIC_SPEED)

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
@@ -29,6 +31,34 @@ from qcalc.identities import verify_hermite_binomial
 from qcalc.coeffs import GR_I
 
 
+def _rational_by_fraction(text: str):
+    """What rational_from_str did before its fast path: Fraction's parser on
+    the stripped text, or the error message it raised."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational {text!r}: {exc}"
+
+
+_digits = st.integers(0, 10**30).map(str)
+_canonical = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "-", "+"]),
+    _digits,
+    st.none() | _digits,
+)
+# Whitespace, signs, decimals, exponents, underscores, non-ASCII decimal
+# digits (Arabic-Indic, fullwidth), a digit that is not decimal (superscript
+# two) and junk, in any order.
+_rational_junk = st.text(
+    alphabet=st.sampled_from(
+        list("0123456789-+/._eE xj") + ["\t", "\u3000", "\u0663", "\uff17", "\u00b2"]
+    ),
+    max_size=12,
+)
+_padding = st.sampled_from(["", " ", "\t", "\n", "\u3000"])
+
+
 class TestRationals:
     def test_roundtrip(self):
         for x in (Fraction(3, 2), Fraction(-7), Fraction(0), Fraction(22, 7)):
@@ -42,6 +72,17 @@ class TestRationals:
         for bad in ("", "x", "1/0", "1.5.2"):
             with pytest.raises(SerializationError):
                 rational_from_str(bad)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(_padding, _canonical | _rational_junk | st.text(max_size=8), _padding))
+    def test_agrees_with_fraction_parser(self, parts):
+        text = "".join(parts)
+        try:
+            got = rational_from_str(text)
+        except SerializationError as exc:
+            got = str(exc)
+        expected = _rational_by_fraction(text)
+        assert type(got) is type(expected) and got == expected
 
 
 class TestCoefExpr:
