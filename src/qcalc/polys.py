@@ -5,13 +5,13 @@ list.  The q-derivative is implemented by the monomial rule
 x**n -> [n]_q x**(n-1), which agrees with the difference quotient
 (f(qx) - f(x)) / ((q-1)x) on every polynomial and is total at x = 0.
 
-One term-mapping kernel sends var**n to sum_k w_k var**(n-k) b**k, b a
-one-term polynomial: with the single pair (k = n, w = 1) it is
-MPoly.substitute, with the cached q-binomial weights it is q_binomial_expand
-(behind q_binomial_power and the wave substitution in qwave); the repeated
-product q_power_product stays as the independent cross-check.  Also here:
-the holomorphic-pair operators on (z, w), the q-Laplacian family and the
-truncated numeric Jackson integral.
+One term-mapping kernel, _map_var, sends var**n to sum_k w_k var**(n-k) b**k
+with b a one-term polynomial.  MPoly.substitute (and eval_univariate through
+it), MPoly.q_derivative, MPoly.jackson_antiderivative and q_binomial_expand
+(behind q_binomial_power and the wave substitution in qwave) are calls into
+it; the repeated product q_power_product stays as the independent
+cross-check.  Also here: the holomorphic-pair operators on (z, w), the
+q-Laplacian family and the truncated numeric Jackson integral.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class MPoly:
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"variable names repeat in {self.vars}")
         clean: dict[tuple[int, ...], CoefExpr] = {}
         if terms:
             width = len(self.vars)
@@ -320,14 +322,7 @@ class MPoly:
         """Evaluate a one-variable polynomial at a CoefExpr point."""
         if len(self.vars) != 1:
             raise ValueError("eval_univariate needs a univariate polynomial")
-        value = CoefExpr.of(value)
-        powers = {0: CE_ONE}
-        total = CE_ZERO
-        for (d,), c in sorted(self.terms.items()):
-            if d not in powers:
-                powers[d] = value**d
-            total = total + c * powers[d]
-        return total
+        return self.substitute(self.vars[0], value).coefficient((0,))
 
     def q_derivative(self, name: str, direction: str = "q") -> MPoly:
         """Monomial-rule q-derivative in one variable.
@@ -338,22 +333,8 @@ class MPoly:
         if direction not in ("q", "1/q"):
             raise ValueError("direction must be 'q' or '1/q'")
         factor = q_int if direction == "q" else q_int_reciprocal
-        i = self._index(name)
-        out: dict[tuple[int, ...], CoefExpr] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            if d == 0:
-                continue
-            ne = e[:i] + (d - 1,) + e[i + 1 :]
-            v = c * factor(d)
-            prev = out.get(ne)
-            if prev is not None:
-                v = prev + v
-            if not v.is_zero():
-                out[ne] = v
-            elif ne in out:
-                del out[ne]
-        return MPoly._raw(self.vars, out)
+        one = MPoly.const(self.vars, 1)
+        return _map_var(self, name, one, lambda n: ((1, factor(n)),) if n else ())
 
     def scale_substitute(self, name: str, s_power: int) -> MPoly:
         """Substitute var -> s**s_power * var; degree-d coefficients pick up
@@ -362,13 +343,8 @@ class MPoly:
 
     def jackson_antiderivative(self, name: str) -> MPoly:
         """Inverse of the q-derivative: x**n -> x**(n+1) / [n+1]_q."""
-        i = self._index(name)
-        out = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            ne = e[:i] + (d + 1,) + e[i + 1 :]
-            out[ne] = c * CoefExpr(LaurentPoly({0: 1}), q_int(d + 1))
-        return MPoly._raw(self.vars, out)
+        square = MPoly.var(self.vars, name) ** 2
+        return _map_var(self, name, square, lambda n: ((1, CoefExpr(LP_ONE, q_int(n + 1))),))
 
     def truncate_total_degree(self, bound: int, names=None) -> MPoly:
         """Keep terms whose total degree over the given variables is <= bound."""
@@ -434,13 +410,14 @@ def q_binomial_power(a_var: str, b_coef, b_var: str, n: int) -> MPoly:
 
 
 def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
-    """The one term-mapping kernel behind substitute and the q-binomial
-    expansion: each term coef * var**n * rest becomes
+    """The one term-mapping kernel behind every linear operator on one
+    variable: each term coef * var**n * rest becomes
     sum over (k, w) in pairs(n) of coef * w * var**(n-k) * b**k * rest.
 
     b is a one-term polynomial over p's variables; a zero b is the term 0.
     The powers b**k are built once and equal monomials are merged in the
-    order the terms are met.
+    order the terms are met.  When b's coefficient is 1 each term costs one
+    multiply, by its weight.
     """
     p._check_vars(b)
     if len(b.terms) > 1:
@@ -449,6 +426,7 @@ def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
     zero = (0,) * len(p.vars)
     ((step, b_coef),) = b.terms.items() or ((zero, CE_ZERO),)
     step = step[:i] + (step[i] - 1,) + step[i + 1 :]  # var**-1 * b
+    unit = b_coef == CE_ONE
     powers = [(zero, CE_ONE)]  # var**-k * b**k as (exponent shift, coefficient)
     out: dict[tuple[int, ...], CoefExpr] = {}
     for e, coef in p.terms.items():
@@ -458,7 +436,7 @@ def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
                 powers.append((tuple(map(add, shift, step)), c * b_coef))
             shift, c = powers[k]
             key = tuple(map(add, e, shift))
-            v = coef * w * c
+            v = coef * w if unit else coef * w * c
             prev = out.get(key)
             if prev is not None:
                 v = prev + v
@@ -472,15 +450,18 @@ def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
 def dbar_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:
     """Half the sum D_q in z plus i times D_{1/q} in w; annihilates every
     q-binomial power of z + i w."""
-    return (
-        p.q_derivative(zvar, "q") + p.q_derivative(wvar, "1/q").scale(GR_I)
-    ).scale(Fraction(1, 2))
+    return _pair_operator(p, GR_I, zvar, wvar)
 
 
 def d_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:
     """The conjugate combination: half of D_q in z minus i D_{1/q} in w."""
+    return _pair_operator(p, -GR_I, zvar, wvar)
+
+
+def _pair_operator(p: MPoly, w_factor, zvar: str, wvar: str) -> MPoly:
+    """Half of D_q in z plus w_factor times D_{1/q} in w."""
     return (
-        p.q_derivative(zvar, "q") - p.q_derivative(wvar, "1/q").scale(GR_I)
+        p.q_derivative(zvar, "q") + p.q_derivative(wvar, "1/q").scale(w_factor)
     ).scale(Fraction(1, 2))
 
 

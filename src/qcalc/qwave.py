@@ -259,18 +259,26 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The sums are taken by Horner's rule, first in x for each power of t,
-    then in t.  Raises OverflowError when a value or tail is not finite.
+    then in t.  Raises ValueError unless q > 0 and c are finite, and
+    OverflowError when a power of c, a value or a tail is not finite.
     """
-    q_value = float(q_value)
-    if q_value <= 0:
-        raise ValueError("numeric sampling needs q > 0")
-    c_value = float(c_value)
+    q_value, c_value = float(q_value), float(c_value)
+    if not (math.isfinite(q_value) and q_value > 0):
+        raise ValueError(f"numeric sampling needs a finite q > 0, not {q_value!r}")
+    if not math.isfinite(c_value):
+        raise ValueError(f"numeric sampling needs a finite speed c, not {c_value!r}")
     body = u.body
     top = None if u.order is None else u.order - 1
     terms = []
     for e, coef in body.terms.items():
         exps = dict(zip(body.vars, e))
-        v = complex(coef_to_complex(coef, q_value)) * c_value ** exps.get("c", 0)
+        g = exps.get("c", 0)
+        try:
+            c_power = c_value**g
+        except OverflowError:
+            message = f"speed c={c_value!r} to the power {g} is out of float range"
+            raise OverflowError(message) from None
+        v = complex(coef_to_complex(coef, q_value)) * c_power
         terms.append((exps.get("x", 0), exps.get("t", 0), v))
     width = 1 + max((a for a, _, _ in terms), default=0)
     height = 1 + max((b for _, b, _ in terms), default=0)

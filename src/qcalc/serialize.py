@@ -82,9 +82,13 @@ def _laurent_from_list(items) -> LaurentPoly:
     coeffs = {}
     for item in items:
         try:
-            e = int(item["s"])
-        except (KeyError, TypeError, ValueError):
+            e = item["s"]
+        except (KeyError, TypeError):
             raise SerializationError(f"bad Laurent term {item!r}") from None
+        if type(e) is not int:  # a JSON integer: refuses 1.5, true and "1"
+            raise SerializationError(f"Laurent exponent {e!r} is not an integer")
+        if e in coeffs:
+            raise SerializationError(f"Laurent exponent {e} appears twice")
         re = rational_from_str(item.get("re", "0"))
         im = rational_from_str(item.get("im", "0"))
         coeffs[e] = GaussianRational(re, im)
@@ -117,14 +121,23 @@ def mpoly_to_json(p: MPoly) -> dict:
 def mpoly_from_json(doc) -> MPoly:
     if not isinstance(doc, dict) or "vars" not in doc or "terms" not in doc:
         raise SerializationError(f"bad polynomial document: {doc!r}")
-    variables = tuple(str(v) for v in doc["vars"])
+    variables = doc["vars"]
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise SerializationError(f"polynomial vars {variables!r} is not a list of strings")
+    if not isinstance(doc["terms"], list):
+        raise SerializationError("polynomial terms must be a list")
     terms = {}
     for item in doc["terms"]:
         try:
-            deg = tuple(int(d) for d in item["deg"])
+            deg = item["deg"]
             coef = coef_from_json(item["coef"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad polynomial term {item!r}: {exc}") from None
+        if not isinstance(deg, list) or any(type(d) is not int for d in deg):
+            raise SerializationError(f"degree {deg!r} is not a list of integers")
+        deg = tuple(deg)
+        if deg in terms:
+            raise SerializationError(f"degree {list(deg)} appears twice")
         terms[deg] = coef
     try:
         return MPoly(variables, terms)

@@ -9,7 +9,7 @@ from qcalc.cli import main
 from qcalc.coeffs import CE_Q, CoefExpr
 from qcalc.polys import MPoly
 from qcalc.qcore import q_factorial, q_int
-from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, q_binomial_substitute
+from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, named_wave, q_binomial_substitute
 from qcalc.serialize import mpoly_from_json, wave_from_json, wave_to_json
 
 
@@ -291,6 +291,62 @@ class TestSample:
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags", [("--q", "nan"), ("--q", "inf"), ("--q", "0.5", "--c", "nan")]
+    )
+    def test_non_finite_q_or_speed_exits_two(self, capsys, tmp_path, flags):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), *flags, "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    def test_speed_out_of_float_range_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        path.write_text(json.dumps(wave_to_json(named_wave("cos_q", "+", SYMBOLIC_SPEED, 6))))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--c", "1e300",
+            "--x", "0:1:1", "--t", "0:1:1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: speed c=1e+300") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vars", ["x", "x"]), ("vars", "xt"), ("deg", [0, 2.5]), ("s", 1.5), ("terms", 5)],
+    )
+    def test_malformed_wire_document_exits_two(self, capsys, tmp_path, field, value):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        if field == "deg":
+            doc["terms"][0]["deg"] = value
+        elif field == "s":
+            doc["terms"][0]["coef"]["num"][0]["s"] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "1:1:1", "--t", "1:2:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_input_that_is_not_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        path.write_text("{not json")
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHermiteAndExpand:

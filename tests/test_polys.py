@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcalc.coeffs import (
     CE_ONE,
+    CE_ZERO,
     CoefExpr,
     GaussianRational,
     GR_I,
@@ -27,7 +30,7 @@ from qcalc.polys import (
     q_laplacian_chain,
     q_power_product,
 )
-from qcalc.qcore import q_factorial, q_int
+from qcalc.qcore import q_factorial, q_int, q_int_reciprocal
 from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
 from qcalc.serialize import mpoly_to_json
 
@@ -66,6 +69,52 @@ def expand_by_products(p, name, b):
     return out
 
 
+def q_derivative_by_terms(p, name, direction="q"):
+    """The earlier MPoly.q_derivative loop: x**n -> [n] x**(n-1) term by
+    term.  Kept as the oracle for the term-mapping kernel."""
+    if direction not in ("q", "1/q"):
+        raise ValueError("direction must be 'q' or '1/q'")
+    factor = q_int if direction == "q" else q_int_reciprocal
+    i = p._index(name)
+    out = {}
+    for e, c in p.terms.items():
+        d = e[i]
+        if d == 0:
+            continue
+        ne = e[:i] + (d - 1,) + e[i + 1 :]
+        v = c * factor(d)
+        prev = out.get(ne)
+        if prev is not None:
+            v = prev + v
+        if not v.is_zero():
+            out[ne] = v
+        elif ne in out:
+            del out[ne]
+    return MPoly(p.vars, out)
+
+
+def jackson_by_terms(p, name):
+    """The earlier MPoly.jackson_antiderivative loop, x**n -> x**(n+1) / [n+1]_q."""
+    i = p._index(name)
+    out = {}
+    for e, c in p.terms.items():
+        d = e[i]
+        ne = e[:i] + (d + 1,) + e[i + 1 :]
+        out[ne] = c * CoefExpr(LaurentPoly({0: 1}), q_int(d + 1))
+    return MPoly(p.vars, out)
+
+
+def eval_by_terms(p, value):
+    """The earlier MPoly.eval_univariate: sum of c * value**d in degree order."""
+    if len(p.vars) != 1:
+        raise ValueError("eval_univariate needs a univariate polynomial")
+    value = CoefExpr.of(value)
+    total = CE_ZERO
+    for (d,), c in sorted(p.terms.items()):
+        total = total + c * value**d
+    return total
+
+
 def random_coef(rng):
     """A rational, Gaussian-rational or q-dependent coefficient."""
     re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -94,6 +143,10 @@ class TestMPolyBasics:
     def test_negative_exponent_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             MPoly(("x",), {(-1,): 1})
+
+    def test_repeated_variable_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            MPoly(("x", "x"), {(1, 0): 1})
 
     def test_substitute_zero_and_poly(self):
         p = MPoly(("x", "t"), {(2, 0): 1, (1, 1): 4, (0, 0): 7})
@@ -381,6 +434,80 @@ class TestJacksonAntiderivative:
                 }
             )
             assert p.jackson_antiderivative("x").q_derivative("x") == p
+
+
+_coef = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(
+        GaussianRational,
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    ),
+    st.builds(
+        lambda num, den: CoefExpr(LaurentPoly(num), den),
+        st.dictionaries(
+            st.integers(-3, 3),
+            st.builds(GaussianRational, st.integers(-4, 4), st.integers(-4, 4)),
+            max_size=3,
+        ),
+        st.sampled_from([LP_ONE, LP_Q, q_int(2), q_int(3), q_factorial(3)]),
+    ),
+)
+
+
+@st.composite
+def _polys(draw, variables=None):
+    """An MPoly over one to three of x, t, c with degree-0 terms allowed."""
+    if variables is None:
+        variables = draw(st.sampled_from([("x",), ("t", "x"), ("x", "t", "c"), ("c", "x")]))
+    exps = st.tuples(*[st.integers(0, 4)] * len(variables))
+    return MPoly(variables, draw(st.dictionaries(exps, _coef, max_size=6)))
+
+
+def _same_outcome(got, want):
+    """Run both thunks: equal polynomials with equal documents, or the same
+    ValueError message."""
+    try:
+        expected = want()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+        return
+    result = got()
+    assert result == expected
+    assert mpoly_to_json(result) == mpoly_to_json(expected)
+
+
+class TestOperatorsAgainstTermLoops:
+    """q_derivative, jackson_antiderivative and eval_univariate run through the
+    term-mapping kernel; the loops they replaced are the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_polys(), st.sampled_from(["x", "t", "c", "y"]), st.sampled_from(["q", "1/q"]))
+    @example(MPoly(("x", "c"), {(0, 0): 3, (0, 2): GR_I}), "x", "q")
+    @example(MPoly(("x",), {(2,): 1}), "x", "sideways")
+    def test_q_derivative(self, p, name, direction):
+        _same_outcome(
+            lambda: p.q_derivative(name, direction),
+            lambda: q_derivative_by_terms(p, name, direction),
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_polys(), st.sampled_from(["x", "t", "c", "y"]))
+    def test_jackson_antiderivative(self, p, name):
+        _same_outcome(lambda: p.jackson_antiderivative(name), lambda: jackson_by_terms(p, name))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_polys(("x",)), _coef | st.integers(-3, 3))
+    @example(MPoly.zero(("x",)), 5)
+    @example(MPoly(("x",), {(0,): 4}), 0)
+    def test_eval_univariate(self, p, value):
+        assert p.eval_univariate(value) == eval_by_terms(p, value)
+
+    def test_eval_univariate_needs_one_variable(self):
+        with pytest.raises(ValueError, match="needs a univariate polynomial"):
+            MPoly(("x", "t"), {(1, 0): 1}).eval_univariate(2)
 
 
 class TestCoefToComplex:

@@ -1,6 +1,7 @@
 """q-wave module tests: substitution, operators, the IVP solver, sampling."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -429,6 +430,19 @@ class TestSampleGrid:
         ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "x")
         with pytest.raises(ValueError):
             sample_grid(ws, 0.0, 1.0, [0.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "q, c", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, -math.inf)]
+    )
+    def test_non_finite_q_or_speed(self, q, c):
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "x")
+        with pytest.raises(ValueError, match="finite"):
+            sample_grid(ws, q, c, [0.0], [0.0])
+
+    def test_speed_power_out_of_range_names_c(self):
+        ws = named_wave("cos_q", "+", SYMBOLIC_SPEED, 6)
+        with pytest.raises(OverflowError, match="speed c=1e[+]300"):
+            sample_grid(ws, 0.5, 1e300, [0.0], [0.0])
 
     def test_validity_flag_degrades_outside_range(self):
         ws = named_wave("cos_q", "-", Fraction(1), 6)

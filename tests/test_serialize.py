@@ -128,6 +128,54 @@ class TestMPoly:
             mpoly_from_json({"vars": ["x"], "terms": [{"deg": [-1], "coef": coef_to_json(CoefExpr.of(1))}]})
 
 
+def _quadratic_wave_doc():
+    """The document of the wave u = x^2 + q t^2: degrees [2, 0] and [0, 2],
+    each coefficient one Laurent term."""
+    body = MPoly(("x", "t"), {(2, 0): 1, (0, 2): LaurentPoly({2: 1})})
+    return wave_to_json(WaveSolution(body, CoefExpr.of(1), None, "dalembert"))
+
+
+def _edit(path, value):
+    def apply(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return apply
+
+
+class TestWireValidation:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _edit(["vars"], ["x", "x"]),
+            _edit(["vars"], "xt"),
+            _edit(["vars"], ["x", 1]),
+            _edit(["terms"], 5),
+            _edit(["terms"], lambda terms: terms + [dict(terms[0])]),
+            _edit(["terms", 0, "deg"], [0, 2.5]),
+            _edit(["terms", 0, "deg"], [True, 2]),
+            _edit(["terms", 0, "deg"], [0, "2"]),
+            _edit(["terms", 0, "deg"], "02"),
+            _edit(["terms", 0, "coef", "num", 0, "s"], 1.5),
+            _edit(["terms", 0, "coef", "num", 0, "s"], True),
+            _edit(["terms", 0, "coef", "num", 0, "s"], "2"),
+            _edit(["terms", 0, "coef", "num"], lambda num: num + [dict(num[0])]),
+        ],
+        ids=[
+            "repeated-var", "vars-string", "non-string-var", "terms-not-list", "repeated-deg",
+            "deg-float", "deg-bool", "deg-string-entry", "deg-string", "s-float", "s-bool",
+            "s-string", "repeated-s",
+        ],
+    )
+    def test_refused(self, edit):
+        doc = _quadratic_wave_doc()
+        assert wave_from_json(json.loads(json.dumps(doc))).body.terms
+        edit(doc)
+        with pytest.raises(SerializationError):
+            wave_from_json(json.loads(json.dumps(doc)))
+
+
 class TestSeries:
     def test_roundtrip(self):
         s = q_exp_series("E", 5)
