@@ -185,8 +185,6 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_solve(args, out) -> int:
     c = rational_from_str(args.c)
-    if c == 0:
-        raise SerializationError("wave speed must be nonzero")
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)
     orders = [o for o in (f_order, g_order) if o is not None]

@@ -6,6 +6,13 @@ returns a Verdict.  A verdict is "verified" exactly when the residual
 offending residual is attached together with the parameter at which it
 occurred, so a breakage pinpoints the offending degree and monomial.
 
+One runner, the _verifier decorator, owns every verdict of IDENTITY_CHECKS:
+each routine there is a generator that yields (residual, detail) at its
+first failure, and the runner times it, labels its range and records the
+outcome.  The four Hermite-expansion identities (the classical binomial, the
+xi forms, the q-binomial and the traveling wave) build their right sides
+through one pair sum, _pair_sum, in the q family or its classical limit.
+
 Series identities are checked coefficient-by-coefficient with sums brought
 over the common denominator [n]_q! using the cached Gaussian-binomial and
 factorial-ratio tables (exact polynomial multipliers, no folding blowup).
@@ -13,6 +20,8 @@ factorial-ratio tables (exact polynomial multipliers, no folding blowup).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -75,128 +84,127 @@ class Verdict:
         return f"{self.identity} [{self.range}]: {self.status}{extra} in {self.elapsed_ms:.1f} ms"
 
 
-def _finish(v: Verdict, t0: float) -> Verdict:
-    v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return v
+# Registry used by the CLI: id -> (callable, parameter kind), filled by
+# _verifier.  one_directional_check is a verifier too but stays out:
+# `verify --identity all` runs exactly these eight.
+IDENTITY_CHECKS: dict = {}
 
 
-def _fail(v: Verdict, residual, detail: str, t0: float) -> Verdict:
-    v.status = "failed"
-    v.residual = residual
-    v.detail = detail
-    return _finish(v, t0)
+def _verifier(identity: str, kind: str):
+    """Register a verifier body in IDENTITY_CHECKS and run it as a timed Verdict.
+
+    The body is a generator over the range n<=N (kind "n_max") or order<=N
+    (kind "order"), N its argument of that name; it yields (residual, detail)
+    at a failure, and only the first one is read.  Other arguments pass
+    through unchanged.
+    """
+
+    def register(body):
+        signature = inspect.signature(body)
+        label = "n" if kind == "n_max" else "order"
+
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            bound = signature.bind(*args, **kwargs).arguments[kind]
+            v = Verdict(identity, f"{label}<={bound}")
+            failure = next(body(*args, **kwargs), None)
+            if failure is not None:
+                v.status = "failed"
+                v.residual, v.detail = failure
+            v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            return v
+
+        IDENTITY_CHECKS[identity] = (run, kind)
+        return run
+
+    return register
 
 
-def _scaled_hermite(m: int, var: str, scalar) -> MPoly:
-    h = hermite_classical(m).rename_var("x", var)
-    rep = MPoly.monomial((var,), (1,), scalar)
-    return h.substitute(var, rep)
+def _at(h: MPoly, a: MPoly) -> MPoly:
+    """The polynomial h in x alone at the one-term polynomial a, over a's variables."""
+    wide = a.vars if "x" in a.vars else a.vars + ("x",)
+    return h.with_vars(wide).substitute("x", a.with_vars(wide)).with_vars(a.vars)
 
 
-def verify_hermite_binomial(n_max: int) -> Verdict:
+def _pair_sum(n: int, a: MPoly, b: MPoly, q: bool) -> MPoly:
+    """two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b), a and b one-term polynomials
+    over one variable list.  q family: w_k = [n k]_q q^(k(k-1)/2), H the
+    q-Hermite polynomial, H' the dual H_k(q w; 1/q), two = [2]_q.  Classical
+    family: w_k = C(n, k), H = H' the Hermite polynomial, two = 2."""
+    if q:
+        weights, two = q_binomial_weights(n), q_int(2)
+        h, h_dual = q_hermite, lambda k: q_hermite_dual(k, "x")
+    else:
+        weights, two = [math.comb(n, k) for k in range(n + 1)], 2
+        h = h_dual = hermite_classical
+    acc = MPoly.zero(a.vars)
+    ik = GR_ONE
+    for k, weight in enumerate(weights):
+        pair = _at(h(n - k), a) * _at(h_dual(k), b)
+        acc = acc + pair.scale(CoefExpr.of(weight) * ik)
+        ik = ik * GR_I
+    return acc.scale(CoefExpr.of(two**n).inverse())
+
+
+@_verifier("hermite-binomial", "n_max")
+def verify_hermite_binomial(n_max: int):
     """(z + i w)**n == 2**-n sum_k C(n,k) i**k H_{n-k}(z) H_k(w), classical."""
-    t0 = time.perf_counter()
-    v = Verdict("hermite-binomial", f"n<={n_max}")
     vs = ("z", "w")
-    ziw = MPoly.var(vs, "z") + MPoly.var(vs, "w").scale(GR_I)
+    z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
+    ziw = z + w.scale(GR_I)
     for n in range(n_max + 1):
-        lhs = ziw**n
-        rhs = MPoly.zero(vs)
-        ik = GR_ONE
-        for k in range(n + 1):
-            hz = hermite_classical(n - k).rename_var("x", "z").with_vars(vs)
-            hw = hermite_classical(k).rename_var("x", "w").with_vars(vs)
-            rhs = rhs + (hz * hw).scale(ik * math.comb(n, k))
-            ik = ik * GR_I
-        rhs = rhs.scale(Fraction(1, 2**n))
-        res = lhs - rhs
+        res = ziw**n - _pair_sum(n, z, w, q=False)
         if not res.is_zero():
-            return _fail(v, res, f"first failure at n={n}", t0)
-    return _finish(v, t0)
+            yield res, f"first failure at n={n}"
 
 
-def verify_xi_identity(n_max: int) -> Verdict:
+@_verifier("xi", "n_max")
+def verify_xi_identity(n_max: int):
     """The one-variable collapse of the Hermite binomial formula and its three
     substitution forms (xi -> -2iz, xi -> x, xi -> iy)."""
-    t0 = time.perf_counter()
-    v = Verdict("xi", f"n<={n_max}")
     half = Fraction(1, 2)
     i_half = GaussianRational(0, half)
     for n in range(n_max + 1):
         # (-i)^(n-k) = (-i)^n i^k turns the main and iy forms into pair sums
-        main = (-GR_I) ** n * Fraction(1, 2**n)
+        main = (-GR_I) ** n
         forms = (
             # 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(i xi/2) H_k(xi/2) == xi^n
             ("main form", "xi", i_half, half, main, GR_ONE),
             # 2^-2n sum_k C(n,k) i^k H_{n-k}(z) H_k(-iz) == z^n
-            ("z-form", "z", GR_ONE, -GR_I, Fraction(1, 4**n), GR_ONE),
+            ("z-form", "z", GR_ONE, -GR_I, Fraction(1, 2**n), GR_ONE),
             # the main form at xi = x (real axis)
             ("x-form", "u", i_half, half, main, GR_ONE),
             # xi = iy: 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(-y/2) H_k(iy/2) == i^n y^n
             ("iy-form", "y", -half, i_half, main, GR_I**n),
         )
         for name, var, a, b, scale, rhs in forms:
-            res = _hermite_pair_sum(n, var, a, b).scale(scale) - MPoly.monomial(
-                (var,), (n,), rhs
-            )
+            a, b = (MPoly.monomial((var,), (1,), c) for c in (a, b))
+            res = _pair_sum(n, a, b, q=False).scale(scale)
+            res = res - MPoly.monomial((var,), (n,), rhs)
             if not res.is_zero():
-                return _fail(v, res, f"{name} fails at n={n}", t0)
-    return _finish(v, t0)
+                yield res, f"{name} fails at n={n}"
 
 
-def _hermite_pair_sum(n: int, var: str, a, b) -> MPoly:
-    """sum_k C(n,k) i^k H_{n-k}(a var) H_k(b var), classical Hermite."""
-    acc = MPoly.zero((var,))
-    ik = GR_ONE
-    for k in range(n + 1):
-        pair = _scaled_hermite(n - k, var, a) * _scaled_hermite(k, var, b)
-        acc = acc + pair.scale(ik * math.comb(n, k))
-        ik = ik * GR_I
-    return acc
-
-
-def verify_q_hermite_binomial(n_max: int) -> Verdict:
+@_verifier("q-hermite-binomial", "n_max")
+def verify_q_hermite_binomial(n_max: int):
     """(z + i w)_q^n == [2]_q^-n sum_k gauss(n,k) i^k q^(k(k-1)/2)
     H_{n-k}(z; q) H_k(q w; 1/q), exactly over the coefficient field."""
-    t0 = time.perf_counter()
-    v = Verdict("q-hermite-binomial", f"n<={n_max}")
     vs = ("z", "w")
-    w = MPoly.var(vs, "w")
+    z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
     for n in range(n_max + 1):
-        lhs = q_binomial_power("z", GR_I, "w", n)
-        rhs = _q_hermite_pair_sum(n, vs, w)
-        res = lhs - rhs
+        res = q_binomial_power("z", GR_I, "w", n) - _pair_sum(n, z, w, q=True)
         if not res.is_zero():
-            return _fail(v, res, f"first failure at n={n}", t0)
-    return _finish(v, t0)
+            yield res, f"first failure at n={n}"
 
 
-def _q_hermite_pair_sum(n: int, vs: tuple[str, ...], w: MPoly) -> MPoly:
-    """[2]_q^-n sum_k weight_k i^k H_{n-k}(v; q) H_k(q w; 1/q) over vs, where
-    v = vs[0] and the dual's variable is sent to the one-term polynomial w."""
-    wide = vs if "w" in vs else vs + ("w",)
-    w = w.with_vars(wide)
-    rhs = MPoly.zero(vs)
-    ik = GR_ONE
-    for k, weight in enumerate(q_binomial_weights(n)):
-        h = q_hermite(n - k)
-        if vs[0] != "x":
-            h = h.rename_var("x", vs[0])
-        dual = q_hermite_dual(k).with_vars(wide).substitute("w", w).with_vars(vs)
-        rhs = rhs + (h.with_vars(vs) * dual).scale(CoefExpr.of(weight) * ik)
-        ik = ik * GR_I
-    return rhs.scale(CoefExpr(LP_ONE, q_int(2) ** n))
-
-
-def verify_exp_product(order: int, q_samples=None) -> Verdict:
+@_verifier("exp-product", "order")
+def verify_exp_product(order: int, q_samples=None):
     """e_q(x) e_q(-x) == e_{q^2}((1-q)/(1+q) x^2) coefficientwise to the given
     order, plus exact spot checks at the supplied rational q values."""
-    t0 = time.perf_counter()
-    v = Verdict("exp-product", f"order<={order}")
     one_minus_q = LaurentPoly({0: 1, 2: -1})
     one_plus_q = q_int(2)
-    lhs_all = []
-    rhs_all = []
+    lhs_all, rhs_all = [], []
     for n in range(order + 1):
         num = LaurentPoly({})
         for k in range(n + 1):
@@ -207,40 +215,33 @@ def verify_exp_product(order: int, q_samples=None) -> Verdict:
             rhs = CoefExpr.of(0)
         else:
             m = n // 2
-            rhs = CoefExpr(
-                one_minus_q**m,
-                (one_plus_q**m) * q_factorial(m).stretch(2),
-            )
+            rhs = CoefExpr(one_minus_q**m, one_plus_q**m * q_factorial(m).stretch(2))
         lhs_all.append(lhs)
         rhs_all.append(rhs)
         if lhs != rhs:
-            return _fail(v, lhs - rhs, f"coefficient of x^{n} differs", t0)
+            yield lhs - rhs, f"coefficient of x^{n} differs"
     for q in q_samples or ():
         q = Fraction(q)
         if q == -1:
             raise PoleError("q = -1 is a pole of (1-q)/(1+q); sample rejected")
         for n in range(order + 1):
             if lhs_all[n].eval_q(q) != rhs_all[n].eval_q(q):
-                return _fail(v, None, f"spot check failed at q={q}, x^{n}", t0)
-    return _finish(v, t0)
+                yield None, f"spot check failed at q={q}, x^{n}"
 
 
-def verify_exp_factorization(order: int) -> Verdict:
+@_verifier("exp-factorization", "order")
+def verify_exp_factorization(order: int):
     """e_q(x) e_{1/q}(y) == sum_n (x + y)_q^n / [n]_q! to total degree order,
     and the corollary that e_q(-t^2) e_{1/q}(t^2) collapses to 1."""
-    t0 = time.perf_counter()
-    v = Verdict("exp-factorization", f"order<={order}")
     vs = ("x", "y")
     for n in range(order + 1):
         for k in range(n + 1):
             a, b = n - k, k
-            lhs = CoefExpr(
-                LaurentPoly.term(b * (b - 1)), q_factorial(a) * q_factorial(b)
-            )
+            lhs = CoefExpr(LaurentPoly.term(b * (b - 1)), q_factorial(a) * q_factorial(b))
             rhs = CoefExpr(q_binomial_weights(n)[k], q_factorial(n))
             if lhs != rhs:
                 res = MPoly(vs, {(a, b): lhs - rhs})
-                return _fail(v, res, f"coefficient x^{a} y^{b} differs", t0)
+                yield res, f"coefficient x^{a} y^{b} differs"
     # corollary: every positive even degree of the product cancels
     for m in range(1, order // 2 + 1):
         num = LaurentPoly({})
@@ -249,42 +250,38 @@ def verify_exp_factorization(order: int) -> Verdict:
             num = num + (-term if j % 2 else term)
         if not num.is_zero():
             res = MPoly(("t",), {(2 * m,): CoefExpr(num, q_factorial(m))})
-            return _fail(v, res, f"corollary fails at degree {2 * m}", t0)
-    return _finish(v, t0)
+            yield res, f"corollary fails at degree {2 * m}"
 
 
-def verify_double_q_analytic(n_max: int) -> Verdict:
+@_verifier("double-q-analytic", "n_max")
+def verify_double_q_analytic(n_max: int):
     """The pair operator annihilates every (z + i w)_q^n and its conjugate
     lowers the power with factor [n]_q."""
-    t0 = time.perf_counter()
-    v = Verdict("double-q-analytic", f"n<={n_max}")
     for n in range(1, n_max + 1):
         p = q_binomial_power("z", GR_I, "w", n)
         res = dbar_operator(p)
         if not res.is_zero():
-            return _fail(v, res, f"annihilation fails at n={n}", t0)
+            yield res, f"annihilation fails at n={n}"
         lowered = d_operator(p)
         expected = q_binomial_power("z", GR_I, "w", n - 1).scale(q_int(n))
         res = lowered - expected
         if not res.is_zero():
-            return _fail(v, res, f"conjugate relation fails at n={n}", t0)
-    return _finish(v, t0)
+            yield res, f"conjugate relation fails at n={n}"
 
 
-def verify_q_laplacian_identity(n_max: int, chain_max: int = 3) -> Verdict:
+@_verifier("q-laplacian", "n_max")
+def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
     """Three statements around the q-Laplacian family:
     (a) the nested chain annihilates every (z + i w)_q^n;
     (b) the q-exponential of the scaled chain reproduces the binomial termwise;
     (c) the one-variable operator series reproduces the q-Hermite polynomial."""
-    t0 = time.perf_counter()
-    v = Verdict("q-laplacian", f"n<={n_max}")
     two = q_int(2)
     for n in range(n_max + 1):
         p = q_binomial_power("z", GR_I, "w", n)
         for m in range(1, chain_max + 1):
             res = q_laplacian_chain(p, m)
             if not res.is_zero():
-                return _fail(v, res, f"chain m={m} fails at n={n}", t0)
+                yield res, f"chain m={m} fails at n={n}"
         # termwise exponential of the scaled chain
         total = MPoly.zero(("z", "w"))
         for j in range(n + 1):
@@ -296,11 +293,10 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3) -> Verdict:
             total = total + chained.scale(coef)
         res = total - p
         if not res.is_zero():
-            return _fail(v, res, f"exponential operator fails at n={n}", t0)
+            yield res, f"exponential operator fails at n={n}"
         # one-variable relation
-        xn = MPoly.monomial(("x",), (n,), 1)
         total = MPoly.zero(("x",))
-        d = xn
+        d = MPoly.monomial(("x",), (n,), 1)
         j = 0
         while not d.is_zero():
             sign = LaurentPoly.const(-1) if j % 2 else LP_ONE
@@ -310,26 +306,24 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3) -> Verdict:
             j += 1
         res = total.scale(CoefExpr.of(two**n)) - q_hermite(n)
         if not res.is_zero():
-            return _fail(v, res, f"Hermite operator relation fails at n={n}", t0)
-    return _finish(v, t0)
+            yield res, f"Hermite operator relation fails at n={n}"
 
 
-def verify_traveling_hermite_expansion(n_max: int) -> Verdict:
+@_verifier("traveling-hermite", "n_max")
+def verify_traveling_hermite_expansion(n_max: int):
     """(x + c t)_q^n expanded through q-Hermite pairs with argument -i q c t;
     the assembled right side must be real and equal to the left side."""
-    t0 = time.perf_counter()
-    v = Verdict("traveling-hermite", f"n<={n_max}")
     vs = ("x", "t", "c")
+    x = MPoly.var(vs, "x")
     minus_ict = MPoly.monomial(vs, (0, 1, 1), GaussianRational(0, -1))
     for n in range(n_max + 1):
         lhs = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), "+", SYMBOLIC_SPEED)
-        rhs = _q_hermite_pair_sum(n, vs, minus_ict)
+        rhs = _pair_sum(n, x, minus_ict, q=True)
         if not rhs.is_real():
-            return _fail(v, rhs, f"imaginary residue at n={n}", t0)
+            yield rhs, f"imaginary residue at n={n}"
         res = lhs - rhs
         if not res.is_zero():
-            return _fail(v, res, f"first failure at n={n}", t0)
-    return _finish(v, t0)
+            yield res, f"first failure at n={n}"
 
 
 def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
@@ -352,19 +346,5 @@ def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
     elif n >= 1 and mismatched.is_zero():
         v.status = "failed"
         v.detail = "mismatched operator unexpectedly annihilated"
-    return _finish(v, t0)
-
-
-# Registry used by the CLI: id -> (callable, parameter kind).
-# one_directional_check is a verifier too but stays out: `verify --identity all`
-# runs exactly these eight.
-IDENTITY_CHECKS = {
-    "hermite-binomial": (verify_hermite_binomial, "n_max"),
-    "xi": (verify_xi_identity, "n_max"),
-    "q-hermite-binomial": (verify_q_hermite_binomial, "n_max"),
-    "exp-product": (verify_exp_product, "order"),
-    "exp-factorization": (verify_exp_factorization, "order"),
-    "double-q-analytic": (verify_double_q_analytic, "n_max"),
-    "q-laplacian": (verify_q_laplacian_identity, "n_max"),
-    "traveling-hermite": (verify_traveling_hermite_expansion, "n_max"),
-}
+    v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return v

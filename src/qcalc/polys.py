@@ -447,42 +447,42 @@ def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
     return MPoly._raw(p.vars, out)
 
 
-def dbar_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:
+def dbar_operator(p: MPoly) -> MPoly:
     """Half the sum D_q in z plus i times D_{1/q} in w; annihilates every
     q-binomial power of z + i w."""
-    return _pair_operator(p, GR_I, zvar, wvar)
+    return _pair_operator(p, GR_I)
 
 
-def d_operator(p: MPoly, zvar: str = "z", wvar: str = "w") -> MPoly:
+def d_operator(p: MPoly) -> MPoly:
     """The conjugate combination: half of D_q in z minus i D_{1/q} in w."""
-    return _pair_operator(p, -GR_I, zvar, wvar)
+    return _pair_operator(p, -GR_I)
 
 
-def _pair_operator(p: MPoly, w_factor, zvar: str, wvar: str) -> MPoly:
+def _pair_operator(p: MPoly, w_factor) -> MPoly:
     """Half of D_q in z plus w_factor times D_{1/q} in w."""
     return (
-        p.q_derivative(zvar, "q") + p.q_derivative(wvar, "1/q").scale(w_factor)
+        p.q_derivative("z", "q") + p.q_derivative("w", "1/q").scale(w_factor)
     ).scale(Fraction(1, 2))
 
 
-def q_laplacian(p: MPoly, level: int = 0, zvar: str = "z", wvar: str = "w") -> MPoly:
+def q_laplacian(p: MPoly, level: int = 0) -> MPoly:
     """(D_q^z)^2 + q^level (D_{1/q}^w)^2 applied exactly."""
     if level < 0:
         raise UnsupportedOrderError("q-Laplacian level must be >= 0")
-    zz = p.q_derivative(zvar, "q").q_derivative(zvar, "q")
-    ww = p.q_derivative(wvar, "1/q").q_derivative(wvar, "1/q")
+    zz = p.q_derivative("z", "q").q_derivative("z", "q")
+    ww = p.q_derivative("w", "1/q").q_derivative("w", "1/q")
     if level:
         ww = ww.scale(LaurentPoly.term(2 * level))
     return zz + ww
 
 
-def q_laplacian_chain(p: MPoly, m: int, zvar: str = "z", wvar: str = "w") -> MPoly:
+def q_laplacian_chain(p: MPoly, m: int) -> MPoly:
     """Compose the q-Laplacian levels 0, 1, ..., m-1 (level 0 innermost)."""
     if m < 0:
         raise UnsupportedOrderError("chain length must be >= 0")
     out = p
     for level in range(m):
-        out = q_laplacian(out, level, zvar, wvar)
+        out = q_laplacian(out, level)
     return out
 
 

@@ -119,11 +119,8 @@ class WaveSolution:
     order: int | None
     provenance: str
 
-    def residual(self) -> MPoly:
-        return qwave_operator(self)
-
     def residual_is_zero(self) -> bool:
-        r = self.residual()
+        r = qwave_operator(self.body, self.c)
         if self.order is not None:
             r = r.truncate_total_degree(self.order - 2, names=_XT)
         return r.is_zero()
@@ -156,13 +153,9 @@ def q_binomial_substitute(p, sign: str, c) -> MPoly:
     return q_binomial_expand(p.with_vars(out_vars), "x", b)
 
 
-def qwave_operator(u, c=None) -> MPoly:
-    """Exact application of (D_{1/q}^t)^2 - c^2 (D_q^x)^2."""
-    if isinstance(u, WaveSolution):
-        body, speed = u.body, u.c if c is None else c
-    else:
-        body, speed = u, c
-    speed = speed_poly(body.vars, speed if speed is not None else SYMBOLIC_SPEED)
+def qwave_operator(body: MPoly, c) -> MPoly:
+    """Exact application of (D_{1/q}^t)^2 - c^2 (D_q^x)^2 to a wave body."""
+    speed = speed_poly(body.vars, c)
     dtt = body.q_derivative("t", "1/q").q_derivative("t", "1/q")
     dxx = body.q_derivative("x", "q").q_derivative("x", "q")
     return dtt - dxx * speed**2

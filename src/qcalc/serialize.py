@@ -40,6 +40,12 @@ class SerializationError(QCalcError, ValueError):
     """Malformed wire data."""
 
 
+def _brief(value) -> str:
+    """repr of a wire value for an error message, cut to about 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
 def rational_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -62,7 +68,7 @@ def rational_from_str(text: str) -> Fraction:
                 return Fraction(p, q)
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(f"bad rational {text!r}: {exc}") from None
+        raise SerializationError(f"bad rational {_brief(text)}: {exc}") from None
 
 
 def _laurent_to_list(p: LaurentPoly) -> list:
@@ -84,9 +90,9 @@ def _laurent_from_list(items) -> LaurentPoly:
         try:
             e = item["s"]
         except (KeyError, TypeError):
-            raise SerializationError(f"bad Laurent term {item!r}") from None
+            raise SerializationError(f"bad Laurent term {_brief(item)}") from None
         if type(e) is not int:  # a JSON integer: refuses 1.5, true and "1"
-            raise SerializationError(f"Laurent exponent {e!r} is not an integer")
+            raise SerializationError(f"Laurent exponent {_brief(e)} is not an integer")
         if e in coeffs:
             raise SerializationError(f"Laurent exponent {e} appears twice")
         re = rational_from_str(item.get("re", "0"))
@@ -101,7 +107,7 @@ def coef_to_json(c: CoefExpr) -> dict:
 
 def coef_from_json(doc) -> CoefExpr:
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
-        raise SerializationError(f"bad coefficient document: {doc!r}")
+        raise SerializationError(f"bad coefficient document: {_brief(doc)}")
     den = _laurent_from_list(doc["den"])
     if den.is_zero():
         raise SerializationError("coefficient has zero denominator")
@@ -120,21 +126,25 @@ def mpoly_to_json(p: MPoly) -> dict:
 
 def mpoly_from_json(doc) -> MPoly:
     if not isinstance(doc, dict) or "vars" not in doc or "terms" not in doc:
-        raise SerializationError(f"bad polynomial document: {doc!r}")
+        raise SerializationError(f"bad polynomial document: {_brief(doc)}")
     variables = doc["vars"]
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise SerializationError(f"polynomial vars {variables!r} is not a list of strings")
+        raise SerializationError(
+            f"polynomial vars {_brief(variables)} is not a list of strings"
+        )
     if not isinstance(doc["terms"], list):
         raise SerializationError("polynomial terms must be a list")
     terms = {}
     for item in doc["terms"]:
-        try:
-            deg = item["deg"]
-            coef = coef_from_json(item["coef"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"bad polynomial term {item!r}: {exc}") from None
+        if not isinstance(item, dict) or "deg" not in item or "coef" not in item:
+            raise SerializationError(f"bad polynomial term {_brief(item)}")
+        deg = item["deg"]
         if not isinstance(deg, list) or any(type(d) is not int for d in deg):
-            raise SerializationError(f"degree {deg!r} is not a list of integers")
+            raise SerializationError(f"degree {_brief(deg)} is not a list of integers")
+        try:
+            coef = coef_from_json(item["coef"])
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(f"bad coefficient at deg {_brief(deg)}: {exc}") from None
         deg = tuple(deg)
         if deg in terms:
             raise SerializationError(f"degree {list(deg)} appears twice")
@@ -156,17 +166,28 @@ def series_to_json(p: MPoly, order: int) -> dict:
     }
 
 
+def _order_from(order, kind: str) -> int:
+    """A document's order: a JSON integer >= 0 (2.7, true and "3" are refused)."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise SerializationError(f"{kind} order {_brief(order)} is not an integer")
+    if order < 0:
+        raise SerializationError(f"{kind} order {order} is negative")
+    return order
+
+
 def series_from_json(doc) -> tuple[MPoly, int]:
     """Inverse of series_to_json: the series and its order; coefficients
     beyond the order are dropped."""
-    try:
-        order = int(doc["order"])
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        coeffs = [coef_from_json(c) for c in doc["coeffs"][: order + 1]]
-        return MPoly((str(doc["var"]),), {(d,): c for d, c in enumerate(coeffs)}), order
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad series document: {exc}") from None
+    if not isinstance(doc, dict) or not {"var", "order", "coeffs"} <= doc.keys():
+        raise SerializationError("series document needs var, order and coeffs fields")
+    order = _order_from(doc["order"], "series")
+    var = doc["var"]
+    if not isinstance(var, str):
+        raise SerializationError(f"series var {_brief(var)} is not a string")
+    if not isinstance(doc["coeffs"], list):
+        raise SerializationError("series coeffs must be a list")
+    coeffs = [coef_from_json(c) for c in doc["coeffs"][: order + 1]]
+    return MPoly((var,), {(d,): c for d, c in enumerate(coeffs)}), order
 
 
 def _speed_to_json(c):
@@ -187,7 +208,7 @@ def _speed_from_json(value) -> object:
         try:
             value = json.loads(value)  # older documents: the object inside a string
         except json.JSONDecodeError as exc:
-            raise SerializationError(f"bad wave speed c {value!r}: {exc.msg}") from None
+            raise SerializationError(f"bad wave speed c {_brief(value)}: {exc.msg}") from None
     if isinstance(value, dict):
         return coef_from_json(value)
     if value == SYMBOLIC_SPEED:
@@ -216,13 +237,10 @@ def wave_from_json(doc) -> WaveSolution:
         raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
     order = doc.get("order")
     if order is not None:
-        if isinstance(order, bool) or not isinstance(order, int):
-            raise SerializationError(f"wave order {order!r} is not an integer")
-        if order < 0:
-            raise SerializationError(f"wave order {order} is negative")
+        order = _order_from(order, "wave")
     provenance = str(doc.get("provenance", "unknown"))
     if provenance not in _PROVENANCES:
-        raise SerializationError(f"unknown wave provenance {provenance!r}")
+        raise SerializationError(f"unknown wave provenance {_brief(provenance)}")
     return WaveSolution(body, _speed_from_json(doc["c"]), order, provenance)
 
 

@@ -92,7 +92,7 @@ class TestSolve:
     def test_zero_speed_exits_two(self, capsys):
         code, _, err = run(capsys, "solve", "--f", "0,0,1", "--g", "0", "--c", "0")
         assert code == 2
-        assert "error" in err
+        assert err == "error: wave speed must be nonzero\n"
 
     def test_malformed_rational_exits_two(self, capsys):
         code, _, _ = run(capsys, "solve", "--f", "0,zz,1", "--g", "0", "--c", "1")
@@ -409,3 +409,19 @@ class TestHermiteAndExpand:
         assert code == 1
         assert json.loads(path.read_text())["status"] == "failed"
         assert capsys.readouterr().out == ""
+
+    def test_bad_term_is_named_by_degree_not_dumped(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        argv = ["solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7"]
+        main([*argv, "--order", "20", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        term = max(doc["terms"], key=lambda item: len(json.dumps(item["coef"])))
+        term["coef"]["num"][0]["s"] = 1.5
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        assert f"deg {term['deg']}" in err

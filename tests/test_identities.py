@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcalc import identities
 from qcalc.coeffs import CoefExpr, GR_I, LP_ONE, PoleError
 from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
 from qcalc.identities import (
@@ -19,7 +20,7 @@ from qcalc.identities import (
     verify_xi_identity,
 )
 from qcalc.polys import MPoly, q_binomial_power
-from qcalc.qcore import gauss_binomial, q_int
+from qcalc.qcore import gauss_binomial, q_factorial, q_int
 from qcalc.coeffs import LaurentPoly
 
 
@@ -123,3 +124,65 @@ def test_exp_factorization_degree_two_by_hand():
 
 def test_double_q_analytic_small():
     assert verify_double_q_analytic(4).ok
+
+
+def _doubled_at(fn, bad):
+    """fn with its value at the first argument bad doubled."""
+
+    def wrong(n, *rest):
+        value = fn(n, *rest)
+        return value + value if n == bad else value
+
+    return wrong
+
+
+class TestFailurePaths:
+    """One forced failure per verifier: a building block the identity reads
+    is replaced by a wrong one, and the verdict must say where it broke."""
+
+    @staticmethod
+    def _assert_failed(verdict, detail):
+        assert verdict.status == "failed" and not verdict.ok
+        assert verdict.detail == detail
+        assert verdict.residual is not None and not verdict.residual.is_zero()
+        assert verdict.elapsed_ms >= 0
+
+    def test_hermite_binomial(self, monkeypatch):
+        monkeypatch.setattr(identities, "hermite_classical", _doubled_at(hermite_classical, 2))
+        self._assert_failed(verify_hermite_binomial(4), "first failure at n=2")
+
+    def test_xi(self, monkeypatch):
+        monkeypatch.setattr(identities, "hermite_classical", _doubled_at(hermite_classical, 1))
+        self._assert_failed(verify_xi_identity(4), "main form fails at n=1")
+
+    def test_q_hermite_binomial(self, monkeypatch):
+        monkeypatch.setattr(identities, "q_hermite", _doubled_at(q_hermite, 1))
+        self._assert_failed(verify_q_hermite_binomial(4), "first failure at n=1")
+
+    def test_exp_product(self, monkeypatch):
+        monkeypatch.setattr(identities, "q_factorial", _doubled_at(q_factorial, 2))
+        self._assert_failed(verify_exp_product(6), "coefficient of x^2 differs")
+
+    def test_exp_factorization(self, monkeypatch):
+        monkeypatch.setattr(identities, "q_factorial", _doubled_at(q_factorial, 2))
+        self._assert_failed(verify_exp_factorization(6), "coefficient x^1 y^1 differs")
+
+    def test_double_q_analytic(self, monkeypatch):
+        monkeypatch.setattr(identities, "q_int", _doubled_at(q_int, 2))
+        self._assert_failed(verify_double_q_analytic(4), "conjugate relation fails at n=2")
+
+    def test_q_laplacian(self, monkeypatch):
+        def with_z_squared(a, coef, b, n):
+            p = q_binomial_power(a, coef, b, n)
+            return p + MPoly.monomial((a, b), (2, 0)) if n == 2 else p
+
+        monkeypatch.setattr(identities, "q_binomial_power", with_z_squared)
+        self._assert_failed(verify_q_laplacian_identity(4), "chain m=1 fails at n=2")
+
+    def test_traveling_hermite(self, monkeypatch):
+        def dual_plus_one(k, var="w"):
+            dual = q_hermite_dual(k, var)
+            return dual + 1 if k == 1 else dual
+
+        monkeypatch.setattr(identities, "q_hermite_dual", dual_plus_one)
+        self._assert_failed(verify_traveling_hermite_expansion(4), "imaginary residue at n=1")

@@ -109,6 +109,12 @@ class TestCoefExpr:
         with pytest.raises(SerializationError):
             coef_from_json({"num": [{"re": "1"}], "den": [{"s": 0, "re": "1"}]})
 
+    def test_echoed_value_is_cut(self):
+        huge = {"num": [{"s": 0, "re": "1" * 5000}]}
+        with pytest.raises(SerializationError) as info:
+            coef_from_json(huge)
+        assert len(str(info.value)) < 120
+
 
 class TestMPoly:
     def test_roundtrip(self):
@@ -193,6 +199,14 @@ class TestSeries:
             series_from_json({"var": "x"})
         with pytest.raises(SerializationError):
             series_from_json({"var": "x", "order": -1, "coeffs": []})
+
+    @pytest.mark.parametrize(
+        "field, value", [("order", 2.7), ("order", True), ("order", "3"), ("var", ["x"])]
+    )
+    def test_refused_like_wave_documents(self, field, value):
+        doc = series_to_json(q_exp_series("E", 5), 5) | {field: value}
+        with pytest.raises(SerializationError, match=f"series {field} "):
+            series_from_json(doc)
 
 
 class TestWave:
