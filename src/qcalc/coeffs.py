@@ -9,19 +9,25 @@ Three layers, all immutable and exact (no floating point ever enters a value):
   roots of q and half-integer powers q**(k/2) are ordinary monomials in s,
   and the substitution s -> 1/s realises q -> 1/q exactly.
 * ``CoefExpr`` -- the fraction field num/den of Laurent polynomials.
-  Equality is decided by cross-multiplication; no canonical form or GCD
-  machinery is required (or used).  A denominator that is a single monomial
+  Equality is decided by cross-multiplication; no canonical form and no
+  polynomial GCD is required (or used).  A denominator that is a single monomial
   is folded into the numerator on construction, so most values in practice
   are plain Laurent polynomials with den == 1.
 
-LaurentPoly is canonical (zero coefficients are never stored), which makes
-zero tests and denominator sharing cheap: mathematically equal denominators
-are structurally equal dicts.  Storage is that dict, but products are formed
-by Kronecker substitution: each operand is lifted to integer vectors (real
-and imaginary part) over one common denominator, each vector is packed into
-one int at s = 2**width, one big-int product is taken (up to four when the
-operands are complex), and the coefficients are read back as balanced
-width-bit digits.  A one-term operand is a shift plus a scale instead.
+LaurentPoly is stored as integers: a lowest exponent lo, one content
+denominator den and integer vectors re (and im, None when every coefficient
+is real), coefficient k being (re[k] + im[k]*i) / den.  The form is
+canonical (den > 0 shares no factor with the entries, both ends nonzero), so
+zero tests, equality and denominator sharing compare ints and lists.  Add,
+negate, scale, shift and stretch are list operations on ints.  Products are
+formed by Kronecker substitution: each vector is packed into one int at
+s = 2**width, one big-int product is taken (up to four when both operands are
+complex), and the coefficients are read back as balanced width-bit digits;
+when every exponent of both operands has one parity, only every other slot
+is packed.  A one-term operand is a shift plus an integer scale instead.
+Exact division is schoolbook over the integers.  GaussianRational values
+appear only at the edges: the dict constructor, const and term, the coeffs
+view, as_monomial and exact evaluation.
 
 The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials and Gaussian binomial coefficients are cached
@@ -35,7 +41,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, sub
 
 __all__ = [
     "QCalcError",
@@ -204,135 +212,172 @@ GR_I = _gr(_F0, _F1)
 
 
 class LaurentPoly:
-    """Laurent polynomial in s, stored as {exponent: nonzero GaussianRational}."""
+    """Laurent polynomial in s: coefficient k is (re[k] + im[k]*i) / den at
+    exponent lo + k.
 
-    __slots__ = ("coeffs",)
+    Canonical, so equality is a comparison of the four slots: den > 0, the gcd
+    of den and every entry is 1, the entries at both ends are nonzero, im is
+    None when every coefficient is real, and zero is (0, 1, [], None).  The
+    lists are never mutated once stored; results may share them.
+    """
+
+    __slots__ = ("lo", "den", "re", "im")
 
     def __init__(self, coeffs=None):
-        clean: dict[int, GaussianRational] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = as_gaussian(c)
-                if c:
-                    clean[int(e)] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def _raw(coeffs: dict[int, GaussianRational]) -> LaurentPoly:
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = coeffs
-        return out
+        terms = {}
+        for e, c in (coeffs or {}).items():
+            c = as_gaussian(c)
+            if c:
+                terms[int(e)] = c
+        p = LP_ZERO
+        if terms:
+            lo = min(terms)
+            den = lcm(*(c.re.denominator for c in terms.values()),
+                      *(c.im.denominator for c in terms.values()))
+            re = [0] * (max(terms) - lo + 1)
+            im = list(re)
+            for e, c in terms.items():
+                re[e - lo] = c.re.numerator * (den // c.re.denominator)
+                im[e - lo] = c.im.numerator * (den // c.im.denominator)
+            p = _canonical(lo, den, re, im)
+        self.lo, self.den, self.re, self.im = p.lo, p.den, p.re, p.im
 
     @classmethod
     def const(cls, value) -> LaurentPoly:
-        c = as_gaussian(value)
-        return cls._raw({0: c} if c else {})
+        return cls.term(0, value)
 
     @classmethod
     def term(cls, exponent: int, value=1) -> LaurentPoly:
-        c = as_gaussian(value)
-        return cls._raw({exponent: c} if c else {})
+        cr, ci, cd = _ints(value)
+        if not (cr or ci):
+            return LP_ZERO
+        return _canonical(exponent, cd, [cr], [ci])
+
+    @property
+    def coeffs(self) -> dict[int, GaussianRational]:
+        """{exponent: nonzero GaussianRational}, lowest exponent first; built
+        on each read, for callers outside the integer kernel."""
+        den = self.den
+        return {e: _gr(Fraction(v, den), Fraction(w, den) if w else _F0)
+                for e, v, w in self.int_terms()}
+
+    def int_terms(self):
+        """(exponent, re, im) of every nonzero coefficient (re + im*i) / den,
+        lowest exponent first, with integer re and im."""
+        im = self.im or repeat(0)
+        return [(self.lo + k, v, w) for k, (v, w) in enumerate(zip(self.re, im)) if v or w]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def as_monomial(self):
         """Return (exponent, coefficient) if this is a single term, else None."""
-        if len(self.coeffs) == 1:
-            return next(iter(self.coeffs.items()))
+        if len(self.re) == 1:
+            ((e, c),) = self.coeffs.items()
+            return e, c
         return None
 
     def min_exp(self) -> int:
-        return min(self.coeffs)
+        if not self.re:
+            raise ValueError("the zero polynomial has no exponents")
+        return self.lo
 
     def max_exp(self) -> int:
-        return max(self.coeffs)
+        return self.min_exp() + len(self.re) - 1
 
     def span(self) -> int:
         """Degree span max_exp - min_exp (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        return max(self.coeffs) - min(self.coeffs)
+        return max(len(self.re) - 1, 0)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
-        if not self.coeffs:
+        if not self.re:
             return other
-        if not other.coeffs:
+        if not other.re:
             return self
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
-        return self + (-other)
+        if not other.re:
+            return self
+        if not self.re:
+            return -other
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
+        im = self.im
+        return _new(self.lo, self.den, [-v for v in self.re], im and [-v for v in im])
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        a, b = self, other
+        if not a.re or not b.re:
             return LP_ZERO
-        if len(a) == 1 or len(b) == 1:
-            mono, rest = (a, other) if len(a) == 1 else (b, self)
-            ((e, c),) = mono.items()
-            if c.re == 1 and not c.im:
-                return rest.shift(e)  # rest itself when the term is 1
-            return LaurentPoly._raw({x + e: v * c for x, v in rest.coeffs.items()})
-        # Kronecker substitution: integer vectors over a common denominator,
-        # packed at s = 2**width, multiplied once and read back slot by slot.
-        lo_a, den_a, re_a, im_a, top_a = _lift(a)
-        lo_b, den_b, re_b, im_b, top_b = _lift(b)
-        bound = min(len(a), len(b)) * top_a * top_b  # largest |slot| possible
-        if im_a and im_b:
+        if len(a.re) == 1 or len(b.re) == 1:
+            mono, rest = (a, b) if len(a.re) == 1 else (b, a)
+            ci = mono.im[0] if mono.im else 0
+            return rest._times(mono.re[0], ci, mono.den).shift(mono.lo)
+        # Kronecker substitution: each integer vector is packed into one int
+        # at s = 2**width, multiplied once and read back slot by slot.  When
+        # both operands use one exponent parity, only every other slot is
+        # packed and the product is spread back out.
+        ar, ai, br, bi = a.re, a.im, b.re, b.im
+        stride = 1
+        if not any(ar[1::2]) and not any(br[1::2]) and not (ai and any(ai[1::2])) \
+                and not (bi and any(bi[1::2])):
+            stride = 2
+            ar, br = ar[::2], br[::2]
+            ai, bi = ai and ai[::2], bi and bi[::2]
+        bound = min(len(ar), len(br)) * _top(ar, ai) * _top(br, bi)  # largest |slot|
+        if ai and bi:
             bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
-        width = bound.bit_length() + 1  # one sign bit for balanced digits
-        ra, ia = _pack(re_a, width), _pack(im_a, width)
-        rb, ib = _pack(re_b, width), _pack(im_b, width)
-        n = len(re_a) + len(re_b) - 1
+        # one sign bit for balanced digits, rounded up to whole bytes
+        width = (bound.bit_length() + 8) // 8 * 8
+        n = len(ar) + len(br) - 1
+        ra, rb = _pack(ar, width), _pack(br, width)
+        ia = _pack(ai, width) if ai else 0
+        ib = _pack(bi, width) if bi else 0
         packed_im = ia * rb + ra * ib
         re = _unpack(ra * rb - ia * ib, n, width)
-        im = _unpack(packed_im, n, width) if packed_im else [0] * n
-        lo, den = lo_a + lo_b, den_a * den_b
-        out: dict[int, GaussianRational] = {}
-        for k, (v, w) in enumerate(zip(re, im)):
-            if v or w:
-                out[lo + k] = _gr(Fraction(v, den), Fraction(w, den) if w else _F0)
-        return LaurentPoly._raw(out)
+        im = _unpack(packed_im, n, width) if packed_im else None
+        if stride == 2:
+            re = _spread(re)
+            im = im and _spread(im)
+        return _canonical(a.lo + b.lo, a.den * b.den, re, im)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> LaurentPoly:
-        c = as_gaussian(value)
-        if not c:
+        cr, ci, cd = _ints(value)
+        if not (cr or ci) or not self.re:
             return LP_ZERO
-        return LaurentPoly._raw({e: v * c for e, v in self.coeffs.items()})
+        return self._times(cr, ci, cd)
+
+    def _times(self, cr: int, ci: int, cd: int) -> LaurentPoly:
+        """self * (cr + ci*i) / cd for integers, (cr, ci) != (0, 0), cd != 0."""
+        if cd < 0:
+            cr, ci, cd = -cr, -ci, -cd
+        if not ci and cr == cd:
+            return self
+        re, im = self.re, self.im
+        if ci or cr != 1:
+            re, im = _times_ints(re, im, cr, ci)
+        return _canonical(self.lo, self.den * cd, re, im)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by s**k (add k to every exponent)."""
-        if k == 0:
+        if k == 0 or not self.re:
             return self
-        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
+        return _new(self.lo + k, self.den, self.re, self.im)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -342,16 +387,21 @@ class LaurentPoly:
                     "negative power of a non-monomial Laurent polynomial"
                 )
             e, c = mono
-            return LaurentPoly._raw({e * n: c**n})
+            return LaurentPoly.term(e * n, c**n)
         return power(self, n, LP_ONE)
 
     def stretch(self, k: int) -> LaurentPoly:
         """Substitute s -> s**k (k nonzero); k = -1 is the involution q -> 1/q."""
         if k == 0:
             raise ValueError("stretch factor must be nonzero")
-        if k == 1:
+        if k == 1 or not self.re:
             return self
-        return LaurentPoly._raw({e * k: c for e, c in self.coeffs.items()})
+        lo, re, im = self.lo, self.re, self.im
+        if k < 0:
+            lo, re, im, k = -(lo + len(re) - 1), re[::-1], im and im[::-1], -k
+        if k > 1:
+            lo, re, im = lo * k, _spread(re, k), im and _spread(im, k)
+        return _new(lo, self.den, re, im)
 
     def invert_s(self) -> LaurentPoly:
         return self.stretch(-1)
@@ -361,65 +411,68 @@ class LaurentPoly:
         s = as_gaussian(s_value)
         if not s:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at s = 0")
-        total = GR_ZERO
-        for e, c in self.coeffs.items():
-            total = total + c * s**e
-        return total
+        return _horner(self.lo, self.den, self.re, self.im, s)
 
     def eval_q(self, q_value) -> GaussianRational:
         """Exact evaluation with q = s**2 given; requires even exponents only."""
         q = as_gaussian(q_value)
-        total = GR_ZERO
-        for e, c in self.coeffs.items():
-            if e % 2:
-                raise NeedsSquareRootError(
-                    "odd power of s present; supply a square root of q"
-                )
-            total = total + c * q ** (e // 2)
-        return total
+        lo, re, im = self.lo, self.re, self.im
+        odd = 1 - (lo & 1)  # the first slot at an odd exponent
+        if any(re[odd::2]) or (im and any(im[odd::2])):
+            raise NeedsSquareRootError("odd power of s present; supply a square root of q")
+        even = lo & 1
+        return _horner((lo + even) // 2, self.den, re[even::2], im and im[even::2], q)
 
     def at_one(self) -> GaussianRational:
         """The q -> 1 limit: substitute s = 1 (sum of all coefficients)."""
-        total = GR_ZERO
-        for c in self.coeffs.values():
-            total = total + c
-        return total
+        return _gr(Fraction(sum(self.re), self.den), Fraction(sum(self.im or ()), self.den))
 
     def divexact(self, other: LaurentPoly):
         """Exact quotient self / other, or None when the division leaves a remainder."""
         if other.is_zero():
             raise ZeroDenominatorError("division by the zero polynomial")
-        if not self.coeffs:
+        if not self.re:
             return LP_ZERO
-        rem = dict(self.coeffs)
-        dmax = max(other.coeffs)
-        dmin = min(other.coeffs)
-        lead_inv = other.coeffs[dmax].inverse()
-        qmin = min(rem) - dmin
-        out: dict[int, GaussianRational] = {}
-        while rem:
-            e = max(rem)
-            qe = e - dmax
-            if qe < qmin:
-                return None
-            c = rem[e] * lead_inv
-            out[qe] = c
-            for de, dc in other.coeffs.items():
-                te = de + qe
-                v = rem.get(te, GR_ZERO) - c * dc
-                if v:
-                    rem[te] = v
-                else:
-                    rem.pop(te, None)
-        return LaurentPoly._raw(out)
+        na, nb = len(self.re), len(other.re)
+        if na < nb:
+            return None
+        rr, ri = list(self.re), list(self.im or [0] * na)
+        br, bi = other.re, other.im or [0] * nb
+        lead, li = br[-1], bi[-1]
+        if li:  # times the conjugate of the divisor's lead, which turns real
+            rr, ri = _times_ints(rr, ri, lead, -li)
+            br, bi = _times_ints(br, bi, lead, -li)
+            lead = lead * lead + li * li
+        quo_r, quo_i = [0] * (na - nb + 1), [0] * (na - nb + 1)
+        lift = 1  # the quotient is (quo_r + quo_i*i) / lift
+        for k in range(na - nb, -1, -1):
+            top = k + nb
+            tr, ti = rr[top - 1], ri[top - 1]
+            if not (tr or ti):
+                continue
+            f = abs(lead) // gcd(lead, tr, ti)
+            if f != 1:  # rescale so that lead divides the top slot
+                lift, tr, ti = lift * f, tr * f, ti * f
+                rr, ri, quo_r, quo_i = ([v * f for v in u] for u in (rr, ri, quo_r, quo_i))
+            qr = quo_r[k] = tr // lead
+            qi = quo_i[k] = ti // lead
+            rr[k:top] = [v - qr * u + qi * w for v, u, w in zip(rr[k:top], br, bi)]
+            ri[k:top] = [v - qr * w - qi * u for v, u, w in zip(ri[k:top], br, bi)]
+        if any(rr[: nb - 1]) or any(ri[: nb - 1]):
+            return None
+        quotient = _canonical(self.lo - other.lo, self.den * lift, quo_r, quo_i)
+        return quotient._times(other.den, 0, 1)
 
     def conjugate_i(self) -> LaurentPoly:
         """Conjugate every coefficient (i -> -i); the identity on real values."""
-        return LaurentPoly._raw({e: c.conjugate() for e, c in self.coeffs.items()})
+        if self.im is None:
+            return self
+        return _new(self.lo, self.den, self.re, [-v for v in self.im])
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
+            return (self.lo == other.lo and self.den == other.den
+                    and self.re == other.re and self.im == other.im)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == LaurentPoly.const(other)
         return NotImplemented
@@ -428,11 +481,10 @@ class LaurentPoly:
         return f"LaurentPoly({self.coeffs!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.re:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in self.coeffs.items():
             if e == 0:
                 parts.append(f"({c})")
             elif e == 1:
@@ -442,42 +494,152 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _lift(coeffs: dict[int, GaussianRational]):
-    """(lowest exponent, common denominator, real and imaginary integer
-    vectors, largest absolute entry) of a nonzero coefficient dict; the
-    imaginary vector is empty when every coefficient is real."""
-    lo = min(coeffs)
-    size = max(coeffs) - lo + 1
-    parts = [c.re for c in coeffs.values()]
-    has_im = any(c.im for c in coeffs.values())
-    if has_im:
-        parts += [c.im for c in coeffs.values()]
-    den = lcm(*[p.denominator for p in parts])
-    re = [0] * size
-    im = [0] * size if has_im else []
-    for e, c in coeffs.items():
-        re[e - lo] = c.re.numerator * (den // c.re.denominator)
-        if has_im:
-            im[e - lo] = c.im.numerator * (den // c.im.denominator)
-    top = max(max(re), -min(re), max(im, default=0), -min(im, default=0))
-    return lo, den, re, im, top
+def _new(lo: int, den: int, re: list[int], im: list[int] | None) -> LaurentPoly:
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.lo, out.den, out.re, out.im = lo, den, re, im
+    return out
+
+
+def _canonical(lo: int, den: int, re: list[int], im: list[int] | None) -> LaurentPoly:
+    """LaurentPoly of (re + im*i) / den at exponents lo.., den > 0, brought to
+    canonical form: an all-zero im dropped, zero ends trimmed, content cut."""
+    if im is not None and not any(im):
+        im = None
+    if not (re[0] or im and im[0]) or not (re[-1] or im and im[-1]):
+        live = re if im is None else [v or w for v, w in zip(re, im)]
+        i, j = 0, len(live)
+        while i < j and not live[i]:
+            i += 1
+        if i == j:
+            return LP_ZERO
+        while not live[j - 1]:
+            j -= 1
+        lo, re, im = lo + i, re[i:j], im and im[i:j]
+    if den != 1:
+        g = gcd(den, *re, *(im or ()))
+        if g != 1:
+            den //= g
+            re = [v // g for v in re]
+            im = im and [v // g for v in im]
+    return _new(lo, den, re, im)
+
+
+def _horner(lo: int, den: int, re: list[int], im: list[int] | None, x) -> GaussianRational:
+    """sum of (re[k] + im[k]*i) / den * x**(lo + k) over k, exactly, for a
+    GaussianRational x: Horner's rule over Gaussian integers on the
+    numerator of x, with the powers of its denominator carried alongside."""
+    if not re:
+        return GR_ZERO
+    xr, xi, xd = _ints(x)
+    accr = acci = 0
+    scale = 1  # xd**j at the j-th slot from the top
+    for v, w in zip(reversed(re), reversed(im) if im else repeat(0)):
+        accr, acci = accr * xr - acci * xi + v * scale, accr * xi + acci * xr + w * scale
+        scale *= xd
+    scale = scale // xd * den
+    return _gr(Fraction(accr, scale), Fraction(acci, scale)) * x**lo
+
+
+def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
+    """a op b for op add or sub, both operands nonzero: align the vectors on
+    one denominator and one exponent range, then one map per part."""
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    den = a.den
+    if b.den != den:
+        den = lcm(den, b.den)
+        fa, fb = den // a.den, den // b.den
+        if fa != 1:
+            ar, ai = _times_ints(ar, ai, fa, 0)
+        if fb != 1:
+            br, bi = _times_ints(br, bi, fb, 0)
+    lo = min(a.lo, b.lo)
+    size = max(a.lo + len(ar), b.lo + len(br)) - lo
+    pa, pb = a.lo - lo, b.lo - lo
+    re = list(map(op, _pad(ar, pa, size), _pad(br, pb, size)))
+    im = None
+    if ai or bi:
+        im = list(map(op, _pad(ai or [0] * len(ar), pa, size), _pad(bi or [0] * len(br), pb, size)))
+    return _canonical(lo, den, re, im)
+
+
+def _pad(vec: list[int], before: int, size: int) -> list[int]:
+    after = size - before - len(vec)
+    if before or after:
+        return [0] * before + vec + [0] * after
+    return vec
+
+
+def _spread(vec: list[int], k: int = 2) -> list[int]:
+    """vec with k - 1 zeros between neighbouring entries."""
+    out = [0] * ((len(vec) - 1) * k + 1)
+    out[::k] = vec
+    return out
+
+
+def _times_ints(re: list[int], im: list[int] | None, cr: int, ci: int):
+    """(re + im*i) * (cr + ci*i) entrywise, as (re, im) lists; im may be None."""
+    if not ci:
+        return [v * cr for v in re], im and [v * cr for v in im]
+    if im is None:
+        return [v * cr for v in re], [v * ci for v in re]
+    return ([v * cr - w * ci for v, w in zip(re, im)],
+            [v * ci + w * cr for v, w in zip(re, im)])
+
+
+def _ints(value) -> tuple[int, int, int]:
+    """(re, im, den) integers with value == (re + im*i) / den and den > 0."""
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, GaussianRational):
+        a, b = value.re, value.im
+        if not b:
+            return a.numerator, 0, a.denominator
+        den = lcm(a.denominator, b.denominator)
+        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+
+def _top(re: list[int], im: list[int] | None) -> int:
+    """The largest absolute entry of re and im."""
+    top = max(max(re), -min(re))
+    if im:
+        top = max(top, max(im), -min(im))
+    return top
+
+
+# Packed size (slots * width, in bits) above which _pack and _unpack go
+# through bytes, which is linear in the size; below it the Horner loop, which
+# is quadratic, is faster.  Widths are whole bytes.
+_BYTES_FROM_BITS = 4096
 
 
 def _pack(vec: list[int], width: int) -> int:
-    """sum(v * 2**(width*k)) by Horner; signed entries need no special case."""
-    acc = 0
-    for v in reversed(vec):
-        acc = (acc << width) + v
-    return acc
+    """sum(v * 2**(width*k)), signed entries |v| < 2**(width-1)."""
+    if len(vec) * width <= _BYTES_FROM_BITS:
+        acc = 0
+        for v in reversed(vec):  # Horner; signed entries need no special case
+            acc = (acc << width) + v
+        return acc
+    # entries biased to width-bit unsigned digits, joined as bytes, unbiased
+    size, half = width // 8, 1 << (width - 1)
+    data = b"".join([(v + half).to_bytes(size, "little") for v in vec])
+    return int.from_bytes(data, "little") - _bias(len(vec), size)
 
 
 def _unpack(x: int, n: int, width: int) -> list[int]:
     """The n balanced width-bit digits of x, lowest first: the inverse of
-    _pack when every digit lies in [-2**(width-1), 2**(width-1)).  Low bits
-    at or above half their range stand for a negative digit, which borrows
-    from the rest, so 1 is carried back into it."""
-    mask = (1 << width) - 1
+    _pack when every digit lies in [-2**(width-1), 2**(width-1))."""
     half = 1 << (width - 1)
+    if n * width > _BYTES_FROM_BITS:
+        size = width // 8
+        data = (x + _bias(n, size)).to_bytes(n * size, "little")
+        return [int.from_bytes(data[i : i + size], "little") - half
+                for i in range(0, n * size, size)]
+    # Low bits at or above half their range stand for a negative digit, which
+    # borrows from the rest, so 1 is carried back into it.
+    mask = (1 << width) - 1
     out = []
     for _ in range(n):
         v = x & mask
@@ -487,6 +649,12 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
             x += 1
         out.append(v)
     return out
+
+
+def _bias(n: int, size: int) -> int:
+    """sum(2**(8*size - 1) * 2**(8*size*k) for k < n): every size-byte digit
+    at half its range."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
 
 
 def power(base, n: int, one):
@@ -502,10 +670,10 @@ def power(base, n: int, one):
     return out
 
 
-LP_ZERO = LaurentPoly._raw({})
-LP_ONE = LaurentPoly._raw({0: GR_ONE})
-LP_S = LaurentPoly._raw({1: GR_ONE})
-LP_Q = LaurentPoly._raw({2: GR_ONE})
+LP_ZERO = _new(0, 1, [], None)
+LP_ONE = _new(0, 1, [1], None)
+LP_S = _new(1, 1, [1], None)
+LP_Q = _new(2, 1, [1], None)
 
 
 class CoefExpr:
@@ -526,13 +694,15 @@ class CoefExpr:
                 raise ZeroDenominatorError("zero denominator")
             if num.is_zero():
                 den = LP_ONE
-            else:
-                mono = den.as_monomial()
-                if mono is not None:
-                    e, c = mono
-                    if e or c != GR_ONE:
-                        num = num.shift(-e).scale(c.inverse())
-                    den = LP_ONE
+            elif len(den.re) == 1:
+                # 1 / (s**lo * (r + i*j) / d) = s**-lo * d * (r - i*j) / (r*r + j*j)
+                r, j, d = den.re[0], den.im[0] if den.im else 0, den.den
+                if j:
+                    num = num._times(d * r, -d * j, r * r + j * j)
+                else:
+                    num = num._times(d, 0, r)
+                num = num.shift(-den.lo)
+                den = LP_ONE
         self.num = num
         self.den = den
 
@@ -549,7 +719,7 @@ class CoefExpr:
         return self.num.is_zero()
 
     def _same_den(self, other: CoefExpr) -> bool:
-        return self.den is other.den or self.den.coeffs == other.den.coeffs
+        return self.den is other.den or self.den == other.den
 
     def __add__(self, other):
         other = CoefExpr.of(other)

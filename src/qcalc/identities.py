@@ -127,21 +127,31 @@ def _at(h: MPoly, a: MPoly) -> MPoly:
     return h.with_vars(wide).substitute("x", a.with_vars(wide)).with_vars(a.vars)
 
 
-def _pair_sum(n: int, a: MPoly, b: MPoly, q: bool) -> MPoly:
-    """two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b), a and b one-term polynomials
-    over one variable list.  q family: w_k = [n k]_q q^(k(k-1)/2), H the
-    q-Hermite polynomial, H' the dual H_k(q w; 1/q), two = [2]_q.  Classical
-    family: w_k = C(n, k), H = H' the Hermite polynomial, two = 2."""
+def _hermite_at(a: MPoly, b: MPoly, n_max: int, q: bool):
+    """The lists [H_m(a)] and [H'_m(b)] for m <= n_max, a and b one-term
+    polynomials over one variable list: H the q-Hermite polynomial and H' its
+    dual H_m(q w; 1/q) in the q family, H = H' the Hermite polynomial in the
+    classical one.  Built once per verifier run; _pair_sum reads them."""
+    if q:
+        h, h_dual = q_hermite, lambda m: q_hermite_dual(m, "x")
+    else:
+        h = h_dual = hermite_classical
+    return ([_at(h(m), a) for m in range(n_max + 1)],
+            [_at(h_dual(m), b) for m in range(n_max + 1)])
+
+
+def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
+    """two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b) from the lists of _hermite_at.
+    q family: w_k = [n k]_q q^(k(k-1)/2), two = [2]_q.  Classical family:
+    w_k = C(n, k), two = 2."""
     if q:
         weights, two = q_binomial_weights(n), q_int(2)
-        h, h_dual = q_hermite, lambda k: q_hermite_dual(k, "x")
     else:
         weights, two = [math.comb(n, k) for k in range(n + 1)], 2
-        h = h_dual = hermite_classical
-    acc = MPoly.zero(a.vars)
+    acc = MPoly.zero(h_a[0].vars)
     ik = GR_ONE
     for k, weight in enumerate(weights):
-        pair = _at(h(n - k), a) * _at(h_dual(k), b)
+        pair = h_a[n - k] * h_b[k]
         acc = acc + pair.scale(CoefExpr.of(weight) * ik)
         ik = ik * GR_I
     return acc.scale(CoefExpr.of(two**n).inverse())
@@ -153,34 +163,41 @@ def verify_hermite_binomial(n_max: int):
     vs = ("z", "w")
     z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
     ziw = z + w.scale(GR_I)
+    h_z, h_w = _hermite_at(z, w, n_max, q=False)
     for n in range(n_max + 1):
-        res = ziw**n - _pair_sum(n, z, w, q=False)
+        res = ziw**n - _pair_sum(n, h_z, h_w, q=False)
         if not res.is_zero():
             yield res, f"first failure at n={n}"
 
 
 @_verifier("xi", "n_max")
 def verify_xi_identity(n_max: int):
-    """The one-variable collapse of the Hermite binomial formula and its three
-    substitution forms (xi -> -2iz, xi -> x, xi -> iy)."""
+    """The one-variable collapse of the Hermite binomial formula and two of
+    its substitution forms (xi -> -2iz, xi -> iy).  The third, xi -> x, is
+    the main form on the real axis, so the main form covers it."""
     half = Fraction(1, 2)
     i_half = GaussianRational(0, half)
+    forms = []  # (name, variable, [H_m(a)], [H_m(b)])
+    for name, var, a, b in (
+        ("main form", "xi", i_half, half),
+        ("z-form", "z", GR_ONE, -GR_I),
+        ("iy-form", "y", -half, i_half),
+    ):
+        a, b = (MPoly.monomial((var,), (1,), c) for c in (a, b))
+        forms.append((name, var, *_hermite_at(a, b, n_max, q=False)))
     for n in range(n_max + 1):
         # (-i)^(n-k) = (-i)^n i^k turns the main and iy forms into pair sums
         main = (-GR_I) ** n
-        forms = (
+        sides = (  # (scale of the pair sum, right side coefficient) per form
             # 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(i xi/2) H_k(xi/2) == xi^n
-            ("main form", "xi", i_half, half, main, GR_ONE),
+            (main, GR_ONE),
             # 2^-2n sum_k C(n,k) i^k H_{n-k}(z) H_k(-iz) == z^n
-            ("z-form", "z", GR_ONE, -GR_I, Fraction(1, 2**n), GR_ONE),
-            # the main form at xi = x (real axis)
-            ("x-form", "u", i_half, half, main, GR_ONE),
+            (Fraction(1, 2**n), GR_ONE),
             # xi = iy: 2^-n sum_k C(n,k) (-i)^(n-k) H_{n-k}(-y/2) H_k(iy/2) == i^n y^n
-            ("iy-form", "y", -half, i_half, main, GR_I**n),
+            (main, GR_I**n),
         )
-        for name, var, a, b, scale, rhs in forms:
-            a, b = (MPoly.monomial((var,), (1,), c) for c in (a, b))
-            res = _pair_sum(n, a, b, q=False).scale(scale)
+        for (name, var, h_a, h_b), (scale, rhs) in zip(forms, sides):
+            res = _pair_sum(n, h_a, h_b, q=False).scale(scale)
             res = res - MPoly.monomial((var,), (n,), rhs)
             if not res.is_zero():
                 yield res, f"{name} fails at n={n}"
@@ -192,8 +209,9 @@ def verify_q_hermite_binomial(n_max: int):
     H_{n-k}(z; q) H_k(q w; 1/q), exactly over the coefficient field."""
     vs = ("z", "w")
     z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
+    h_z, h_w = _hermite_at(z, w, n_max, q=True)
     for n in range(n_max + 1):
-        res = q_binomial_power("z", GR_I, "w", n) - _pair_sum(n, z, w, q=True)
+        res = q_binomial_power("z", GR_I, "w", n) - _pair_sum(n, h_z, h_w, q=True)
         if not res.is_zero():
             yield res, f"first failure at n={n}"
 
@@ -316,9 +334,10 @@ def verify_traveling_hermite_expansion(n_max: int):
     vs = ("x", "t", "c")
     x = MPoly.var(vs, "x")
     minus_ict = MPoly.monomial(vs, (0, 1, 1), GaussianRational(0, -1))
+    h_x, h_ict = _hermite_at(x, minus_ict, n_max, q=True)
     for n in range(n_max + 1):
         lhs = q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), "+", SYMBOLIC_SPEED)
-        rhs = _pair_sum(n, x, minus_ict, q=True)
+        rhs = _pair_sum(n, h_x, h_ict, q=True)
         if not rhs.is_real():
             yield rhs, f"imaginary residue at n={n}"
         res = lhs - rhs

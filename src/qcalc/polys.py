@@ -53,12 +53,13 @@ __all__ = [
 def _laurent_to_complex(p: LaurentPoly, s_value: float) -> tuple[complex, int]:
     """(v, m) with p(s) = v * s**m, where m is the exponent that dominates at s
     (the largest for s >= 1, the smallest below), so no power in v overflows."""
-    if not p.coeffs:
+    if p.is_zero():
         return 0j, 0
-    m = max(p.coeffs) if s_value >= 1 else min(p.coeffs)
+    m = p.max_exp() if s_value >= 1 else p.min_exp()
+    den = p.den
     total = 0j
-    for e, c in p.coeffs.items():
-        total += complex(c) * s_value ** (e - m)
+    for e, re, im in p.int_terms():  # int / int is correctly rounded, big ints too
+        total += complex(re / den, im / den) * s_value ** (e - m)
     return total, m
 
 

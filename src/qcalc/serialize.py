@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .coeffs import CoefExpr, GaussianRational, LaurentPoly, QCalcError
 from .polys import MPoly
@@ -48,9 +49,16 @@ def _brief(value) -> str:
 
 def rational_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_to_str(x.numerator, x.denominator)
+
+
+def _ratio_to_str(num: int, den: int) -> str:
+    """The wire form "p/q", or "p" when q is 1, of num/den in lowest terms;
+    den > 0."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -72,13 +80,10 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def _laurent_to_list(p: LaurentPoly) -> list:
+    den = p.den
     return [
-        {
-            "s": e,
-            "re": rational_to_str(c.re),
-            "im": rational_to_str(c.im),
-        }
-        for e, c in sorted(p.coeffs.items())
+        {"s": e, "re": _ratio_to_str(re, den), "im": _ratio_to_str(im, den)}
+        for e, re, im in p.int_terms()
     ]
 
 

@@ -1,5 +1,6 @@
 """Foundation tests: Gaussian rationals, Laurent polynomials, fraction field."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcalc import coeffs
 from qcalc.coeffs import (
     CE_ONE,
     CE_ZERO,
@@ -19,6 +21,7 @@ from qcalc.coeffs import (
     NeedsSquareRootError,
     PoleError,
     ZeroDenominatorError,
+    as_gaussian,
 )
 from qcalc.qcore import q_int
 
@@ -256,16 +259,78 @@ def test_equality_by_cross_multiplication_on_random_pairs():
 def _schoolbook_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Reference product by the double loop over both coefficient dicts: the
     oracle for the Kronecker-substitution kernel in LaurentPoly.__mul__."""
+    return LaurentPoly(_dict_mul(a.coeffs, b.coeffs))
+
+
+# The dict kernel: every LaurentPoly operation on {exponent: nonzero
+# GaussianRational}, one coefficient at a time, as LaurentPoly once stored
+# and computed it.  The oracle of TestIntegerKernel.
+_GR0 = GaussianRational(0)
+
+
+def _dict_clean(a):
+    return {e: c for e, c in a.items() if c}
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, _GR0) + c
+    return _dict_clean(out)
+
+
+def _dict_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _dict_mul(a, b):
     out = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             e = ea + eb
-            v = out.get(e, GaussianRational(0)) + ca * cb
+            v = out.get(e, _GR0) + ca * cb
             if v:
                 out[e] = v
             else:
                 out.pop(e, None)
-    return LaurentPoly(out)
+    return out
+
+
+def _dict_scale(a, c):
+    return _dict_clean({e: v * c for e, v in a.items()})
+
+
+def _dict_stretch(a, k):
+    return {e * k: c for e, c in a.items()}
+
+
+def _dict_divexact(a, b):
+    if not a:
+        return {}
+    rem = dict(a)
+    dmax, dmin = max(b), min(b)
+    lead_inv = b[dmax].inverse()
+    qmin = min(rem) - dmin
+    out = {}
+    while rem:
+        e = max(rem)
+        qe = e - dmax
+        if qe < qmin:
+            return None
+        c = rem[e] * lead_inv
+        out[qe] = c
+        for de, dc in b.items():
+            v = rem.get(de + qe, _GR0) - c * dc
+            if v:
+                rem[de + qe] = v
+            else:
+                rem.pop(de + qe, None)
+    return out
+
+
+def _dict_eval(a, x):
+    x = as_gaussian(x)
+    return sum((c * x**e for e, c in a.items()), _GR0)
 
 
 def _assert_product(a, b):
@@ -325,3 +390,122 @@ class TestKroneckerProduct:
             _assert_product(a, mono)
         assert a * LP_ONE is a
         assert LP_ONE * a is a
+
+
+def _assert_canonical(p: LaurentPoly):
+    """The stored form: (0, 1, [], None) for zero; else den > 0, no common
+    factor of den and the entries, nonzero ends, im None exactly when real."""
+    if p.is_zero():
+        assert (p.lo, p.den, p.re, p.im) == (0, 1, [], None)
+        return
+    entries = p.re + (p.im or [])
+    assert p.den > 0 and math.gcd(p.den, *entries) == 1
+    assert p.im is None or (len(p.im) == len(p.re) and any(p.im))
+    for k in (0, -1):
+        assert p.re[k] or (p.im and p.im[k])
+
+
+_small_part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_part30 = st.builds(Fraction, st.integers(-(2**30), 2**30), st.integers(1, 2**30))
+
+
+@st.composite
+def _kernel_dict(draw):
+    """{exponent: GaussianRational}, zeros allowed: small or 30-bit parts, real
+    or complex, one term or several, at one exponent parity or at both."""
+    part = draw(st.sampled_from((_small_part, _part30)))
+    re, im = part, st.just(0)
+    if draw(st.booleans()):  # complex, some coefficients purely imaginary
+        re, im = st.one_of(st.just(0), part), part
+    step, offset = draw(st.sampled_from(((1, 0), (2, 0), (2, 1))))
+    exps = st.integers(-12, 12).map(lambda e: step * e + offset)
+    size = draw(st.sampled_from((1, 5, 15)))
+    return draw(st.dictionaries(exps, st.builds(GaussianRational, re, im),
+                                min_size=min(size, 1), max_size=size))
+
+
+@st.composite
+def _kernel_pair(draw):
+    """Two coefficient dicts; half the time the second cancels the first on
+    some of its exponents, the ends or all of them included."""
+    a, b = draw(_kernel_dict()), draw(_kernel_dict())
+    if draw(st.booleans()):
+        cancel = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = {**b, **{e: -c for (e, c), k in zip(a.items(), cancel) if k}}
+    return a, b
+
+
+_scalar = st.one_of(st.integers(-5, 5), _small_part, _part30,
+                    st.builds(GaussianRational, _small_part, _small_part))
+
+
+class TestIntegerKernel:
+    """LaurentPoly's integer vectors against the dict kernel, operation by
+    operation; every result is also checked to be in canonical form."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_kernel_pair(), _scalar, st.integers(-5, 5), st.sampled_from((-3, -2, -1, 2, 3)))
+    def test_matches_dict_kernel(self, pair, value, k, stretch):
+        a, b = map(_dict_clean, pair)
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        results = {
+            "coeffs": (pa, a),
+            "add": (pa + pb, _dict_add(a, b)),
+            "sub": (pa - pb, _dict_add(a, _dict_neg(b))),
+            "neg": (-pa, _dict_neg(a)),
+            "mul": (pa * pb, _dict_mul(a, b)),
+            "rmul": (pb * pa, _dict_mul(a, b)),
+            "scale": (pa.scale(value), _dict_scale(a, as_gaussian(value))),
+            "shift": (pa.shift(k), {e + k: c for e, c in a.items()}),
+            "stretch": (pa.stretch(stretch), _dict_stretch(a, stretch)),
+            "invert_s": (pa.invert_s(), _dict_stretch(a, -1)),
+            "conjugate_i": (pa.conjugate_i(), {e: c.conjugate() for e, c in a.items()}),
+        }
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert got.coeffs == want, name
+            assert LaurentPoly(got.coeffs) == got, name
+        assert (pa == pb) == (a == b)
+        assert (pa - pa).is_zero() and (pa + pb) - pb == pa
+        if b:
+            product = pa * pb
+            assert product.divexact(pb) == pa
+            # off a multiple by an imaginary constant, unless pb is one term
+            for dividend in (pa, product + LaurentPoly.const(GaussianRational(0, 1))):
+                quotient = dividend.divexact(pb)
+                want = _dict_divexact(dividend.coeffs, b)
+                assert (quotient is None) == (want is None)
+                if want is not None:
+                    _assert_canonical(quotient)
+                    assert quotient.coeffs == _dict_clean(want)
+        x = GaussianRational(Fraction(3, 2), Fraction(-1, 3))
+        assert pa.eval_s(x) == _dict_eval(a, x)
+        assert pa.stretch(2).eval_q(x) == _dict_eval(a, x)
+        assert pa.at_one() == _dict_eval(a, 1)
+
+
+def test_kernel_operations_build_no_rationals(monkeypatch):
+    """Add, sub, neg, mul (Kronecker and one-term), scale and shift work on the
+    integer vectors alone: no Fraction or GaussianRational is constructed."""
+    a = lp({-2: GaussianRational(Fraction(1, 3), 2), 0: Fraction(-5, 7), 3: 4})
+    b = lp({0: Fraction(2, 9), 2: GaussianRational(0, Fraction(1, 5)), 4: 1})
+    mono = lp({3: GaussianRational(Fraction(-2, 3), 1)})
+    scalars = (3, Fraction(-4, 15), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
+    built = []
+
+    def counting(make):
+        def wrapper(*args, **kwargs):
+            built.append(make.__qualname__)
+            return make(*args, **kwargs)
+
+        return wrapper
+
+    # every GaussianRational is made by __init__ or by coeffs._gr
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    monkeypatch.setattr(GaussianRational, "__init__", counting(GaussianRational.__init__))
+    monkeypatch.setattr(coeffs, "_gr", counting(coeffs._gr))
+    results = [a + b, a - b, -a, a * b, b * a, a * mono, mono * b, a.shift(5)]
+    results += [a.scale(c) for c in scalars]
+    monkeypatch.undo()
+    assert built == []
+    assert results[3] == _schoolbook_mul(a, b) and results[5] == _schoolbook_mul(a, mono)
