@@ -226,19 +226,18 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         terms = {}
         for e, c in (coeffs or {}).items():
-            c = as_gaussian(c)
-            if c:
-                terms[int(e)] = c
+            cr, ci, cd = _ints(c)
+            if cr or ci:
+                terms[int(e)] = cr, ci, cd
         p = LP_ZERO
         if terms:
             lo = min(terms)
-            den = lcm(*(c.re.denominator for c in terms.values()),
-                      *(c.im.denominator for c in terms.values()))
+            den = lcm(*(cd for _, _, cd in terms.values()))
             re = [0] * (max(terms) - lo + 1)
             im = list(re)
-            for e, c in terms.items():
-                re[e - lo] = c.re.numerator * (den // c.re.denominator)
-                im[e - lo] = c.im.numerator * (den // c.im.denominator)
+            for e, (cr, ci, cd) in terms.items():
+                f = den // cd
+                re[e - lo], im[e - lo] = cr * f, ci * f
             p = _canonical(lo, den, re, im)
         self.lo, self.den, self.re, self.im = p.lo, p.den, p.re, p.im
 
@@ -340,8 +339,7 @@ class LaurentPoly:
         bound = min(len(ar), len(br)) * _top(ar, ai) * _top(br, bi)  # largest |slot|
         if ai and bi:
             bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
-        # one sign bit for balanced digits, rounded up to whole bytes
-        width = (bound.bit_length() + 8) // 8 * 8
+        width = bound.bit_length() + 1  # one sign bit for balanced digits
         n = len(ar) + len(br) - 1
         ra, rb = _pack(ar, width), _pack(br, width)
         ia = _pack(ai, width) if ai else 0
@@ -592,13 +590,12 @@ def _ints(value) -> tuple[int, int, int]:
         return int(value), 0, 1
     if isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
-    if isinstance(value, GaussianRational):
-        a, b = value.re, value.im
-        if not b:
-            return a.numerator, 0, a.denominator
-        den = lcm(a.denominator, b.denominator)
-        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+    c = as_gaussian(value)  # refuses any other type
+    a, b = c.re, c.im
+    if not b:
+        return a.numerator, 0, a.denominator
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
 def _top(re: list[int], im: list[int] | None) -> int:
@@ -609,37 +606,21 @@ def _top(re: list[int], im: list[int] | None) -> int:
     return top
 
 
-# Packed size (slots * width, in bits) above which _pack and _unpack go
-# through bytes, which is linear in the size; below it the Horner loop, which
-# is quadratic, is faster.  Widths are whole bytes.
-_BYTES_FROM_BITS = 4096
-
-
 def _pack(vec: list[int], width: int) -> int:
-    """sum(v * 2**(width*k)), signed entries |v| < 2**(width-1)."""
-    if len(vec) * width <= _BYTES_FROM_BITS:
-        acc = 0
-        for v in reversed(vec):  # Horner; signed entries need no special case
-            acc = (acc << width) + v
-        return acc
-    # entries biased to width-bit unsigned digits, joined as bytes, unbiased
-    size, half = width // 8, 1 << (width - 1)
-    data = b"".join([(v + half).to_bytes(size, "little") for v in vec])
-    return int.from_bytes(data, "little") - _bias(len(vec), size)
+    """sum(v * 2**(width*k)) by Horner; signed entries need no special case."""
+    acc = 0
+    for v in reversed(vec):
+        acc = (acc << width) + v
+    return acc
 
 
 def _unpack(x: int, n: int, width: int) -> list[int]:
     """The n balanced width-bit digits of x, lowest first: the inverse of
-    _pack when every digit lies in [-2**(width-1), 2**(width-1))."""
-    half = 1 << (width - 1)
-    if n * width > _BYTES_FROM_BITS:
-        size = width // 8
-        data = (x + _bias(n, size)).to_bytes(n * size, "little")
-        return [int.from_bytes(data[i : i + size], "little") - half
-                for i in range(0, n * size, size)]
-    # Low bits at or above half their range stand for a negative digit, which
-    # borrows from the rest, so 1 is carried back into it.
+    _pack when every digit lies in [-2**(width-1), 2**(width-1)).  Low bits
+    at or above half their range stand for a negative digit, which borrows
+    from the rest, so 1 is carried back into it."""
     mask = (1 << width) - 1
+    half = 1 << (width - 1)
     out = []
     for _ in range(n):
         v = x & mask
@@ -649,12 +630,6 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
             x += 1
         out.append(v)
     return out
-
-
-def _bias(n: int, size: int) -> int:
-    """sum(2**(8*size - 1) * 2**(8*size*k) for k < n): every size-byte digit
-    at half its range."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
 
 
 def power(base, n: int, one):

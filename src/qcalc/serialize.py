@@ -87,6 +87,12 @@ def _laurent_to_list(p: LaurentPoly) -> list:
     ]
 
 
+# LaurentPoly keeps a slot for every exponent from the lowest to the highest,
+# so a wire polynomial may span at most this many exponents per term; the
+# engine writes about two per term (even exponents).
+_SPAN_PER_TERM = 256
+
+
 def _laurent_from_list(items) -> LaurentPoly:
     if not isinstance(items, list):
         raise SerializationError("Laurent polynomial must be a list of terms")
@@ -103,6 +109,11 @@ def _laurent_from_list(items) -> LaurentPoly:
         re = rational_from_str(item.get("re", "0"))
         im = rational_from_str(item.get("im", "0"))
         coeffs[e] = GaussianRational(re, im)
+    if coeffs and max(coeffs) - min(coeffs) > _SPAN_PER_TERM * len(coeffs):
+        raise SerializationError(
+            f"Laurent exponents {min(coeffs)}..{max(coeffs)} are too sparse for "
+            f"{len(coeffs)} terms"
+        )
     return LaurentPoly(coeffs)
 
 

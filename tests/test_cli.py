@@ -339,6 +339,23 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_far_apart_exponents_exit_two(self, capsys, tmp_path):
+        # two terms 2e9 exponents apart would be two dense vectors of 2e9 slots
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        doc["terms"][0]["coef"]["num"] = [
+            {"s": 0, "re": "1", "im": "0"}, {"s": 2_000_000_000, "re": "1", "im": "0"}
+        ]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "1:1:1", "--t", "1:2:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too sparse" in err
+
     def test_input_that_is_not_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "wave.json"
         path.write_text("{not json")

@@ -500,8 +500,12 @@ def test_kernel_operations_build_no_rationals(monkeypatch):
 
         return wrapper
 
-    # every GaussianRational is made by __init__ or by coeffs._gr
+    # every GaussianRational is made by __init__ or by coeffs._gr; Fraction
+    # arithmetic builds its results through _from_coprime_ints from Python 3.12
     monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        make = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(make)))
     monkeypatch.setattr(GaussianRational, "__init__", counting(GaussianRational.__init__))
     monkeypatch.setattr(coeffs, "_gr", counting(coeffs._gr))
     results = [a + b, a - b, -a, a * b, b * a, a * mono, mono * b, a.shift(5)]

@@ -109,6 +109,18 @@ class TestCoefExpr:
         with pytest.raises(SerializationError):
             coef_from_json({"num": [{"re": "1"}], "den": [{"s": 0, "re": "1"}]})
 
+    def test_sparse_exponents_rejected(self):
+        one = [{"s": 0, "re": "1"}]
+        wide = [{"s": 0, "re": "1"}, {"s": 512, "re": "-1"}]  # 256 exponents per term
+        assert coef_from_json({"num": wide, "den": one}) == CoefExpr.of(
+            LaurentPoly({0: 1, 512: -1})
+        )
+        wide[1]["s"] = 513
+        with pytest.raises(SerializationError, match="too sparse"):
+            coef_from_json({"num": wide, "den": one})
+        with pytest.raises(SerializationError, match="too sparse"):
+            coef_from_json({"num": one, "den": [{"s": -(10**9), "re": "1"}, {"s": 10**9, "re": "1"}]})
+
     def test_echoed_value_is_cut(self):
         huge = {"num": [{"s": 0, "re": "1" * 5000}]}
         with pytest.raises(SerializationError) as info:
