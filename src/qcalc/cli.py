@@ -173,10 +173,7 @@ def _cmd_verify(args, out) -> int:
             bound = args.order
         else:
             bound = args.n_max if args.n_max is not None else _DEFAULT_RANGES[ident]
-        if ident == "exp-product":
-            verdicts.append(fn(bound, q_samples))
-        else:
-            verdicts.append(fn(bound))
+        verdicts.append(fn(bound, q_samples) if ident == "exp-product" else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
     payload = docs if args.identity == "all" else docs[0]
     out.write(json.dumps(payload, indent=2) + "\n")
@@ -195,11 +192,14 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
-    if args.infile == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if args.infile == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise SerializationError("wave document is nested too deeply") from None
     wave = wave_from_json(doc)
     rows = sample_grid(wave, args.q, args.c, _parse_grid(args.x), _parse_grid(args.t))
     write_sample_csv(rows, out)
@@ -209,13 +209,8 @@ def _cmd_sample(args, out) -> int:
 def _cmd_hermite(args, out) -> int:
     if args.n < 0:
         raise SerializationError("degree must be >= 0")
-    if args.kind == "classical":
-        poly = hermite_classical(args.n)
-    elif args.kind == "inverse-q":
-        poly = q_hermite_dual(args.n, var="w")
-    else:
-        poly = q_hermite(args.n)
-    out.write(json.dumps(mpoly_to_json(poly), indent=2) + "\n")
+    build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
+    out.write(json.dumps(mpoly_to_json(build[args.kind](args.n)), indent=2) + "\n")
     return EXIT_OK
 
 

@@ -30,11 +30,13 @@ appear only at the edges: the dict constructor, const and term, the coeffs
 view, as_monomial and exact evaluation.
 
 The q-combinatorics live here too, below the tower they are built from:
-q-integers, q-factorials and Gaussian binomial coefficients are cached
-LaurentPoly values (exponents even).  Gaussian binomials are built by the
-q-Pascal rule from shifts and additions alone, so they are independent of
-the q-factorials and of exact division; both serve elsewhere as exact
-common-denominator multipliers.
+q-integers, q-factorials, their ratios and Gaussian binomial coefficients
+are LaurentPoly values (exponents even), each table one public function
+under functools.lru_cache, the package's one cache idiom.  factorial_ratio
+is one running product and caches only the entry asked for.  Gaussian
+binomials fill their band bottom-up by the q-Pascal rule, from shifts and
+additions alone, so they are independent of the q-factorials and of exact
+division; both serve elsewhere as exact common-denominator multipliers.
 """
 
 from __future__ import annotations
@@ -842,13 +844,15 @@ def q_factorial(n: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def factorial_ratio(n: int, k: int) -> LaurentPoly:
-    """The exact polynomial q_factorial(n) / q_factorial(k), built as the
-    product of q-integers k+1 .. n (no division involved)."""
+    """The exact polynomial q_factorial(n) / q_factorial(k), built as one
+    running product of the q-integers k+1 .. n (no division involved); only
+    the requested entry is cached."""
     if not 0 <= k <= n:
         raise UnsupportedOrderError("factorial_ratio needs 0 <= k <= n")
-    if n == k:
-        return LP_ONE
-    return factorial_ratio(n - 1, k) * q_int(n)
+    out = LP_ONE
+    for j in range(k + 1, n + 1):
+        out = out * q_int(j)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,10 @@ exact polynomial (-1)^k [n]_q! [2]_q^(n-2k) / ([k]_q! [n-2k]_q!), assembled
 from cached q-factorial ratios so no division is ever performed.  The
 sqrt(q) recurrence is exercised in the test suite rather than used to build.
 
-Every family is cached with functools.lru_cache and every returned value is
-immutable.  The classical recurrence is filled bottom-up, so a large degree
-never nests the recursion more than one level deep.
+Every family is one public function cached with functools.lru_cache, the
+package's one cache idiom, and every returned value is immutable.  The
+classical recurrence fills its table bottom-up inside that function, as
+gauss_binomial does, so recursion never nests more than one level deep.
 """
 
 from __future__ import annotations
@@ -27,21 +28,18 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def hermite_classical(n: int) -> MPoly:
     """Physicists' Hermite polynomial of degree n, by the standard recurrence
     H_{k+1} = 2x H_k - 2k H_{k-1}; integer coefficients, leading term (2x)^n."""
     if n < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
-    for k in range(2, n):
-        _classical(k)
-    return _classical(n)
-
-
-@lru_cache(maxsize=None)
-def _classical(n: int) -> MPoly:
     if n < 2:
         return MPoly.monomial(("x",), (n,), 2**n)
-    return _classical(1) * _classical(n - 1) - _classical(n - 2).scale(2 * (n - 1))
+    for k in range(2, n):  # fill the table below bottom-up: recursion stays shallow
+        hermite_classical(k)
+    two_x, prev = hermite_classical(1), hermite_classical(n - 1)
+    return two_x * prev - hermite_classical(n - 2).scale(2 * (n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -67,17 +65,14 @@ def q_hermite(n: int) -> MPoly:
     return MPoly._raw(("x",), terms)
 
 
+@lru_cache(maxsize=None)
 def q_hermite_dual(k: int, var: str = "w") -> MPoly:
     """The companion polynomial H_k(q w; 1/q): the q -> 1/q image of the
     degree-k q-Hermite polynomial with its variable rescaled by q."""
-    p = _dual(k)
-    return p.rename_var("x", var) if var != "x" else p
-
-
-@lru_cache(maxsize=None)
-def _dual(k: int) -> MPoly:
     if k < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
+    if var != "x":
+        return q_hermite_dual(k, "x").rename_var("x", var)
     p = q_hermite(k).map_coeffs(lambda c: c.substitute_inverse_q())
     return p.scale_substitute("x", 2)
 

@@ -33,6 +33,7 @@ from .coeffs import (
     GR_ONE,
     GaussianRational,
     LP_ONE,
+    LP_ZERO,
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
@@ -44,7 +45,7 @@ from .polys import (
     dbar_operator,
     q_binomial_power,
     q_binomial_weights,
-    q_laplacian_chain,
+    q_laplacian,
 )
 from .qcore import gauss_binomial, q_factorial, q_int
 from .qwave import SYMBOLIC_SPEED, q_binomial_substitute, speed_poly
@@ -224,10 +225,7 @@ def verify_exp_product(order: int, q_samples=None):
     one_plus_q = q_int(2)
     lhs_all, rhs_all = [], []
     for n in range(order + 1):
-        num = LaurentPoly({})
-        for k in range(n + 1):
-            term = gauss_binomial(n, k)
-            num = num + (term if (n - k) % 2 == 0 else -term)
+        num = sum((gauss_binomial(n, k) * (-1) ** (n - k) for k in range(n + 1)), LP_ZERO)
         lhs = CoefExpr(num, q_factorial(n))
         if n % 2:
             rhs = CoefExpr.of(0)
@@ -262,10 +260,8 @@ def verify_exp_factorization(order: int):
                 yield res, f"coefficient x^{a} y^{b} differs"
     # corollary: every positive even degree of the product cancels
     for m in range(1, order // 2 + 1):
-        num = LaurentPoly({})
-        for j in range(m + 1):
-            term = q_binomial_weights(m)[m - j]
-            num = num + (-term if j % 2 else term)
+        weights = reversed(q_binomial_weights(m))
+        num = sum((w * (-1) ** j for j, w in enumerate(weights)), LP_ZERO)
         if not num.is_zero():
             res = MPoly(("t",), {(2 * m,): CoefExpr(num, q_factorial(m))})
             yield res, f"corollary fails at degree {2 * m}"
@@ -287,42 +283,38 @@ def verify_double_q_analytic(n_max: int):
             yield res, f"conjugate relation fails at n={n}"
 
 
+def _exp_sum(weights: list, images: list) -> MPoly:
+    """sum_j weights[j] images[j], images[j] the j-fold image of one polynomial
+    under an operator, read while both lists last: that operator's exponential."""
+    return sum((image.scale(w) for w, image in zip(weights, images)), MPoly.zero(images[0].vars))
+
+
 @_verifier("q-laplacian", "n_max")
 def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
     """Three statements around the q-Laplacian family:
     (a) the nested chain annihilates every (z + i w)_q^n;
     (b) the q-exponential of the scaled chain reproduces the binomial termwise;
-    (c) the one-variable operator series reproduces the q-Hermite polynomial."""
+    (c) the one-variable operator series reproduces the q-Hermite polynomial.
+    Both exponentials weigh the j-fold image by (-1)^j / ([j]_q! [2]_q^(2j))."""
     two = q_int(2)
+    sign = (LP_ONE, LaurentPoly.const(-1))
+    weights = [CoefExpr(sign[j % 2], q_factorial(j) * two ** (2 * j)) for j in range(n_max + 1)]
     for n in range(n_max + 1):
-        p = q_binomial_power("z", GR_I, "w", n)
+        # chain[j] is the nested chain of length j, levels 0 .. j-1, applied to p
+        chain = [q_binomial_power("z", GR_I, "w", n)]
+        for level in range(max(n, chain_max)):
+            chain.append(q_laplacian(chain[-1], level))
         for m in range(1, chain_max + 1):
-            res = q_laplacian_chain(p, m)
-            if not res.is_zero():
-                yield res, f"chain m={m} fails at n={n}"
-        # termwise exponential of the scaled chain
-        total = MPoly.zero(("z", "w"))
-        for j in range(n + 1):
-            chained = q_laplacian_chain(p, j)
-            if chained.is_zero() and j > 0:
-                continue
-            sign = LaurentPoly.const(-1) if j % 2 else LP_ONE
-            coef = CoefExpr(sign, q_factorial(j) * two ** (2 * j))
-            total = total + chained.scale(coef)
-        res = total - p
+            if not chain[m].is_zero():
+                yield chain[m], f"chain m={m} fails at n={n}"
+        res = _exp_sum(weights, chain[: n + 1]) - chain[0]
         if not res.is_zero():
             yield res, f"exponential operator fails at n={n}"
-        # one-variable relation
-        total = MPoly.zero(("x",))
-        d = MPoly.monomial(("x",), (n,), 1)
-        j = 0
-        while not d.is_zero():
-            sign = LaurentPoly.const(-1) if j % 2 else LP_ONE
-            coef = CoefExpr(sign, q_factorial(j) * two ** (2 * j))
-            total = total + d.scale(coef)
-            d = d.q_derivative("x").q_derivative("x")
-            j += 1
-        res = total.scale(CoefExpr.of(two**n)) - q_hermite(n)
+        # one-variable relation; the trailing zero image adds nothing
+        images = [MPoly.monomial(("x",), (n,), 1)]
+        while not images[-1].is_zero():
+            images.append(images[-1].q_derivative("x").q_derivative("x"))
+        res = _exp_sum(weights, images).scale(CoefExpr.of(two**n)) - q_hermite(n)
         if not res.is_zero():
             yield res, f"Hermite operator relation fails at n={n}"
 

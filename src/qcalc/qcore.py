@@ -13,7 +13,6 @@ from __future__ import annotations
 from .coeffs import (
     CoefExpr,
     LP_ONE,
-    LP_ZERO,
     LaurentPoly,
     UnsupportedOrderError,
     factorial_ratio,
@@ -76,7 +75,8 @@ def q_euler_number(order: int) -> CoefExpr:
     over the common denominator [order]_q!."""
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
-    num = LP_ZERO
-    for n in range(order + 1):
-        num = num + factorial_ratio(order, n)
+    num = term = LP_ONE  # term runs through [order]_q!/[n]_q! from n = order down
+    for n in range(order, 0, -1):
+        term = term * q_int(n)
+        num = num + term
     return CoefExpr(num, q_factorial(order))

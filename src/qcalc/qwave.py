@@ -51,6 +51,7 @@ NAMED_SOURCES = ("cos_q", "sin_q", "q-gaussian")
 
 _XT = ("x", "t")
 _XTC = ("x", "t", "c")
+_MAX_TABLE_CELLS = 2**22  # cells of each (x-degree + 1) x (t-degree + 1) table of sample_grid
 
 
 class PostconditionError(QCalcError):
@@ -252,8 +253,9 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The sums are taken by Horner's rule, first in x for each power of t,
-    then in t.  Raises ValueError unless q > 0 and c are finite, and
-    OverflowError when a power of c, a value or a tail is not finite.
+    then in t.  Raises ValueError unless q > 0 and c are finite or when the
+    tables would exceed _MAX_TABLE_CELLS cells, and OverflowError when a
+    power of c, a value or a tail is not finite.
     """
     q_value, c_value = float(q_value), float(c_value)
     if not (math.isfinite(q_value) and q_value > 0):
@@ -275,6 +277,9 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         terms.append((exps.get("x", 0), exps.get("t", 0), v))
     width = 1 + max((a for a, _, _ in terms), default=0)
     height = 1 + max((b for _, b, _ in terms), default=0)
+    if width * height > _MAX_TABLE_CELLS:
+        raise ValueError(f"a body of x-degree {width - 1} and t-degree {height - 1} needs "
+                         f"{width * height} table cells, more than {_MAX_TABLE_CELLS}")
     # value_rows[b][a]: Re of the merged coefficient of x^a t^b (x, t and c
     # are real); tail_rows[b][a]: sum of |v| over its top-band terms, taken
     # before terms that differ only in the power of c are merged.

@@ -1,6 +1,6 @@
 """JSON wire formats and the CSV sampling contract.
 
-Rationals travel as decimal-integer strings "p/q" (bare "p" for integers).
+Rationals travel as ASCII decimal strings "p/q" (bare "p"), read in that form only.
 A coefficient is {"num": [{"s": exp, "re": "p/q", "im": "p/q"}, ...],
 "den": [...]} with terms sorted by exponent; a polynomial is
 {"vars": [...], "terms": [{"deg": [...], "coef": ...}, ...]} sorted by
@@ -13,6 +13,7 @@ object (older documents carry that object as a JSON string; it still reads).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -62,28 +63,34 @@ def _ratio_to_str(num: int, den: int) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    body = str(text).strip()
-    # Fast path for the form rational_to_str writes, -?digits[/digits]; every
-    # other form, and a zero denominator, goes through Fraction's parser.
-    num, slash, den = body.partition("/")
-    negative = num[:1] == "-"
-    digits = num[1:] if negative else num
+    """A rational in any form Fraction reads ("3/4", "-.5", "1e-3"), for
+    command-line arguments; wire values go through _wire_rational."""
     try:
-        if digits.isdecimal() and (not slash or den.isdecimal()):
-            p = -int(digits) if negative else int(digits)
-            q = int(den) if slash else 1
-            if q:
-                return Fraction(p, q)
-        return Fraction(body)
+        return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializationError(f"bad rational {_brief(text)}: {exc}") from None
+
+
+# Wire rationals are read only in the form rational_to_str writes, in ASCII
+# digits: Fraction's grammar would let "1e10000000" build a huge integer.
+_WIRE_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _wire_rational(value) -> Fraction:
+    m = isinstance(value, str) and _WIRE_RATIONAL.fullmatch(value)
+    if not m:
+        raise SerializationError(f"bad rational {_brief(value)}: not of the form p/q")
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SerializationError(f"bad rational {_brief(value)}: {exc}") from None
 
 
 def _laurent_to_list(p: LaurentPoly) -> list:
     den = p.den
     return [
-        {"s": e, "re": _ratio_to_str(re, den), "im": _ratio_to_str(im, den)}
-        for e, re, im in p.int_terms()
+        {"s": e, "re": _ratio_to_str(a, den), "im": _ratio_to_str(b, den)}
+        for e, a, b in p.int_terms()
     ]
 
 
@@ -106,9 +113,8 @@ def _laurent_from_list(items) -> LaurentPoly:
             raise SerializationError(f"Laurent exponent {_brief(e)} is not an integer")
         if e in coeffs:
             raise SerializationError(f"Laurent exponent {e} appears twice")
-        re = rational_from_str(item.get("re", "0"))
-        im = rational_from_str(item.get("im", "0"))
-        coeffs[e] = GaussianRational(re, im)
+        coeffs[e] = GaussianRational(_wire_rational(item.get("re", "0")),
+                                     _wire_rational(item.get("im", "0")))
     if coeffs and max(coeffs) - min(coeffs) > _SPAN_PER_TERM * len(coeffs):
         raise SerializationError(
             f"Laurent exponents {min(coeffs)}..{max(coeffs)} are too sparse for "
@@ -225,11 +231,13 @@ def _speed_from_json(value) -> object:
             value = json.loads(value)  # older documents: the object inside a string
         except json.JSONDecodeError as exc:
             raise SerializationError(f"bad wave speed c {_brief(value)}: {exc.msg}") from None
+        except RecursionError:
+            raise SerializationError("wave speed c is nested too deeply") from None
     if isinstance(value, dict):
         return coef_from_json(value)
     if value == SYMBOLIC_SPEED:
         return SYMBOLIC_SPEED
-    return CoefExpr.of(rational_from_str(value))
+    return CoefExpr.of(_wire_rational(value))
 
 
 def wave_to_json(w: WaveSolution) -> dict:

@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, JSON payloads, CSV sampling."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -319,7 +320,9 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("vars", ["x", "x"]), ("vars", "xt"), ("deg", [0, 2.5]), ("s", 1.5), ("terms", 5)],
+        [("vars", ["x", "x"]), ("vars", "xt"), ("deg", [0, 2.5]), ("s", 1.5), ("terms", 5)]
+        # wire rationals outside -?[0-9]+(/[0-9]+)?, the form the writer emits
+        + [("re", text) for text in ("1e3", "0.5", "+1", " 1", "1_0", "\u0661", "1e30000000")],
     )
     def test_malformed_wire_document_exits_two(self, capsys, tmp_path, field, value):
         path = tmp_path / "wave.json"
@@ -327,8 +330,8 @@ class TestSample:
         doc = json.loads(path.read_text())
         if field == "deg":
             doc["terms"][0]["deg"] = value
-        elif field == "s":
-            doc["terms"][0]["coef"]["num"][0]["s"] = value
+        elif field in ("s", "re"):
+            doc["terms"][0]["coef"]["num"][0][field] = value
         else:
             doc[field] = value
         path.write_text(json.dumps(doc))
@@ -355,6 +358,35 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too sparse" in err
+
+    def test_body_over_table_cap_exits_two(self, capsys, tmp_path):
+        # one term of degree (2100, 2100) would need two 2101 x 2101 float tables
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        doc["terms"] = [{**doc["terms"][0], "deg": [2100, 2100]}]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:0:1", "--t", "0:0:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "table cells" in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_input_exits_two(self, capsys, tmp_path, monkeypatch, source):
+        text = "[" * 200_000 + "]" * 200_000
+        path = tmp_path / "wave.json"
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        infile = str(path) if source == "file" else "-"
+        code, out, err = run(
+            capsys, "sample", "--in", infile, "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: wave document is nested too deeply\n"
 
     def test_input_that_is_not_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "wave.json"

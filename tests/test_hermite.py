@@ -141,6 +141,20 @@ class TestQHermiteDual:
     def test_variable_naming(self):
         assert q_hermite_dual(2, var="y").vars == ("y",)
 
+    def test_other_variables_rename_the_x_form(self):
+        for k in range(9):
+            assert q_hermite_dual(k, "w") == q_hermite_dual(k, "x").rename_var("x", "w")
+            assert q_hermite_dual(k, "x").vars == ("x",)
+
+
+def test_each_family_is_one_cached_function():
+    for family in (hermite_classical, q_hermite, q_hermite_dual):
+        assert family.cache_info() is not None
+    hermite_classical.cache_clear()
+    # the cold call fills the table below bottom-up inside the cached function
+    assert hermite_classical(12) == _classical_oracle(12)
+    assert hermite_classical.cache_info().currsize == 13
+
 
 def test_cache_is_thread_safe():
     """Concurrent construction returns consistent immutable entries."""

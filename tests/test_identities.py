@@ -117,6 +117,22 @@ def test_q_laplacian_chain_bound_parameter():
     assert verify_q_laplacian_identity(4, chain_max=2).ok
 
 
+def test_q_laplacian_chain_built_once_per_degree(monkeypatch):
+    """Each degree's chain is one list: the q-Laplacian meets a nonzero
+    polynomial once per degree (the binomial power; its image is zero)."""
+    applied = []
+    original = identities.q_laplacian
+
+    def counting(p, level=0):
+        if not p.is_zero():
+            applied.append(level)
+        return original(p, level)
+
+    monkeypatch.setattr(identities, "q_laplacian", counting)
+    assert verify_q_laplacian_identity(6).ok
+    assert applied == [0] * 7
+
+
 def test_exp_factorization_degree_two_by_hand():
     # degree-2 terms: x^2/[2]! + xy + q y^2/[2]! match ((x+y)(x+qy) + ...)/[2]!
     assert verify_exp_factorization(2).ok

@@ -80,9 +80,15 @@ class TestQFactorial:
             assert q_factorial(n).at_one() == GaussianRational(math.factorial(n))
 
     def test_ratio_times_factorial(self):
-        for n in range(10):
+        for n in range(15):
             for k in range(n + 1):
                 assert factorial_ratio(n, k) * q_factorial(k) == q_factorial(n)
+
+    def test_ratio_caches_only_the_requested_entry(self):
+        # one running product, no recursion through the intermediate ratios
+        factorial_ratio.cache_clear()
+        assert factorial_ratio(12, 3) == q_factorial(12).divexact(q_factorial(3))
+        assert factorial_ratio.cache_info().currsize == 1
 
 
 class TestGaussBinomial:
@@ -217,6 +223,12 @@ class TestQEulerNumber:
     def test_order_two(self):
         expected = CoefExpr.of(2) + CoefExpr(LP_ONE, q_int(2))
         assert q_euler_number(2) == expected
+
+    def test_matches_naive_sum(self):
+        for n in range(11):
+            naive = sum((CoefExpr(LP_ONE, q_factorial(k)) for k in range(n + 1)), CoefExpr.of(0))
+            assert q_euler_number(n) == naive
+            assert q_euler_number(n).den == q_factorial(n)
 
     def test_classical_partial_sum(self):
         assert q_euler_number(2).at_one() == GaussianRational(Fraction(5, 2))

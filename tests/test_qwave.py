@@ -17,6 +17,7 @@ from qcalc.coeffs import (
     GaussianRational,
     LaurentPoly,
 )
+from qcalc import qwave
 from qcalc.identities import one_directional_check
 from qcalc.polys import MPoly, coef_to_complex
 from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_trig_series
@@ -438,6 +439,14 @@ class TestSampleGrid:
         ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "x")
         with pytest.raises(ValueError, match="finite"):
             sample_grid(ws, q, c, [0.0], [0.0])
+
+    def test_table_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(qwave, "_MAX_TABLE_CELLS", 100)
+        at_cap = WaveSolution(MPoly(("x", "t"), {(9, 9): 1}), CE_ONE, None, "x")
+        assert sample_grid(at_cap, 0.5, 1.0, [2.0], [1.0])[0][2] == 2.0**9
+        over = WaveSolution(MPoly(("x", "t"), {(10, 9): 1, (0, 0): 1}), CE_ONE, None, "x")
+        with pytest.raises(ValueError, match="110 table cells, more than 100"):
+            sample_grid(over, 0.5, 1.0, [0.0], [0.0])
 
     def test_speed_power_out_of_range_names_c(self):
         ws = named_wave("cos_q", "+", SYMBOLIC_SPEED, 6)

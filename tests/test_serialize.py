@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,28 @@ class TestCoefExpr:
             coef_from_json({"num": []})
         with pytest.raises(SerializationError):
             coef_from_json({"num": [{"re": "1"}], "den": [{"s": 0, "re": "1"}]})
+
+    @pytest.mark.parametrize(
+        "text", ["1e3", "0.5", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "1/-2", "", "1/0", 1]
+    )
+    def test_wire_rational_outside_the_grammar_rejected(self, text):
+        one = [{"s": 0, "re": "1"}]
+        for key in ("re", "im"):
+            with pytest.raises(SerializationError, match="bad rational"):
+                coef_from_json({"num": [{"s": 0, key: text}], "den": one})
+
+    def test_wire_rational_written_forms_read(self):
+        one = [{"s": 0, "re": "1"}]
+        for text, value in (("-3/4", Fraction(-3, 4)), ("0", 0), ("12", 12), ("6/4", Fraction(3, 2))):
+            got = coef_from_json({"num": [{"s": 0, "re": "1", "im": text}], "den": one})
+            assert got == CoefExpr.of(LaurentPoly({0: GaussianRational(1, value)}))
+
+    def test_huge_exponent_notation_rejected_fast(self):
+        # Fraction("1e30000000") builds a thirty-million-digit integer first
+        start = time.perf_counter()
+        with pytest.raises(SerializationError, match="bad rational"):
+            coef_from_json({"num": [{"s": 0, "re": "1e30000000"}], "den": [{"s": 0, "re": "1"}]})
+        assert time.perf_counter() - start < 1.0
 
     def test_sparse_exponents_rejected(self):
         one = [{"s": 0, "re": "1"}]
@@ -260,6 +283,15 @@ class TestWave:
         ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CoefExpr.of(Fraction(-5, 7)), None, "dalembert")
         assert wave_to_json(ws)["c"] == "-5/7"
         assert wave_from_json(wave_to_json(ws)).c == Fraction(-5, 7)
+
+    @pytest.mark.parametrize("c", ["0.5", "+2", " 2", 2, "2e0"])
+    def test_rational_speed_outside_the_grammar_rejected(self, c):
+        with pytest.raises(SerializationError, match="bad rational"):
+            wave_from_json(self._doc(c=c))
+
+    def test_deeply_nested_legacy_speed_rejected(self):
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            wave_from_json(self._doc(c='{"num": ' + "[" * 200_000 + "]" * 200_000 + "}"))
 
     def test_missing_speed(self):
         with pytest.raises(SerializationError):
