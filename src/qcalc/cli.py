@@ -20,10 +20,11 @@ from fractions import Fraction
 
 from .coeffs import GR_I, QCalcError
 from .hermite import hermite_classical, q_hermite, q_hermite_dual
-from .identities import IDENTITY_CHECKS
+from .identities import DEFAULT_BOUNDS, IDENTITY_CHECKS
 from .polys import MPoly, q_binomial_power
 from .qcore import q_int
 from .qwave import (
+    MAX_GRID_POINTS,
     NAMED_SOURCES,
     SYMBOLIC_SPEED,
     InitialData,
@@ -48,15 +49,6 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 
-_DEFAULT_RANGES = {
-    "hermite-binomial": 12,
-    "xi": 12,
-    "q-hermite-binomial": 10,
-    "double-q-analytic": 12,
-    "q-laplacian": 8,
-    "traveling-hermite": 10,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -74,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", required=True,
                    choices=sorted(IDENTITY_CHECKS) + ["all"])
     p.add_argument("--n-max", type=int, default=None, help="degree bound for polynomial identities")
-    p.add_argument("--order", type=int, default=20, help="truncation order for series identities")
+    p.add_argument("--order", type=int, help="truncation order for series identities")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomised q spot checks of exp-product")
 
@@ -109,6 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(doc, out) -> None:
+    out.write(json.dumps(doc, indent=2) + "\n")
+
+
 def _parse_coeff_list(text: str):
     return [rational_from_str(part) for part in text.split(",")]
 
@@ -138,6 +134,8 @@ def _parse_grid(text: str):
         count += 1
     while count and start + (count - 1) * step > limit:
         count -= 1
+    if count > MAX_GRID_POINTS:
+        raise SerializationError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
     return [start + k * step for k in range(count)]
 
 
@@ -169,14 +167,13 @@ def _cmd_verify(args, out) -> int:
     verdicts = []
     for ident in ids:
         fn, kind = IDENTITY_CHECKS[ident]
-        if kind == "order":
-            bound = args.order
-        else:
-            bound = args.n_max if args.n_max is not None else _DEFAULT_RANGES[ident]
+        bound = getattr(args, kind)  # the --n-max or --order flag
+        if bound is None:
+            bound = DEFAULT_BOUNDS[ident]
         verdicts.append(fn(bound, q_samples) if ident == "exp-product" else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
     payload = docs if args.identity == "all" else docs[0]
-    out.write(json.dumps(payload, indent=2) + "\n")
+    _write_json(payload, out)
     return EXIT_OK if all(v.ok for v in verdicts) else EXIT_VIOLATED
 
 
@@ -187,7 +184,7 @@ def _cmd_solve(args, out) -> int:
     orders = [o for o in (f_order, g_order) if o is not None]
     data = InitialData(f, g, min(orders) if orders else None)
     solution = dalembert_solve(data, c)
-    out.write(json.dumps(wave_to_json(solution), indent=2) + "\n")
+    _write_json(wave_to_json(solution), out)
     return EXIT_OK
 
 
@@ -210,7 +207,7 @@ def _cmd_hermite(args, out) -> int:
     if args.n < 0:
         raise SerializationError("degree must be >= 0")
     build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
-    out.write(json.dumps(mpoly_to_json(build[args.kind](args.n)), indent=2) + "\n")
+    _write_json(mpoly_to_json(build[args.kind](args.n)), out)
     return EXIT_OK
 
 
@@ -225,7 +222,7 @@ def _cmd_expand(args, out) -> int:
         poly = q_binomial_substitute(
             MPoly.monomial(("x",), (args.n,), 1), sign, SYMBOLIC_SPEED
         )
-    out.write(json.dumps(mpoly_to_json(poly), indent=2) + "\n")
+    _write_json(mpoly_to_json(poly), out)
     return EXIT_OK
 
 

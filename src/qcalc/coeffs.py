@@ -126,17 +126,13 @@ class GaussianRational:
 
     def __add__(self, other):
         other = as_gaussian(other)
-        if self.im or other.im:
-            return _gr(self.re + other.re, self.im + other.im)
-        return _gr(self.re + other.re, _F0)
+        return _gr(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_gaussian(other)
-        if self.im or other.im:
-            return _gr(self.re - other.re, self.im - other.im)
-        return _gr(self.re - other.re, _F0)
+        return _gr(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return as_gaussian(other) - self
@@ -146,12 +142,10 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = as_gaussian(other)
-        if self.im or other.im:
-            return _gr(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return _gr(self.re * other.re, _F0)
+        return _gr(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     __rmul__ = __mul__
 
@@ -839,6 +833,8 @@ def q_factorial(n: int) -> LaurentPoly:
         raise UnsupportedOrderError("q-factorials are defined for n >= 0 only")
     if n == 0:
         return LP_ONE
+    for m in range(1, n):  # fill the table below bottom-up: recursion stays shallow
+        q_factorial(m)
     return q_factorial(n - 1) * q_int(n)
 
 

@@ -9,9 +9,10 @@ occurred, so a breakage pinpoints the offending degree and monomial.
 One runner, the _verifier decorator, owns every verdict of IDENTITY_CHECKS:
 each routine there is a generator that yields (residual, detail) at its
 first failure, and the runner times it, labels its range and records the
-outcome.  The four Hermite-expansion identities (the classical binomial, the
-xi forms, the q-binomial and the traveling wave) build their right sides
-through one pair sum, _pair_sum, in the q family or its classical limit.
+outcome; it also registers the routine's default bound in DEFAULT_BOUNDS.
+The four Hermite-expansion identities (the classical binomial, the xi forms,
+the q-binomial and the traveling wave) build their right sides through one
+pair sum, _pair_sum, in the q family or its classical limit.
 
 Series identities are checked coefficient-by-coefficient with sums brought
 over the common denominator [n]_q! using the cached Gaussian-binomial and
@@ -21,7 +22,6 @@ factorial-ratio tables (exact polynomial multipliers, no folding blowup).
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -62,6 +62,7 @@ __all__ = [
     "verify_traveling_hermite_expansion",
     "one_directional_check",
     "IDENTITY_CHECKS",
+    "DEFAULT_BOUNDS",
 ]
 
 
@@ -85,29 +86,30 @@ class Verdict:
         return f"{self.identity} [{self.range}]: {self.status}{extra} in {self.elapsed_ms:.1f} ms"
 
 
-# Registry used by the CLI: id -> (callable, parameter kind), filled by
-# _verifier.  one_directional_check is a verifier too but stays out:
-# `verify --identity all` runs exactly these eight.
+# Registries used by the CLI, filled by _verifier: id -> (callable, parameter
+# kind) and id -> default bound.  one_directional_check is a verifier too but
+# stays out: `verify --identity all` runs exactly these eight.
 IDENTITY_CHECKS: dict = {}
+DEFAULT_BOUNDS: dict = {}
 
 
-def _verifier(identity: str, kind: str):
-    """Register a verifier body in IDENTITY_CHECKS and run it as a timed Verdict.
+def _verifier(identity: str, kind: str, default: int):
+    """Register a verifier body in IDENTITY_CHECKS and its default bound in
+    DEFAULT_BOUNDS, and run it as a timed Verdict.
 
     The body is a generator over the range n<=N (kind "n_max") or order<=N
-    (kind "order"), N its argument of that name; it yields (residual, detail)
-    at a failure, and only the first one is read.  Other arguments pass
-    through unchanged.
+    (kind "order"), N its first argument, named after the kind; it yields
+    (residual, detail) at a failure, and only the first one is read.  Other
+    arguments pass through unchanged.
     """
 
     def register(body):
-        signature = inspect.signature(body)
         label = "n" if kind == "n_max" else "order"
 
         @functools.wraps(body)
         def run(*args, **kwargs):
             t0 = time.perf_counter()
-            bound = signature.bind(*args, **kwargs).arguments[kind]
+            bound = args[0] if args else kwargs[kind]
             v = Verdict(identity, f"{label}<={bound}")
             failure = next(body(*args, **kwargs), None)
             if failure is not None:
@@ -117,6 +119,7 @@ def _verifier(identity: str, kind: str):
             return v
 
         IDENTITY_CHECKS[identity] = (run, kind)
+        DEFAULT_BOUNDS[identity] = default
         return run
 
     return register
@@ -158,7 +161,7 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
     return acc.scale(CoefExpr.of(two**n).inverse())
 
 
-@_verifier("hermite-binomial", "n_max")
+@_verifier("hermite-binomial", "n_max", 12)
 def verify_hermite_binomial(n_max: int):
     """(z + i w)**n == 2**-n sum_k C(n,k) i**k H_{n-k}(z) H_k(w), classical."""
     vs = ("z", "w")
@@ -171,7 +174,7 @@ def verify_hermite_binomial(n_max: int):
             yield res, f"first failure at n={n}"
 
 
-@_verifier("xi", "n_max")
+@_verifier("xi", "n_max", 12)
 def verify_xi_identity(n_max: int):
     """The one-variable collapse of the Hermite binomial formula and two of
     its substitution forms (xi -> -2iz, xi -> iy).  The third, xi -> x, is
@@ -204,7 +207,7 @@ def verify_xi_identity(n_max: int):
                 yield res, f"{name} fails at n={n}"
 
 
-@_verifier("q-hermite-binomial", "n_max")
+@_verifier("q-hermite-binomial", "n_max", 10)
 def verify_q_hermite_binomial(n_max: int):
     """(z + i w)_q^n == [2]_q^-n sum_k gauss(n,k) i^k q^(k(k-1)/2)
     H_{n-k}(z; q) H_k(q w; 1/q), exactly over the coefficient field."""
@@ -217,7 +220,7 @@ def verify_q_hermite_binomial(n_max: int):
             yield res, f"first failure at n={n}"
 
 
-@_verifier("exp-product", "order")
+@_verifier("exp-product", "order", 20)
 def verify_exp_product(order: int, q_samples=None):
     """e_q(x) e_q(-x) == e_{q^2}((1-q)/(1+q) x^2) coefficientwise to the given
     order, plus exact spot checks at the supplied rational q values."""
@@ -245,7 +248,7 @@ def verify_exp_product(order: int, q_samples=None):
                 yield None, f"spot check failed at q={q}, x^{n}"
 
 
-@_verifier("exp-factorization", "order")
+@_verifier("exp-factorization", "order", 20)
 def verify_exp_factorization(order: int):
     """e_q(x) e_{1/q}(y) == sum_n (x + y)_q^n / [n]_q! to total degree order,
     and the corollary that e_q(-t^2) e_{1/q}(t^2) collapses to 1."""
@@ -267,7 +270,7 @@ def verify_exp_factorization(order: int):
             yield res, f"corollary fails at degree {2 * m}"
 
 
-@_verifier("double-q-analytic", "n_max")
+@_verifier("double-q-analytic", "n_max", 12)
 def verify_double_q_analytic(n_max: int):
     """The pair operator annihilates every (z + i w)_q^n and its conjugate
     lowers the power with factor [n]_q."""
@@ -289,7 +292,7 @@ def _exp_sum(weights: list, images: list) -> MPoly:
     return sum((image.scale(w) for w, image in zip(weights, images)), MPoly.zero(images[0].vars))
 
 
-@_verifier("q-laplacian", "n_max")
+@_verifier("q-laplacian", "n_max", 8)
 def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
     """Three statements around the q-Laplacian family:
     (a) the nested chain annihilates every (z + i w)_q^n;
@@ -319,7 +322,7 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
             yield res, f"Hermite operator relation fails at n={n}"
 
 
-@_verifier("traveling-hermite", "n_max")
+@_verifier("traveling-hermite", "n_max", 10)
 def verify_traveling_hermite_expansion(n_max: int):
     """(x + c t)_q^n expanded through q-Hermite pairs with argument -i q c t;
     the assembled right side must be real and equal to the left side."""

@@ -264,12 +264,8 @@ class MPoly:
                 other = MPoly.const(self.vars, other)
             else:
                 return NotImplemented
-        if self.vars != other.vars:
-            return False
-        for e in self.terms.keys() | other.terms.keys():
-            if self.terms.get(e, CE_ZERO) != other.terms.get(e, CE_ZERO):
-                return False
-        return True
+        # no MPoly stores a zero coefficient, so equal polynomials have equal term dicts
+        return self.vars == other.vars and self.terms == other.terms
 
     def map_coeffs(self, fn) -> MPoly:
         out = {}

@@ -33,6 +33,7 @@ from .qcore import q_trig_series
 __all__ = [
     "SYMBOLIC_SPEED",
     "NAMED_SOURCES",
+    "MAX_GRID_POINTS",
     "PostconditionError",
     "InitialData",
     "WaveSolution",
@@ -52,6 +53,7 @@ NAMED_SOURCES = ("cos_q", "sin_q", "q-gaussian")
 _XT = ("x", "t")
 _XTC = ("x", "t", "c")
 _MAX_TABLE_CELLS = 2**22  # cells of each (x-degree + 1) x (t-degree + 1) table of sample_grid
+MAX_GRID_POINTS = 2**22  # points on one grid axis, and rows of one sample_grid call
 
 
 class PostconditionError(QCalcError):
@@ -253,10 +255,15 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The sums are taken by Horner's rule, first in x for each power of t,
-    then in t.  Raises ValueError unless q > 0 and c are finite or when the
+    then in t.  Raises ValueError when the grid has more than MAX_GRID_POINTS
+    rows, when q is not finite and positive or c is not finite, or when the
     tables would exceed _MAX_TABLE_CELLS cells, and OverflowError when a
     power of c, a value or a tail is not finite.
     """
+    size = len(x_grid) * len(t_grid)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"a {len(x_grid)} x {len(t_grid)} grid has {size} rows, "
+                         f"more than {MAX_GRID_POINTS}")
     q_value, c_value = float(q_value), float(c_value)
     if not (math.isfinite(q_value) and q_value > 0):
         raise ValueError(f"numeric sampling needs a finite q > 0, not {q_value!r}")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,19 @@ class TestVerify:
         ids = [d["id"] for d in docs]
         assert ids == sorted(ids)
         assert all(d["status"] == "verified" for d in docs)
+
+    def test_default_bounds_come_from_the_registry(self, capsys):
+        from qcalc.identities import DEFAULT_BOUNDS, IDENTITY_CHECKS
+
+        for flags, order in (((), None), (("--order", "3"), 3)):
+            code, out, _ = run(capsys, "verify", "--identity", "all", *flags)
+            assert code == 0
+            for doc in json.loads(out):
+                kind = IDENTITY_CHECKS[doc["id"]][1]
+                if kind == "n_max":
+                    assert doc["range"] == f"n<={DEFAULT_BOUNDS[doc['id']]}"
+                else:
+                    assert doc["range"] == f"order<={order or DEFAULT_BOUNDS[doc['id']]}"
 
     def test_unknown_identity_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "bogus")
@@ -269,6 +283,36 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "x, t, message",
+        [
+            ("0:1e12:1", "0:0:1", "grid '0:1e12:1' has 1000000000001 points, more than 4194304"),
+            ("0:2048:1", "0:2048:1", "a 2049 x 2049 grid has 4198401 rows, more than 4194304"),
+        ],
+    )
+    def test_grid_over_the_point_cap_exits_two(self, capsys, tmp_path, monkeypatch, x, t, message):
+        from qcalc import qwave
+
+        def not_reached(*args):
+            raise AssertionError("sampling started")
+
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "1", "--g", "0", "--c", "1", "--output", str(path)])
+        monkeypatch.setattr(qwave, "coef_to_complex", not_reached)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sample", "--in", str(path), "--q", "0.5", "--x", x, "--t", t)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_benchmark_grid_is_under_the_point_cap(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "1", "--g", "0", "--c", "1", "--output", str(path)])
+        code, out, _ = run(
+            capsys, "sample", "--in", str(path), "--q", "0.7", "--x", "-1:1:0.01", "--t", "0:1:0.01"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 201 * 101
 
     def test_grid_point_count(self, capsys, tmp_path):
         path = tmp_path / "wave.json"

@@ -9,7 +9,9 @@ from qcalc import identities
 from qcalc.coeffs import CoefExpr, GR_I, LP_ONE, PoleError
 from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
 from qcalc.identities import (
+    DEFAULT_BOUNDS,
     IDENTITY_CHECKS,
+    one_directional_check,
     verify_double_q_analytic,
     verify_exp_factorization,
     verify_exp_product,
@@ -22,9 +24,12 @@ from qcalc.identities import (
 from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import gauss_binomial, q_factorial, q_int
 from qcalc.coeffs import LaurentPoly
+from qcalc.qwave import q_binomial_substitute
+from qcalc.serialize import coef_from_json, mpoly_from_json, verdict_to_json
 
 
 def test_all_verifiers_pass_at_small_ranges():
+    assert DEFAULT_BOUNDS.keys() == IDENTITY_CHECKS.keys()
     for name, (fn, kind) in IDENTITY_CHECKS.items():
         verdict = fn(6)
         assert verdict.ok, f"{name}: {verdict}"
@@ -38,6 +43,8 @@ def test_verdict_fields():
     assert v.range == "n<=3"
     assert v.status == "verified"
     assert "verified" in str(v)
+    assert verify_hermite_binomial(n_max=3).range == "n<=3"
+    assert verify_exp_product(order=2, q_samples=[2]).range == "order<=2"
 
 
 def test_rerun_is_deterministic_and_monotone():
@@ -162,6 +169,11 @@ class TestFailurePaths:
         assert verdict.detail == detail
         assert verdict.residual is not None and not verdict.residual.is_zero()
         assert verdict.elapsed_ms >= 0
+        # the verify document carries the residual, and it reads back unchanged
+        doc = verdict_to_json(verdict)
+        assert (doc["status"], doc["detail"]) == ("failed", detail)
+        read = mpoly_from_json if isinstance(verdict.residual, MPoly) else coef_from_json
+        assert read(doc["residual"]) == verdict.residual
 
     def test_hermite_binomial(self, monkeypatch):
         monkeypatch.setattr(identities, "hermite_classical", _doubled_at(hermite_classical, 2))
@@ -177,15 +189,43 @@ class TestFailurePaths:
 
     def test_exp_product(self, monkeypatch):
         monkeypatch.setattr(identities, "q_factorial", _doubled_at(q_factorial, 2))
-        self._assert_failed(verify_exp_product(6), "coefficient of x^2 differs")
+        verdict = verify_exp_product(6)
+        assert isinstance(verdict.residual, CoefExpr)
+        self._assert_failed(verdict, "coefficient of x^2 differs")
+
+    def test_exp_product_spot_check(self, monkeypatch):
+        # the coefficients agree exactly; only the first evaluation is wrong
+        calls = []
+        original = CoefExpr.eval_q
+
+        def first_call_off_by_one(self, q, s=None):
+            calls.append(q)
+            value = original(self, q, s)
+            return value + 1 if len(calls) == 1 else value
+
+        monkeypatch.setattr(CoefExpr, "eval_q", first_call_off_by_one)
+        verdict = verify_exp_product(4, q_samples=[Fraction(1, 2)])
+        assert verdict.status == "failed"
+        assert verdict.detail == "spot check failed at q=1/2, x^0"
+        assert verdict.residual is None
+        assert "residual" not in verdict_to_json(verdict)
 
     def test_exp_factorization(self, monkeypatch):
         monkeypatch.setattr(identities, "q_factorial", _doubled_at(q_factorial, 2))
         self._assert_failed(verify_exp_factorization(6), "coefficient x^1 y^1 differs")
 
+    def test_exp_factorization_corollary(self, monkeypatch):
+        # only the corollary's alternating sums start from LP_ZERO
+        monkeypatch.setattr(identities, "LP_ZERO", LP_ONE)
+        self._assert_failed(verify_exp_factorization(6), "corollary fails at degree 2")
+
     def test_double_q_analytic(self, monkeypatch):
         monkeypatch.setattr(identities, "q_int", _doubled_at(q_int, 2))
         self._assert_failed(verify_double_q_analytic(4), "conjugate relation fails at n=2")
+
+    def test_double_q_analytic_annihilation(self, monkeypatch):
+        monkeypatch.setattr(identities, "dbar_operator", lambda p: p)
+        self._assert_failed(verify_double_q_analytic(4), "annihilation fails at n=1")
 
     def test_q_laplacian(self, monkeypatch):
         def with_z_squared(a, coef, b, n):
@@ -195,6 +235,15 @@ class TestFailurePaths:
         monkeypatch.setattr(identities, "q_binomial_power", with_z_squared)
         self._assert_failed(verify_q_laplacian_identity(4), "chain m=1 fails at n=2")
 
+    def test_q_laplacian_exponential(self, monkeypatch):
+        # [0]_q! doubled halves the first weight of both exponentials
+        monkeypatch.setattr(identities, "q_factorial", _doubled_at(q_factorial, 0))
+        self._assert_failed(verify_q_laplacian_identity(4), "exponential operator fails at n=0")
+
+    def test_q_laplacian_hermite_relation(self, monkeypatch):
+        monkeypatch.setattr(identities, "q_hermite", _doubled_at(q_hermite, 1))
+        self._assert_failed(verify_q_laplacian_identity(4), "Hermite operator relation fails at n=1")
+
     def test_traveling_hermite(self, monkeypatch):
         def dual_plus_one(k, var="w"):
             dual = q_hermite_dual(k, var)
@@ -202,3 +251,29 @@ class TestFailurePaths:
 
         monkeypatch.setattr(identities, "q_hermite_dual", dual_plus_one)
         self._assert_failed(verify_traveling_hermite_expansion(4), "imaginary residue at n=1")
+
+    def test_traveling_hermite_real_but_wrong(self, monkeypatch):
+        def doubled(p, sign, c):
+            return q_binomial_substitute(p, sign, c).scale(2)
+
+        monkeypatch.setattr(identities, "q_binomial_substitute", doubled)
+        self._assert_failed(verify_traveling_hermite_expansion(4), "first failure at n=0")
+
+    def test_one_directional_matched_operator(self, monkeypatch):
+        def other_sign(p, sign, c):
+            return q_binomial_substitute(p, "-" if sign == "+" else "+", c)
+
+        monkeypatch.setattr(identities, "q_binomial_substitute", other_sign)
+        verdict = one_directional_check(2, "+")
+        assert verdict.status == "failed"
+        assert verdict.detail == "matched operator did not annihilate"
+
+    def test_one_directional_mismatched_operator(self, monkeypatch):
+        def constant(p, sign, c):
+            return MPoly.const(("x", "t", "c"), 1)
+
+        monkeypatch.setattr(identities, "q_binomial_substitute", constant)
+        verdict = one_directional_check(2, "+")
+        assert verdict.status == "failed"
+        assert verdict.detail == "mismatched operator unexpectedly annihilated"
+        assert verdict.residual.is_zero()

@@ -1,11 +1,16 @@
 """q-combinatorics and series tests, with independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from functools import lru_cache
 
 import pytest
 
+import qcalc
 from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly
 from qcalc.qcore import (
@@ -89,6 +94,20 @@ class TestQFactorial:
         factorial_ratio.cache_clear()
         assert factorial_ratio(12, 3) == q_factorial(12).divexact(q_factorial(3))
         assert factorial_ratio.cache_info().currsize == 1
+
+    def test_cold_table_fills_without_deep_recursion(self):
+        # A fresh interpreter with a recursion limit of 40 leaves room for the
+        # bottom-up fill (about 12 levels) but not for one nested call per
+        # degree up to 40.
+        script = (
+            "import sys; from qcalc.qcore import factorial_ratio, q_factorial; "
+            "sys.setrecursionlimit(40); assert q_factorial(40) == factorial_ratio(40, 0)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qcalc.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr[-500:]
 
 
 class TestGaussBinomial:

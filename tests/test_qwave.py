@@ -24,6 +24,7 @@ from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_trig_series
 from qcalc.qwave import (
     SYMBOLIC_SPEED,
     InitialData,
+    PostconditionError,
     WaveSolution,
     dalembert_solve,
     named_wave,
@@ -205,6 +206,25 @@ class TestDalembert:
         assert u.substitute("t", 0) == f.with_vars(u.vars)
         assert u.q_derivative("t", "1/q").substitute("t", 0) == g.with_vars(u.vars)
         assert qwave_operator(u, Fraction(2)).is_zero()
+
+    def test_postcondition_on_the_displacement(self, monkeypatch):
+        def doubled(p, sign, c):
+            return q_binomial_substitute(p, sign, c).scale(2)
+
+        monkeypatch.setattr(qwave, "q_binomial_substitute", doubled)
+        with pytest.raises(PostconditionError) as caught:
+            dalembert_solve(InitialData.from_polys(X2, X2), Fraction(1))
+        assert str(caught.value) == "solver postcondition failed: u(x, 0) != f"
+
+    def test_postcondition_on_the_velocity(self, monkeypatch):
+        # G enters only the t-odd half, so u(x, 0) stays f
+        antiderivative = MPoly.jackson_antiderivative
+        monkeypatch.setattr(
+            MPoly, "jackson_antiderivative", lambda p, var: antiderivative(p, var).scale(2)
+        )
+        with pytest.raises(PostconditionError) as caught:
+            dalembert_solve(InitialData.from_polys(X2, X2), Fraction(1))
+        assert str(caught.value) == "solver postcondition failed: initial q-velocity != g"
 
     def test_time_variable_rejected_in_data(self):
         with pytest.raises(ValueError):
