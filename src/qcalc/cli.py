@@ -3,8 +3,9 @@ q-wave IVP, and sample solutions to CSV.
 
 Exit codes: 0 success / all identities verified, 1 an identity check found a
 counterexample (or the solver's self-check refused a solution), 2 usage or
-input error.
+input error (also a verify bound flag that the chosen identity does not take).
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
+Every JSON document is written as one line of compact JSON.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(doc, out) -> None:
-    out.write(json.dumps(doc, indent=2) + "\n")
+    out.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _parse_coeff_list(text: str):
@@ -155,6 +156,15 @@ def _cmd_verify(args, out) -> int:
     for flag, bound in (("--order", args.order), ("--n-max", args.n_max)):
         if bound is not None and bound < 0:
             raise SerializationError(f"{flag} must be >= 0")
+    if args.identity != "all":
+        # each identity takes one bound; --identity all takes both
+        kind = IDENTITY_CHECKS[args.identity][1]
+        other = "order" if kind == "n_max" else "n_max"
+        if getattr(args, other) is not None:
+            raise SerializationError(
+                f"--{other.replace('_', '-')} does not apply to {args.identity} "
+                f"(it takes --{kind.replace('_', '-')})"
+            )
     ids = sorted(IDENTITY_CHECKS) if args.identity == "all" else [args.identity]
     q_samples = [Fraction(1, 2), Fraction(3, 4), Fraction(2)]
     if args.seed is not None:

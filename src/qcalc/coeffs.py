@@ -225,16 +225,7 @@ class LaurentPoly:
             cr, ci, cd = _ints(c)
             if cr or ci:
                 terms[int(e)] = cr, ci, cd
-        p = LP_ZERO
-        if terms:
-            lo = min(terms)
-            den = lcm(*(cd for _, _, cd in terms.values()))
-            re = [0] * (max(terms) - lo + 1)
-            im = list(re)
-            for e, (cr, ci, cd) in terms.items():
-                f = den // cd
-                re[e - lo], im[e - lo] = cr * f, ci * f
-            p = _canonical(lo, den, re, im)
+        p = _from_int_terms(terms)
         self.lo, self.den, self.re, self.im = p.lo, p.den, p.re, p.im
 
     @classmethod
@@ -516,6 +507,21 @@ def _canonical(lo: int, den: int, re: list[int], im: list[int] | None) -> Lauren
             re = [v // g for v in re]
             im = im and [v // g for v in im]
     return _new(lo, den, re, im)
+
+
+def _from_int_terms(terms: dict[int, tuple[int, int, int]]) -> LaurentPoly:
+    """LaurentPoly of {exponent: (re, im, den)}, each coefficient (re + im*i) / den
+    with den > 0: one lcm of the denominators, then one slot per exponent."""
+    if not terms:
+        return LP_ZERO
+    lo = min(terms)
+    den = lcm(*{cd for _, _, cd in terms.values()})
+    re = [0] * (max(terms) - lo + 1)
+    im = list(re)
+    for e, (cr, ci, cd) in terms.items():
+        f = den // cd
+        re[e - lo], im[e - lo] = cr * f, ci * f
+    return _canonical(lo, den, re, im)
 
 
 def _horner(lo: int, den: int, re: list[int], im: list[int] | None, x) -> GaussianRational:

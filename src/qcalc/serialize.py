@@ -2,12 +2,15 @@
 
 Rationals travel as ASCII decimal strings "p/q" (bare "p"), read in that form only.
 A coefficient is {"num": [{"s": exp, "re": "p/q", "im": "p/q"}, ...],
-"den": [...]} with terms sorted by exponent; a polynomial is
+"den": [...]} with terms sorted by exponent; "im" is left out when it is zero
+and reads as "0" when absent.  A polynomial is
 {"vars": [...], "terms": [{"deg": [...], "coef": ...}, ...]} sorted by
 degree tuple, so emitted documents are deterministic and round-trip to
 values equal under cross-multiplication.  A wave's speed "c" is "c" when
 symbolic, a rational string when rational, and otherwise a coefficient
 object (older documents carry that object as a JSON string; it still reads).
+The CLI writes each document as one line of compact JSON; older documents,
+indented and with "im": "0" on every term, read to the same values.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .coeffs import CoefExpr, GaussianRational, LaurentPoly, QCalcError
+from .coeffs import CoefExpr, LaurentPoly, QCalcError, _from_int_terms
 from .polys import MPoly
 from .qwave import SYMBOLIC_SPEED, WaveSolution
 
@@ -76,22 +79,29 @@ def rational_from_str(text: str) -> Fraction:
 _WIRE_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _wire_rational(value) -> Fraction:
+def _wire_rational(value) -> tuple[int, int]:
+    """(p, q) of a wire rational "p/q" or "p" as written, q > 0, not reduced."""
     m = isinstance(value, str) and _WIRE_RATIONAL.fullmatch(value)
     if not m:
         raise SerializationError(f"bad rational {_brief(value)}: not of the form p/q")
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(m[1]), (int(m[2]) if m[2] else 1)
+    except ValueError as exc:
         raise SerializationError(f"bad rational {_brief(value)}: {exc}") from None
+    if not den:
+        raise SerializationError(f"bad rational {_brief(value)}: zero denominator")
+    return num, den
 
 
 def _laurent_to_list(p: LaurentPoly) -> list:
     den = p.den
-    return [
-        {"s": e, "re": _ratio_to_str(a, den), "im": _ratio_to_str(b, den)}
-        for e, a, b in p.int_terms()
-    ]
+    out = []
+    for e, a, b in p.int_terms():
+        item = {"s": e, "re": _ratio_to_str(a, den)}
+        if b:
+            item["im"] = _ratio_to_str(b, den)
+        out.append(item)
+    return out
 
 
 # LaurentPoly keeps a slot for every exponent from the lowest to the highest,
@@ -103,7 +113,7 @@ _SPAN_PER_TERM = 256
 def _laurent_from_list(items) -> LaurentPoly:
     if not isinstance(items, list):
         raise SerializationError("Laurent polynomial must be a list of terms")
-    coeffs = {}
+    terms = {}  # exponent -> (re, im, den): the coefficient (re + im*i) / den
     for item in items:
         try:
             e = item["s"]
@@ -111,16 +121,21 @@ def _laurent_from_list(items) -> LaurentPoly:
             raise SerializationError(f"bad Laurent term {_brief(item)}") from None
         if type(e) is not int:  # a JSON integer: refuses 1.5, true and "1"
             raise SerializationError(f"Laurent exponent {_brief(e)} is not an integer")
-        if e in coeffs:
+        if e in terms:
             raise SerializationError(f"Laurent exponent {e} appears twice")
-        coeffs[e] = GaussianRational(_wire_rational(item.get("re", "0")),
-                                     _wire_rational(item.get("im", "0")))
-    if coeffs and max(coeffs) - min(coeffs) > _SPAN_PER_TERM * len(coeffs):
+        a, ad = _wire_rational(item.get("re", "0"))
+        if "im" in item:
+            b, bd = _wire_rational(item["im"])
+            den = lcm(ad, bd)
+            terms[e] = a * (den // ad), b * (den // bd), den
+        else:
+            terms[e] = a, 0, ad
+    if terms and max(terms) - min(terms) > _SPAN_PER_TERM * len(terms):
         raise SerializationError(
-            f"Laurent exponents {min(coeffs)}..{max(coeffs)} are too sparse for "
-            f"{len(coeffs)} terms"
+            f"Laurent exponents {min(terms)}..{max(terms)} are too sparse for "
+            f"{len(terms)} terms"
         )
-    return LaurentPoly(coeffs)
+    return _from_int_terms(terms)
 
 
 def coef_to_json(c: CoefExpr) -> dict:
@@ -237,7 +252,7 @@ def _speed_from_json(value) -> object:
         return coef_from_json(value)
     if value == SYMBOLIC_SPEED:
         return SYMBOLIC_SPEED
-    return CoefExpr.of(_wire_rational(value))
+    return CoefExpr.of(Fraction(*_wire_rational(value)))
 
 
 def wave_to_json(w: WaveSolution) -> dict:

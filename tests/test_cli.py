@@ -11,7 +11,15 @@ from qcalc.cli import main
 from qcalc.coeffs import CE_Q, CoefExpr
 from qcalc.polys import MPoly
 from qcalc.qcore import q_factorial, q_int
-from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, named_wave, q_binomial_substitute
+from qcalc.qwave import (
+    SYMBOLIC_SPEED,
+    InitialData,
+    WaveSolution,
+    dalembert_solve,
+    named_source,
+    named_wave,
+    q_binomial_substitute,
+)
 from qcalc.serialize import mpoly_from_json, wave_from_json, wave_to_json
 
 
@@ -19,6 +27,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cos_sin_wave_order_6() -> WaveSolution:
+    """solve --f-named cos_q --g-named sin_q --c 5/7 --order 6, built in process."""
+    (f, order), (g, _) = named_source("cos_q", 6), named_source("sin_q", 6)
+    return dalembert_solve(InitialData(f, g, order), Fraction(5, 7))
+
+
+def _laurent_entries(doc) -> list:
+    """Every Laurent entry {"s", "re", ["im"]} of a polynomial document."""
+    return [
+        entry for term in doc["terms"] for part in ("num", "den") for entry in term["coef"][part]
+    ]
 
 
 class TestVerify:
@@ -85,6 +106,15 @@ class TestVerify:
             assert out == ""
             assert err == f"error: {flag} must be >= 0\n"
 
+    @pytest.mark.parametrize(
+        "ident, flag, takes", [("exp-product", "--n-max", "--order"), ("xi", "--order", "--n-max")]
+    )
+    def test_bound_of_the_other_kind_exits_two(self, capsys, ident, flag, takes):
+        code, out, err = run(capsys, "verify", "--identity", ident, flag, "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to {ident} (it takes {takes})\n"
+
 
 class TestSolve:
     def test_example_quadratic(self, capsys):
@@ -149,6 +179,18 @@ class TestSolve:
         assert spaced == joined
         wave = wave_from_json(json.loads(spaced[1]))
         assert wave.c == CoefExpr.of(Fraction(-2, 3))
+
+    def test_output_is_one_compact_line_without_zero_im(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7", "--order", "6",
+        )
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n") and " " not in out
+        doc = json.loads(out)
+        entries = _laurent_entries(doc)
+        assert entries and not any("im" in entry for entry in entries)
+        assert doc == wave_to_json(_cos_sin_wave_order_6())
 
     def test_roundtrip_equality(self, capsys):
         code, out, _ = run(capsys, "solve", "--f", "0,1,2", "--g", "3,1", "--c", "1/2")
@@ -386,6 +428,40 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_indented_document_with_zero_im_reads(self, capsys, tmp_path):
+        # the form earlier versions wrote: indent=2 and "im": "0" on every entry
+        lean, old = tmp_path / "lean.json", tmp_path / "old.json"
+        doc = wave_to_json(_cos_sin_wave_order_6())
+        lean.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        for entry in _laurent_entries(doc):
+            entry.setdefault("im", "0")
+        old.write_text(json.dumps(doc, indent=2) + "\n")
+        assert wave_from_json(json.loads(old.read_text())) == wave_from_json(
+            json.loads(lean.read_text())
+        )
+        csv = []
+        for path in (lean, old):
+            code, out, err = run(
+                capsys,
+                "sample", "--in", str(path), "--q", "0.7", "--x", "-1:1:0.25", "--t", "0:1:0.25",
+            )
+            assert code == 0 and err == ""
+            csv.append(out)
+        assert csv[0] == csv[1] and csv[0].count("\n") == 1 + 9 * 5
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_zero_denominator_in_a_rational_exits_two(self, capsys, tmp_path, key):
+        path = tmp_path / "wave.json"
+        doc = wave_to_json(_cos_sin_wave_order_6())
+        doc["terms"][0]["coef"]["num"][0][key] = "1/0"
+        path.write_text(json.dumps(doc, indent=2))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bad rational '1/0'" in err
+
     def test_far_apart_exponents_exit_two(self, capsys, tmp_path):
         # two terms 2e9 exponents apart would be two dense vectors of 2e9 slots
         path = tmp_path / "wave.json"
@@ -478,6 +554,12 @@ class TestHermiteAndExpand:
         assert code == 0
         poly = mpoly_from_json(json.loads(out))
         assert poly.coefficient((1, 0)) == CoefExpr.of(1)
+
+    def test_expand_complex_keeps_nonzero_im(self, capsys):
+        code, out, _ = run(capsys, "expand", "--binomial", "z+iw", "--n", "3")
+        assert code == 0
+        ims = [entry["im"] for entry in _laurent_entries(json.loads(out)) if "im" in entry]
+        assert ims and "0" not in ims
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "h.json"

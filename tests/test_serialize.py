@@ -15,6 +15,7 @@ from qcalc.qcore import q_exp_series, q_int
 from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, q_binomial_substitute
 from qcalc.serialize import (
     SerializationError,
+    _laurent_from_list,
     coef_from_json,
     coef_to_json,
     mpoly_from_json,
@@ -149,6 +150,44 @@ class TestCoefExpr:
         with pytest.raises(SerializationError) as info:
             coef_from_json(huge)
         assert len(str(info.value)) < 120
+
+
+def _wire(num: int, den: int) -> str:
+    """A wire rational as written, not reduced: "6/4", "-0", bare "p" when den is 1."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+# exponent -> (re num, re den, im form, im num, im den); small numerators, so
+# that entries cancel to zero often
+_wire_entries = st.dictionaries(
+    st.integers(-40, 40),
+    st.tuples(
+        st.integers(-6, 6), st.integers(1, 12),
+        st.sampled_from(["absent", "zero", "value"]), st.integers(-6, 6), st.integers(1, 12),
+    ),
+    max_size=10,
+)
+
+
+class TestIntegerReader:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_wire_entries)
+    def test_agrees_with_the_fraction_route(self, entries):
+        items, values = [], {}
+        for e, (a, ad, form, b, bd) in entries.items():
+            item = {"s": e, "re": _wire(a, ad)}
+            if form == "zero":
+                item["im"] = "0"
+            elif form == "value":
+                item["im"] = _wire(b, bd)
+            items.append(item)
+            values[e] = GaussianRational(Fraction(item["re"]), Fraction(item.get("im", "0")))
+        got, expected = _laurent_from_list(items), LaurentPoly(values)
+        assert (got.lo, got.den, got.re, got.im) == (
+            expected.lo, expected.den, expected.re, expected.im
+        )
+        # and read back through the GaussianRational view, apart from the fill
+        assert got.coeffs == {e: v for e, v in values.items() if v}
 
 
 class TestMPoly:
