@@ -165,6 +165,10 @@ def _cmd_verify(args, out) -> int:
                 f"--{other.replace('_', '-')} does not apply to {args.identity} "
                 f"(it takes --{kind.replace('_', '-')})"
             )
+        if args.seed is not None and args.identity != "exp-product":
+            raise SerializationError(
+                f"--seed does not apply to {args.identity} (only exp-product takes it)"
+            )
     ids = sorted(IDENTITY_CHECKS) if args.identity == "all" else [args.identity]
     q_samples = [Fraction(1, 2), Fraction(3, 4), Fraction(2)]
     if args.seed is not None:

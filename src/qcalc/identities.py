@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeffs import (
@@ -66,16 +66,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class Verdict:
-    """Outcome of one identity verification run."""
+class Verdict(namedtuple("Verdict", "identity range status residual elapsed_ms detail",
+                         defaults=("verified", None, 0.0, ""))):
+    """Outcome of one identity verification run; immutable, so it is built
+    once the run is over."""
 
-    identity: str
-    range: str
-    status: str = "verified"
-    residual: object = None
-    elapsed_ms: float = 0.0
-    detail: str = ""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -110,13 +106,12 @@ def _verifier(identity: str, kind: str, default: int):
         def run(*args, **kwargs):
             t0 = time.perf_counter()
             bound = args[0] if args else kwargs[kind]
-            v = Verdict(identity, f"{label}<={bound}")
             failure = next(body(*args, **kwargs), None)
-            if failure is not None:
-                v.status = "failed"
-                v.residual, v.detail = failure
-            v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            return v
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            if failure is None:
+                return Verdict(identity, f"{label}<={bound}", elapsed_ms=elapsed_ms)
+            residual, detail = failure
+            return Verdict(identity, f"{label}<={bound}", "failed", residual, elapsed_ms, detail)
 
         IDENTITY_CHECKS[identity] = (run, kind)
         DEFAULT_BOUNDS[identity] = default
@@ -352,13 +347,11 @@ def one_directional_check(n: int, sign: str, c=SYMBOLIC_SPEED) -> Verdict:
     dx = u.q_derivative("x", "q")
     cdx = dx * speed_poly(u.vars, c)
     matched, mismatched = (dt - cdx, dt + cdx) if sign == "+" else (dt + cdx, dt - cdx)
-    v = Verdict("one-directional", f"n={n}, sign={sign}")
-    v.residual = mismatched
+    status, detail = "verified", ""
     if not matched.is_zero():
-        v.status = "failed"
-        v.detail = "matched operator did not annihilate"
+        status, detail = "failed", "matched operator did not annihilate"
     elif n >= 1 and mismatched.is_zero():
-        v.status = "failed"
-        v.detail = "mismatched operator unexpectedly annihilated"
-    v.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return v
+        status, detail = "failed", "mismatched operator unexpectedly annihilated"
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return Verdict("one-directional", f"n={n}, sign={sign}", status, mismatched, elapsed_ms,
+                   detail)

@@ -63,14 +63,25 @@ def _laurent_to_complex(p: LaurentPoly, s_value: float) -> tuple[complex, int]:
     return total, m
 
 
-def coef_to_complex(c: CoefExpr, q_value: float) -> complex:
+def coef_to_complex(c: CoefExpr, q_value: float, dens: dict | None = None) -> complex:
     """Floating-point image of an exact coefficient at numeric q > 0.
 
     The only place where symbolic values meet floats; used by grid sampling.
+    dens, when given, is a dict shared by the calls of one sampling pass: each
+    distinct denominator at each q is converted once and its image reused.
     Raises OverflowError when the value itself is out of float range.
     """
     s = q_value**0.5
-    d, m_den = _laurent_to_complex(c.den, s)
+    p = c.den
+    if dens is None:
+        d, m_den = _laurent_to_complex(p, s)
+    else:
+        # LaurentPoly is canonical, so its four slots identify its value
+        key = (s, p.lo, p.den, tuple(p.re), p.im and tuple(p.im))
+        image = dens.get(key)
+        if image is None:
+            image = dens[key] = _laurent_to_complex(p, s)
+        d, m_den = image
     if d == 0:
         raise PoleError(f"denominator vanishes at q = {q_value}")
     n, m_num = _laurent_to_complex(c.num, s)

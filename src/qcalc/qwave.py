@@ -23,7 +23,7 @@ truncated series data).  A failed condition raises PostconditionError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeffs import CoefExpr, QCalcError, UnsupportedOrderError
@@ -81,26 +81,25 @@ def poly_from_coefficients(coeffs, var: str = "x") -> MPoly:
     return MPoly((var,), {(d,): CoefExpr.of(c) for d, c in enumerate(coeffs)})
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(namedtuple("InitialData", "f g order")):
     """Initial displacement f and initial q-velocity g, univariate in x.
 
     order is None for exact polynomial data; for truncated series data it is
     the total degree through which both inputs are exact.  The polynomials may
     carry the symbolic speed variable (as g does in the worked quadratic
-    example with initial velocity proportional to c x).
+    example with initial velocity proportional to c x).  Immutable; equal when
+    the fields are.
     """
 
-    f: MPoly
-    g: MPoly
-    order: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in (self.f, self.g):
+    def __new__(cls, f: MPoly, g: MPoly, order: int | None = None):
+        for p in (f, g):
             if "t" in p.vars:
                 raise ValueError("initial data must not involve the time variable")
             if not set(p.vars) <= {"x", "c"}:
                 raise ValueError(f"initial data variables {p.vars} not in (x, c)")
+        return super().__new__(cls, f, g, order)
 
     @classmethod
     def from_polys(cls, f, g) -> InitialData:
@@ -113,14 +112,11 @@ def _as_x_poly(p) -> MPoly:
     return MPoly.const(("x",), p)
 
 
-@dataclass(frozen=True)
-class WaveSolution:
-    """A wave body plus its speed, truncation order and construction origin."""
+class WaveSolution(namedtuple("WaveSolution", "body c order provenance")):
+    """A wave body plus its speed, truncation order and construction origin.
+    Immutable; equal when the fields are."""
 
-    body: MPoly
-    c: object
-    order: int | None
-    provenance: str
+    __slots__ = ()
 
     def residual_is_zero(self) -> bool:
         r = qwave_operator(self.body, self.c)
@@ -234,14 +230,6 @@ def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
     return WaveSolution(body, speed, exact, "named-series")
 
 
-def _horner(coeffs, x):
-    """sum(c * x**k for k, c in enumerate(coeffs)), highest power first."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     """Evaluate a wave body on a float grid, x-major then t.
 
@@ -255,10 +243,12 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The sums are taken by Horner's rule, first in x for each power of t,
-    then in t.  Raises ValueError when the grid has more than MAX_GRID_POINTS
-    rows, when q is not finite and positive or c is not finite, or when the
-    tables would exceed _MAX_TABLE_CELLS cells, and OverflowError when a
-    power of c, a value or a tail is not finite.
+    then in t; one loop over the (value, tail) coefficient pairs gives both
+    at a point.  Each distinct denominator is converted to a float once.
+    Raises ValueError when the grid has more than MAX_GRID_POINTS rows, when
+    q is not finite and positive or c is not finite, or when the tables would
+    exceed _MAX_TABLE_CELLS cells, and OverflowError when a power of c, a
+    value or a tail is not finite.
     """
     size = len(x_grid) * len(t_grid)
     if size > MAX_GRID_POINTS:
@@ -272,6 +262,7 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     body = u.body
     top = None if u.order is None else u.order - 1
     terms = []
+    dens: dict = {}
     for e, coef in body.terms.items():
         exps = dict(zip(body.vars, e))
         g = exps.get("c", 0)
@@ -280,7 +271,7 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         except OverflowError:
             message = f"speed c={c_value!r} to the power {g} is out of float range"
             raise OverflowError(message) from None
-        v = complex(coef_to_complex(coef, q_value)) * c_power
+        v = complex(coef_to_complex(coef, q_value, dens)) * c_power
         terms.append((exps.get("x", 0), exps.get("t", 0), v))
     width = 1 + max((a for a, _, _ in terms), default=0)
     height = 1 + max((b for _, b, _ in terms), default=0)
@@ -296,13 +287,24 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         value_rows[b][a] += v.real
         if top is not None and a + b >= top:
             tail_rows[b][a] += abs(v)
+    # Horner runs highest power first, so each table is read back to front
+    x_pairs = [list(zip(reversed(vr), reversed(tr))) for vr, tr in zip(value_rows, tail_rows)]
+    t_points = [(t, abs(t)) for t in map(float, t_grid)]
     rows = []
     for x in map(float, x_grid):
-        in_t = [_horner(row, x) for row in value_rows]
-        tail_in_t = [_horner(row, abs(x)) for row in tail_rows]
-        for t in map(float, t_grid):
-            value = _horner(in_t, t)
-            tail = _horner(tail_in_t, abs(t))
+        ax = abs(x)
+        t_pairs = []
+        for pairs in reversed(x_pairs):
+            value = tail = 0.0
+            for v, w in pairs:
+                value = value * x + v
+                tail = tail * ax + w
+            t_pairs.append((value, tail))
+        for t, at in t_points:
+            value = tail = 0.0
+            for v, w in t_pairs:
+                value = value * t + v
+                tail = tail * at + w
             if not (math.isfinite(value) and math.isfinite(tail)):
                 raise OverflowError(f"wave value at x={x!r}, t={t!r} is out of float range")
             rows.append((x, t, value, tail <= 1e-6 * max(1.0, abs(value))))

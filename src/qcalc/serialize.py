@@ -301,8 +301,21 @@ def verdict_to_json(v) -> dict:
 
 
 def write_sample_csv(rows, stream) -> None:
-    """Emit the sampling contract: header x,t,u,valid and 17 significant
-    digits, rows already ordered x-major."""
+    """Emit the sampling contract: header x,t,u,valid, 17 significant digits
+    and valid as 1/0, rows already ordered x-major, one write per row.
+
+    A grid repeats each coordinate across many rows, so the text of each
+    distinct x and t is made once.  Zeros are formatted every time, because
+    0.0 and -0.0 are one dict key but print as "0" and "-0".
+    """
     stream.write("x,t,u,valid\n")
+    write = stream.write
+    text: dict = {}
     for x, t, u, valid in rows:
-        stream.write(f"{x:.17g},{t:.17g},{u:.17g},{int(valid)}\n")
+        xs = text.get(x)
+        if xs is None or not x:
+            xs = text[x] = f"{x:.17g},"
+        ts = text.get(t)
+        if ts is None or not t:
+            ts = text[t] = f"{t:.17g},"
+        write(f"{xs}{ts}{u:.17g},{'1' if valid else '0'}\n")

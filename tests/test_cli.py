@@ -115,6 +115,24 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {flag} does not apply to {ident} (it takes {takes})\n"
 
+    @pytest.mark.parametrize("ident", ["xi", "q-laplacian"])
+    def test_seed_on_an_identity_without_spot_checks_exits_two(self, capsys, ident):
+        code, out, err = run(capsys, "verify", "--identity", ident, "--n-max", "2", "--seed", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --seed does not apply to {ident} (only exp-product takes it)\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("exp-product", "--order", "4"), ("all", "--n-max", "2", "--order", "3")]
+    )
+    def test_seed_is_taken_by_exp_product_and_all(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--identity", *argv, "--seed", "5")
+        assert code == 0 and err == ""
+        docs = json.loads(out)
+        docs = docs if isinstance(docs, list) else [docs]
+        assert "exp-product" in [d["id"] for d in docs]
+        assert all(d["status"] == "verified" for d in docs)
+
 
 class TestSolve:
     def test_example_quadratic(self, capsys):

@@ -11,6 +11,7 @@ from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
 from qcalc.identities import (
     DEFAULT_BOUNDS,
     IDENTITY_CHECKS,
+    Verdict,
     one_directional_check,
     verify_double_q_analytic,
     verify_exp_factorization,
@@ -45,6 +46,21 @@ def test_verdict_fields():
     assert "verified" in str(v)
     assert verify_hermite_binomial(n_max=3).range == "n<=3"
     assert verify_exp_product(order=2, q_samples=[2]).range == "order<=2"
+
+
+def test_verdict_construction_equality_and_repr():
+    v = Verdict("xi", "n<=2", status="failed", detail="forced")
+    assert (v.identity, v.range, v.status, v.residual, v.elapsed_ms, v.detail) == (
+        "xi", "n<=2", "failed", None, 0.0, "forced"
+    )
+    assert not v.ok and Verdict(identity="xi", range="n<=2").ok
+    assert v == Verdict("xi", "n<=2", "failed", None, 0.0, "forced")
+    assert v != Verdict("xi", "n<=2", "failed", None, 1.0, "forced")
+    assert repr(v) == (
+        "Verdict(identity='xi', range='n<=2', status='failed', residual=None, "
+        "elapsed_ms=0.0, detail='forced')"
+    )
+    assert str(v) == "xi [n<=2]: failed (forced) in 0.0 ms"
 
 
 def test_rerun_is_deterministic_and_monotone():

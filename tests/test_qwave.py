@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from qcalc.coeffs import (
     GaussianRational,
     LaurentPoly,
 )
-from qcalc import qwave
+from qcalc import polys, qwave
 from qcalc.identities import one_directional_check
 from qcalc.polys import MPoly, coef_to_complex
 from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_trig_series
@@ -84,6 +87,37 @@ def _four_substitution_body(data: InitialData, c) -> MPoly:
         integral = diff.scale((CoefExpr.of(c) * 2).inverse())
     target = max(u.vars, integral.vars, key=len)
     return u.with_vars(target) + integral.with_vars(target)
+
+
+class TestValueClasses:
+    """InitialData and WaveSolution: fields, defaults, equality, repr, immutability."""
+
+    def test_initial_data(self):
+        zero = MPoly.zero(("x",))
+        data = InitialData(f=X2, g=zero)
+        assert (data.f, data.g, data.order) == (X2, zero, None)
+        assert data == InitialData(X2, zero, None) == InitialData.from_polys(X2, 0)
+        assert data != InitialData(X2, zero, 3)
+        assert repr(data) == f"InitialData(f={X2!r}, g={zero!r}, order=None)"
+        with pytest.raises(ValueError, match="time variable"):
+            InitialData(f=X2, g=MPoly(("x", "t"), {(0, 1): 1}), order=2)
+
+    def test_wave_solution(self):
+        body = MPoly(("x", "t"), {(1, 0): 1})
+        ws = WaveSolution(body=body, c=CE_ONE, order=None, provenance="direct-binomial")
+        assert ws == WaveSolution(body, CE_ONE, None, "direct-binomial")
+        assert ws != WaveSolution(body, CE_ONE, 4, "direct-binomial")
+        for field in ("body=", "c=", "order=None", "provenance='direct-binomial'"):
+            assert field in repr(ws)
+        assert repr(ws).startswith("WaveSolution(")
+
+    @pytest.mark.parametrize("attr", ["order", "f", "body", "extra"])
+    def test_assignment_is_refused(self, attr):
+        data = InitialData(X2, MPoly.zero(("x",)))
+        ws = WaveSolution(X2, CE_ONE, None, "x")
+        for value in (data, ws):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
 
 
 class TestSubstitute:
@@ -419,6 +453,50 @@ def _sampled_waves(draw):
     return WaveSolution(MPoly(variables, terms), SYMBOLIC_SPEED, order, "direct-binomial")
 
 
+def _horner(coeffs, x):
+    """sum(c * x**k for k, c in enumerate(coeffs)), highest power first."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _sample_grid_two_horner(u: WaveSolution, q_value, c_value, x_grid, t_grid):
+    """sample_grid's earlier kernel, the bit-exact reference: each
+    coefficient converted on its own, and separate Horner passes for the value
+    and the tail at every x and every point."""
+    q_value, c_value = float(q_value), float(c_value)
+    body = u.body
+    top = None if u.order is None else u.order - 1
+    terms = []
+    for e, coef in body.terms.items():
+        exps = dict(zip(body.vars, e))
+        v = complex(coef_to_complex(coef, q_value)) * c_value ** exps.get("c", 0)
+        terms.append((exps.get("x", 0), exps.get("t", 0), v))
+    width = 1 + max((a for a, _, _ in terms), default=0)
+    height = 1 + max((b for _, b, _ in terms), default=0)
+    value_rows = [[0.0] * width for _ in range(height)]
+    tail_rows = [[0.0] * width for _ in range(height)]
+    for a, b, v in terms:
+        value_rows[b][a] += v.real
+        if top is not None and a + b >= top:
+            tail_rows[b][a] += abs(v)
+    rows = []
+    for x in map(float, x_grid):
+        in_t = [_horner(row, x) for row in value_rows]
+        tail_in_t = [_horner(row, abs(x)) for row in tail_rows]
+        for t in map(float, t_grid):
+            value = _horner(in_t, t)
+            tail = _horner(tail_in_t, abs(t))
+            rows.append((x, t, value, tail <= 1e-6 * max(1.0, abs(value))))
+    return rows
+
+
+def _cos_sin_wave(order: int) -> WaveSolution:
+    (f, exact), (g, _) = qwave.named_source("cos_q", order), qwave.named_source("sin_q", order)
+    return dalembert_solve(InitialData(f, g, exact), Fraction(5, 7))
+
+
 _coordinate = st.floats(-1.5, 1.5)
 # Top-band terms that cancel: x t - x t c at c = 1 and x t + x t c at c = -1
 # have value 0 but tail 2|x t|, which summing signed parts or merging the two
@@ -499,6 +577,48 @@ class TestSampleGrid:
         for row, ref in zip(rows, expected):
             assert abs(row[2] - ref[2]) <= 1e-12 * max(1.0, abs(ref[2]))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        _sampled_waves(),
+        st.floats(0.25, 4.0),
+        _coordinate,
+        st.lists(_coordinate, min_size=1, max_size=3),
+        st.lists(_coordinate, min_size=1, max_size=3),
+    )
+    @example(_CANCELLING, 0.5, 1.0, [-0.5, 0.0, -0.0], [0.5, -0.25])
+    @example(_SIGNED, 0.5, -1.0, [1.0], [-1.0, 1.0])
+    def test_bit_identical_to_the_two_horner_kernel(self, wave, q, c, xs, ts):
+        assert sample_grid(wave, q, c, xs, ts) == _sample_grid_two_horner(wave, q, c, xs, ts)
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.95, 1.5])
+    def test_order_20_wave_bit_identical_to_the_two_horner_kernel(self, q):
+        wave = _cos_sin_wave(20)
+        # (0, 0) is inside the truncation's validity and (x, 6) outside it
+        xs, ts = [-1.0, -0.35, 0.0, 0.2, 1.0], [-6.0, -0.5, 0.0, 0.3, 1.0, 6.0]
+        rows = sample_grid(wave, q, 1.0, xs, ts)
+        assert rows == _sample_grid_two_horner(wave, q, 1.0, xs, ts)
+        assert {r[3] for r in rows} == {True, False}
+
+    def test_each_distinct_denominator_is_converted_once(self, monkeypatch):
+        wave = _cos_sin_wave(20)
+        coefs = list(wave.body.terms.values())
+        distinct = []
+        for coef in coefs:
+            if coef.den not in distinct:
+                distinct.append(coef.den)
+        assert (len(coefs), len(distinct)) == (121, 11)
+        converted = []
+        real = polys._laurent_to_complex
+
+        def counting(p, s_value):
+            converted.append(p)
+            return real(p, s_value)
+
+        monkeypatch.setattr(polys, "_laurent_to_complex", counting)
+        sample_grid(wave, 0.7, 1.0, [0.5], [0.5])
+        # one conversion per numerator, one per distinct denominator
+        assert len(converted) == len(coefs) + len(distinct)
+
     def test_non_finite_value_raises(self):
         ws = WaveSolution(MPoly(("x", "t"), {(2, 0): 10}), CE_ONE, None, "dalembert")
         with pytest.raises(OverflowError):
@@ -513,6 +633,20 @@ class TestSampleGrid:
         rows_num = sample_grid(ws_num, 2.0, 123.0, [0.3, 1.7], [0.4])
         for a, b in zip(rows_sym, rows_num):
             assert abs(a[2] - b[2]) < 1e-12
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Each of those stdlib modules costs import time on every CLI run."""
+    script = (
+        "import sys, qcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qwave.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "[]\n"
 
 
 def test_package_import_graph():

@@ -366,6 +366,34 @@ class TestWave:
             wave_from_json(self._doc(provenance="guesswork"))
 
 
+def _write_sample_csv_per_row(rows, stream) -> None:
+    """write_sample_csv's earlier writer, the reference: every field of
+    every row formatted on its own."""
+    stream.write("x,t,u,valid\n")
+    for x, t, u, valid in rows:
+        stream.write(f"{x:.17g},{t:.17g},{u:.17g},{int(valid)}\n")
+
+
+# Zeros of both signs, the smallest subnormal, the float extremes, values
+# that need all 17 digits, and any other float (nan and infinities too).
+_csv_float = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.30000000000000004,
+     1.2345678901234567, 1 / 3, 2.0**53 + 2]
+) | st.floats()
+
+
+@st.composite
+def _csv_rows(draw):
+    """x-major grid rows, so coordinates repeat, or rows drawn one by one."""
+    if draw(st.booleans()):
+        xs = draw(st.lists(_csv_float, min_size=1, max_size=4))
+        ts = draw(st.lists(_csv_float, min_size=1, max_size=4))
+        points = [(x, t) for x in xs for t in ts]
+    else:
+        points = draw(st.lists(st.tuples(_csv_float, _csv_float), max_size=12))
+    return [(x, t, draw(_csv_float), draw(st.booleans())) for x, t in points]
+
+
 class TestVerdictAndCsv:
     def test_verdict_json_shape(self):
         doc = verdict_to_json(verify_hermite_binomial(2))
@@ -381,3 +409,17 @@ class TestVerdictAndCsv:
         assert lines[0] == "x,t,u,valid"
         assert lines[1].startswith("0.5,0,1.2345678901234567")
         assert lines[1].endswith(",1")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_csv_rows())
+    def test_csv_matches_the_per_row_writer(self, rows):
+        got, expected = io.StringIO(), io.StringIO()
+        write_sample_csv(rows, got)
+        _write_sample_csv_per_row(rows, expected)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_csv_keeps_the_sign_of_zero(self):
+        rows = [(0.0, -0.0, 1.0, True), (-0.0, 0.0, -0.0, False), (0.0, -0.0, 0.0, True)]
+        buf = io.StringIO()
+        write_sample_csv(rows, buf)
+        assert buf.getvalue() == "x,t,u,valid\n0,-0,1,1\n-0,0,-0,0\n0,-0,0,1\n"
