@@ -50,6 +50,9 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 
+# the one identity whose verifier takes q samples, so the one --seed applies to
+_SEEDED_IDENTITY = "exp-product"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="degree bound for polynomial identities")
     p.add_argument("--order", type=int, help="truncation order for series identities")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for the randomised q spot checks of exp-product")
+                   help=f"seed for the randomised q spot checks of {_SEEDED_IDENTITY}")
 
     p = sub.add_parser("solve", parents=[common], help="solve the q-wave IVP in d'Alembert form")
     p.add_argument("--f", help="comma-separated rational coefficients of f, low degree first")
@@ -165,9 +168,10 @@ def _cmd_verify(args, out) -> int:
                 f"--{other.replace('_', '-')} does not apply to {args.identity} "
                 f"(it takes --{kind.replace('_', '-')})"
             )
-        if args.seed is not None and args.identity != "exp-product":
+        if args.seed is not None and args.identity != _SEEDED_IDENTITY:
             raise SerializationError(
-                f"--seed does not apply to {args.identity} (only exp-product takes it)"
+                f"--seed does not apply to {args.identity} "
+                f"(only {_SEEDED_IDENTITY} takes it)"
             )
     ids = sorted(IDENTITY_CHECKS) if args.identity == "all" else [args.identity]
     q_samples = [Fraction(1, 2), Fraction(3, 4), Fraction(2)]
@@ -184,7 +188,7 @@ def _cmd_verify(args, out) -> int:
         bound = getattr(args, kind)  # the --n-max or --order flag
         if bound is None:
             bound = DEFAULT_BOUNDS[ident]
-        verdicts.append(fn(bound, q_samples) if ident == "exp-product" else fn(bound))
+        verdicts.append(fn(bound, q_samples) if ident == _SEEDED_IDENTITY else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
     payload = docs if args.identity == "all" else docs[0]
     _write_json(payload, out)

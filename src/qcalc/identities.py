@@ -68,8 +68,9 @@ __all__ = [
 
 class Verdict(namedtuple("Verdict", "identity range status residual elapsed_ms detail",
                          defaults=("verified", None, 0.0, ""))):
-    """Outcome of one identity verification run; immutable, so it is built
-    once the run is over."""
+    """Outcome of one identity verification run.  A named tuple: immutable, so
+    it is built once the run is over, and also iterable and equal to the
+    plain tuple of its fields."""
 
     __slots__ = ()
 

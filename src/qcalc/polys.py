@@ -67,21 +67,20 @@ def coef_to_complex(c: CoefExpr, q_value: float, dens: dict | None = None) -> co
     """Floating-point image of an exact coefficient at numeric q > 0.
 
     The only place where symbolic values meet floats; used by grid sampling.
-    dens, when given, is a dict shared by the calls of one sampling pass: each
-    distinct denominator at each q is converted once and its image reused.
+    dens memoizes denominator images; it belongs to one sampling pass, at one
+    q, so each distinct denominator of the pass is converted once.
     Raises OverflowError when the value itself is out of float range.
     """
+    if dens is None:
+        dens = {}
     s = q_value**0.5
     p = c.den
-    if dens is None:
-        d, m_den = _laurent_to_complex(p, s)
-    else:
-        # LaurentPoly is canonical, so its four slots identify its value
-        key = (s, p.lo, p.den, tuple(p.re), p.im and tuple(p.im))
-        image = dens.get(key)
-        if image is None:
-            image = dens[key] = _laurent_to_complex(p, s)
-        d, m_den = image
+    # LaurentPoly is canonical, so its four slots identify its value
+    key = (p.lo, p.den, tuple(p.re), p.im and tuple(p.im))
+    image = dens.get(key)
+    if image is None:
+        image = dens[key] = _laurent_to_complex(p, s)
+    d, m_den = image
     if d == 0:
         raise PoleError(f"denominator vanishes at q = {q_value}")
     n, m_num = _laurent_to_complex(c.num, s)

@@ -87,8 +87,10 @@ class InitialData(namedtuple("InitialData", "f g order")):
     order is None for exact polynomial data; for truncated series data it is
     the total degree through which both inputs are exact.  The polynomials may
     carry the symbolic speed variable (as g does in the worked quadratic
-    example with initial velocity proportional to c x).  Immutable; equal when
-    the fields are.
+    example with initial velocity proportional to c x).  A named tuple, so it
+    is immutable, equal when the fields are, and also iterable and equal to
+    the plain tuple of its fields; _make and _replace run the checks of
+    __new__ too.
     """
 
     __slots__ = ()
@@ -100,6 +102,10 @@ class InitialData(namedtuple("InitialData", "f g order")):
             if not set(p.vars) <= {"x", "c"}:
                 raise ValueError(f"initial data variables {p.vars} not in (x, c)")
         return super().__new__(cls, f, g, order)
+
+    @classmethod
+    def _make(cls, iterable) -> InitialData:
+        return cls(*iterable)
 
     @classmethod
     def from_polys(cls, f, g) -> InitialData:
@@ -114,7 +120,8 @@ def _as_x_poly(p) -> MPoly:
 
 class WaveSolution(namedtuple("WaveSolution", "body c order provenance")):
     """A wave body plus its speed, truncation order and construction origin.
-    Immutable; equal when the fields are."""
+    A named tuple: immutable, equal when the fields are, and also iterable
+    and equal to the plain tuple of its fields."""
 
     __slots__ = ()
 

@@ -101,6 +101,10 @@ class TestValueClasses:
         assert repr(data) == f"InitialData(f={X2!r}, g={zero!r}, order=None)"
         with pytest.raises(ValueError, match="time variable"):
             InitialData(f=X2, g=MPoly(("x", "t"), {(0, 1): 1}), order=2)
+        # the inherited tuple constructors go through the same checks
+        assert data._replace(order=3) == InitialData(X2, zero, 3)
+        with pytest.raises(ValueError, match="time variable"):
+            data._replace(f=MPoly(("x", "t"), {(0, 1): 1}))
 
     def test_wave_solution(self):
         body = MPoly(("x", "t"), {(1, 0): 1})
