@@ -14,8 +14,10 @@ import argparse
 import io
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -269,6 +271,53 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _run_to_file(command, args, path: str) -> int:
+    """Run command writing to path, so that a command that raises leaves path
+    as it was: no new file, and an existing file unchanged.
+
+    A device, FIFO or other file that is not a regular file is written
+    through, as stdout is.  Otherwise the output goes to a temporary file
+    beside path's target first.  A new path is the temporary renamed, with
+    the mode open(path, "w") gives a new file; an existing file is rewritten
+    from it in place, as open(path, "w") does, so its mode, owner and links
+    and a symlink to it stay.  Where no temporary can be made beside an
+    existing file, the output is rendered in memory first."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as out:
+            return command(args, out)
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".qcalc-{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        if mode is None:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        # say, a writable file in a read-only folder: render, then write
+        buf = io.StringIO()
+        code = command(args, buf)
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(buf.getvalue())
+        return code
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            code = command(args, out)
+        if mode is None:
+            os.replace(temp, target)
+            return code
+        with open(temp, "rb") as src, open(path, "wb") as dst:
+            while chunk := src.read(1 << 20):
+                dst.write(chunk)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    os.unlink(temp)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -279,12 +328,7 @@ def main(argv=None) -> int:
     try:
         if not args.output:
             return _COMMANDS[args.command](args, sys.stdout)
-        # render first, so a command that raises leaves no file behind
-        buf = io.StringIO()
-        code = _COMMANDS[args.command](args, buf)
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.write(buf.getvalue())
-        return code
+        return _run_to_file(_COMMANDS[args.command], args, args.output)
     except PostconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED

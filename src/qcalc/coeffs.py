@@ -256,6 +256,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.re
 
+    def key(self) -> tuple:
+        """A hashable key of the value, for per-pass memos: the four slots,
+        which identify it because the form is canonical."""
+        return self.lo, self.den, tuple(self.re), self.im and tuple(self.im)
+
     def as_monomial(self):
         """Return (exponent, coefficient) if this is a single term, else None."""
         if len(self.re) == 1:

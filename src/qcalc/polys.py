@@ -75,8 +75,7 @@ def coef_to_complex(c: CoefExpr, q_value: float, dens: dict | None = None) -> co
         dens = {}
     s = q_value**0.5
     p = c.den
-    # LaurentPoly is canonical, so its four slots identify its value
-    key = (p.lo, p.den, tuple(p.re), p.im and tuple(p.im))
+    key = p.key()
     image = dens.get(key)
     if image is None:
         image = dens[key] = _laurent_to_complex(p, s)

@@ -11,6 +11,16 @@ symbolic, a rational string when rational, and otherwise a coefficient
 object (older documents carry that object as a JSON string; it still reads).
 The CLI writes each document as one line of compact JSON; older documents,
 indented and with "im": "0" on every term, read to the same values.
+
+No wire integer has more than WIRE_DIGITS decimal digits: the writer refuses
+a value past that bound and the reader refuses such a string before it
+converts it, on every Python version.  A polynomial's coefficients share few
+distinct denominators, so each distinct denominator is converted once per
+document in both directions: mpoly_to_json puts one shared list object in
+every term with that denominator (the JSON text is unchanged), and
+mpoly_from_json reads every copy of a denominator list to one shared
+LaurentPoly (_den_from_list).  Sample rows go out in chunks of about
+_CSV_CHUNK lines per write.
 """
 
 from __future__ import annotations
@@ -56,10 +66,22 @@ def rational_to_str(x: Fraction) -> str:
     return _ratio_to_str(x.numerator, x.denominator)
 
 
+# The wire digit bound; CPython 3.11+ caps int/str conversion at the same
+# number of digits by default, and 3.10 has no cap.
+WIRE_DIGITS = 4300
+_WIRE_LIMIT = 10**WIRE_DIGITS
+# an integer of at most this many bits has at most WIRE_DIGITS digits
+_WIRE_BITS = _WIRE_LIMIT.bit_length() - 1
+_OVER_BOUND = f"more than {WIRE_DIGITS} digits, the wire digit bound"
+
+
 def _ratio_to_str(num: int, den: int) -> str:
     """The wire form "p/q", or "p" when q is 1, of num/den in lowest terms;
-    den > 0."""
+    den > 0.  Raises SerializationError past the wire digit bound."""
     g = gcd(num, den)
+    if num.bit_length() > _WIRE_BITS or den.bit_length() > _WIRE_BITS:
+        if max(abs(num), den) // g >= _WIRE_LIMIT:
+            raise SerializationError(f"a rational to write has {_OVER_BOUND}")
     if g == den:
         return str(num // g)
     return f"{num // g}/{den // g}"
@@ -84,6 +106,8 @@ def _wire_rational(value) -> tuple[int, int]:
     m = isinstance(value, str) and _WIRE_RATIONAL.fullmatch(value)
     if not m:
         raise SerializationError(f"bad rational {_brief(value)}: not of the form p/q")
+    if len(value) > WIRE_DIGITS and max(len(m[1].lstrip("-")), len(m[2] or "")) > WIRE_DIGITS:
+        raise SerializationError(f"bad rational {_brief(value)}: {_OVER_BOUND}")
     try:
         num, den = int(m[1]), (int(m[2]) if m[2] else 1)
     except ValueError as exc:
@@ -138,24 +162,60 @@ def _laurent_from_list(items) -> LaurentPoly:
     return _from_int_terms(terms)
 
 
-def coef_to_json(c: CoefExpr) -> dict:
-    return {"num": _laurent_to_list(c.num), "den": _laurent_to_list(c.den)}
+def _den_from_list(items, dens: dict) -> LaurentPoly:
+    """_laurent_from_list(items) for a denominator, read once per distinct
+    list of a document.  dens maps a probe, the length of a list and the
+    values of its first and last items, to the first list read with that
+    probe and its value.  A later list equal to it is that value when every
+    "s" is exactly an int (true and 2.0 equal 1 and 2); any other list is
+    parsed, and refused, as always.  A miss costs a probe, not a pass over
+    the list, and only the first list per probe is kept, so a document
+    stays linear however many of its lists share a probe."""
+    try:
+        probe = len(items), *items[0].values(), *items[-1].values()
+        seen = dens.get(probe)
+    except (TypeError, LookupError, AttributeError):  # not a list of dicts
+        return _laurent_from_list(items)
+    if seen is not None and seen[0] == items and all(
+        [type(item["s"]) is int for item in items]
+    ):
+        return seen[1]
+    den = _laurent_from_list(items)
+    if seen is None:
+        dens[probe] = items, den
+    return den
 
 
-def coef_from_json(doc) -> CoefExpr:
+def coef_to_json(c: CoefExpr, dens: dict | None = None) -> dict:
+    """The wire form of c; dens maps each denominator's key to its wire list,
+    so a document that passes one dict writes each distinct denominator once."""
+    if dens is None:
+        dens = {}
+    key = c.den.key()
+    den = dens.get(key)
+    if den is None:
+        den = dens[key] = _laurent_to_list(c.den)
+    return {"num": _laurent_to_list(c.num), "den": den}
+
+
+def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:
+    """The coefficient of a wire document; the coefficients of one document
+    share one dens dict, so each distinct denominator is parsed once (see
+    _den_from_list)."""
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise SerializationError(f"bad coefficient document: {_brief(doc)}")
-    den = _laurent_from_list(doc["den"])
+    den = _den_from_list(doc["den"], {} if dens is None else dens)
     if den.is_zero():
         raise SerializationError("coefficient has zero denominator")
     return CoefExpr(_laurent_from_list(doc["num"]), den)
 
 
 def mpoly_to_json(p: MPoly) -> dict:
+    dens: dict = {}
     return {
         "vars": list(p.vars),
         "terms": [
-            {"deg": list(e), "coef": coef_to_json(c)}
+            {"deg": list(e), "coef": coef_to_json(c, dens)}
             for e, c in sorted(p.terms.items())
         ],
     }
@@ -172,6 +232,7 @@ def mpoly_from_json(doc) -> MPoly:
     if not isinstance(doc["terms"], list):
         raise SerializationError("polynomial terms must be a list")
     terms = {}
+    dens: dict = {}
     for item in doc["terms"]:
         if not isinstance(item, dict) or "deg" not in item or "coef" not in item:
             raise SerializationError(f"bad polynomial term {_brief(item)}")
@@ -179,7 +240,7 @@ def mpoly_from_json(doc) -> MPoly:
         if not isinstance(deg, list) or any(type(d) is not int for d in deg):
             raise SerializationError(f"degree {_brief(deg)} is not a list of integers")
         try:
-            coef = coef_from_json(item["coef"])
+            coef = coef_from_json(item["coef"], dens)
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"bad coefficient at deg {_brief(deg)}: {exc}") from None
         deg = tuple(deg)
@@ -196,10 +257,11 @@ def series_to_json(p: MPoly, order: int) -> dict:
     """A truncated series (univariate MPoly of degree <= order) as
     {"var", "order", "coeffs"} with one coefficient per degree 0..order."""
     (var,) = p.vars
+    dens: dict = {}
     return {
         "var": var,
         "order": order,
-        "coeffs": [coef_to_json(p.coefficient((d,))) for d in range(order + 1)],
+        "coeffs": [coef_to_json(p.coefficient((d,)), dens) for d in range(order + 1)],
     }
 
 
@@ -223,7 +285,8 @@ def series_from_json(doc) -> tuple[MPoly, int]:
         raise SerializationError(f"series var {_brief(var)} is not a string")
     if not isinstance(doc["coeffs"], list):
         raise SerializationError("series coeffs must be a list")
-    coeffs = [coef_from_json(c) for c in doc["coeffs"][: order + 1]]
+    dens: dict = {}
+    coeffs = [coef_from_json(c, dens) for c in doc["coeffs"][: order + 1]]
     return MPoly((var,), {(d,): c for d, c in enumerate(coeffs)}), order
 
 
@@ -300,17 +363,23 @@ def verdict_to_json(v) -> dict:
     return doc
 
 
+# Rows per stream.write: few calls, and no buffer that grows with the grid.
+_CSV_CHUNK = 1024
+
+
 def write_sample_csv(rows, stream) -> None:
     """Emit the sampling contract: header x,t,u,valid, 17 significant digits
-    and valid as 1/0, rows already ordered x-major, one write per row.
+    and valid as 1/0, rows already ordered x-major, about _CSV_CHUNK lines
+    per write.
 
     A grid repeats each coordinate across many rows, so the text of each
     distinct x and t is made once.  Zeros are formatted every time, because
     0.0 and -0.0 are one dict key but print as "0" and "-0".
     """
-    stream.write("x,t,u,valid\n")
     write = stream.write
     text: dict = {}
+    lines = ["x,t,u,valid\n"]
+    append = lines.append
     for x, t, u, valid in rows:
         xs = text.get(x)
         if xs is None or not x:
@@ -318,4 +387,9 @@ def write_sample_csv(rows, stream) -> None:
         ts = text.get(t)
         if ts is None or not t:
             ts = text[t] = f"{t:.17g},"
-        write(f"{xs}{ts}{u:.17g},{'1' if valid else '0'}\n")
+        append(f"{xs}{ts}{u:.17g},{'1' if valid else '0'}\n")
+        if len(lines) == _CSV_CHUNK:
+            write("".join(lines))
+            lines.clear()
+    if lines:
+        write("".join(lines))

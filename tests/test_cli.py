@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import stat
+import threading
 import time
 from fractions import Fraction
 
@@ -40,6 +43,24 @@ def _laurent_entries(doc) -> list:
     return [
         entry for term in doc["terms"] for part in ("num", "den") for entry in term["coef"][part]
     ]
+
+
+# the denominator s + s^2/2, which both terms of _shared_den_doc carry
+_SHARED_DEN = [{"s": 1, "re": "1"}, {"s": 2, "re": "1/2"}]
+
+
+def _shared_den_doc(second_den) -> dict:
+    """A wave document of two terms, the second with second_den as its own
+    copy of the first term's denominator."""
+    return {
+        "vars": ["x", "t"],
+        "terms": [
+            {"deg": [0, 0], "coef": {"num": [{"s": 0, "re": "1"}], "den": _SHARED_DEN}},
+            {"deg": [1, 0], "coef": {"num": [{"s": 0, "re": "3"}], "den": second_den}},
+        ],
+        "c": "1",
+        "provenance": "dalembert",
+    }
 
 
 class TestVerify:
@@ -140,6 +161,14 @@ class TestSolve:
         assert code == 0
         wave = wave_from_json(json.loads(out))
         assert wave.body == MPoly(("x", "t"), {(2, 0): 1, (0, 2): CE_Q})
+
+    def test_value_past_the_wire_digit_bound_exits_two(self, capsys, tmp_path):
+        # c**8 has 4,800 digits: the solution is built and checked, then refused
+        argv = ["solve", "--f", "0,0,0,0,0,0,0,0,1", "--g", "0", "--c", "7" * 600]
+        message = "error: a rational to write has more than 4300 digits, the wire digit bound\n"
+        assert run(capsys, *argv) == (2, "", message)
+        assert main([*argv, "--output", str(tmp_path / "u.json")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_example_with_named_velocity(self, capsys):
         code, out, _ = run(
@@ -386,6 +415,16 @@ class TestSample:
             counts[grid] = len(out.splitlines()) - 1
         assert counts == {"0:0:1": 1, "1:0:1": 0, "0:1:0.1": 11, "-1:1:0.01": 201, "0:0:1e-300": 1}
 
+    def test_malformed_copy_of_a_repeated_denominator_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        argv = ["sample", "--in", str(path), "--q", "0.5", "--x", "1:1:1", "--t", "1:1:1"]
+        path.write_text(json.dumps(_shared_den_doc(list(_SHARED_DEN))))
+        assert run(capsys, *argv) == (0, "x,t,u,valid\n1,1,4.1792619994198628,1\n", "")
+        bad_copy = [{"s": True, "re": "1"}, {"s": 2, "re": "1/2"}]
+        path.write_text(json.dumps(_shared_den_doc(bad_copy)))
+        message = "bad coefficient at deg [1, 0]: Laurent exponent True is not an integer"
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_value_out_of_float_range_exits_two(self, capsys, tmp_path):
         path = tmp_path / "wave.json"
         main(["solve", "--f", "0,0,10", "--g", "0", "--c", "1", "--output", str(path)])
@@ -592,7 +631,16 @@ class TestHermiteAndExpand:
         path = tmp_path / "o.json"
         code = main(["solve", "--f", "0,zz", "--g", "0", "--c", "1", "--output", str(path)])
         assert code == 2
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary
+
+        def fails_after_writing(args, out):
+            out.write("partial\n")
+            raise ValueError("failed half way")
+
+        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_after_writing)
+        code = main(["hermite", "--n", "2", "--output", str(path)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
         def broken(n_max):
             return Verdict("q-laplacian", f"n<={n_max}", status="failed", detail="forced")
@@ -602,6 +650,88 @@ class TestHermiteAndExpand:
         assert code == 1
         assert json.loads(path.read_text())["status"] == "failed"
         assert capsys.readouterr().out == ""
+
+    def test_output_file_has_the_stdout_bytes(self, capsys, tmp_path):
+        wave = tmp_path / "wave.json"
+        wave.write_text(json.dumps(wave_to_json(_cos_sin_wave_order_6())))
+        argv = ["sample", "--in", str(wave), "--q", "0.7", "--x", "-1:1:0.05", "--t", "0:1:0.02"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") == 1 + 41 * 51  # more than one write
+        path = tmp_path / "u.csv"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv", "wave.json"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask  # as open(path, "w") makes it
+
+    def test_output_to_a_fifo_is_written_through(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "hermite", "--n", "3")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["hermite", "--n", "3", "--output", str(fifo)]) == 0
+        reader.join(10)
+        assert got == [out.encode()]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)  # not replaced by a regular file
+
+    def test_output_over_an_existing_file_rewrites_it_in_place(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from qcalc import cli
+
+        _, out, _ = run(capsys, "hermite", "--n", "3")
+        path = tmp_path / "o.json"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        hard = tmp_path / "hard"
+        os.link(path, hard)
+        sym = tmp_path / "sym"
+        sym.symlink_to(path.name)
+        for name in (path, sym):
+            path.write_text("old\n")
+            assert main(["hermite", "--n", "3", "--output", str(name)]) == 0
+            assert path.read_bytes() == hard.read_bytes() == out.encode()
+            assert path.stat().st_mode & 0o777 == 0o600
+            assert sym.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard", "o.json", "sym"]
+
+        def fails_after_writing(args, out):
+            out.write("partial\n")
+            raise ValueError("failed half way")
+
+        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_after_writing)
+        assert main(["hermite", "--n", "3", "--output", str(sym)]) == 2
+        assert path.read_bytes() == out.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard", "o.json", "sym"]
+
+    def test_output_where_no_temporary_can_be_made(self, capsys, tmp_path, monkeypatch):
+        real_open = os.open
+
+        def no_temporary(name, *rest):
+            if os.path.basename(name).startswith(".qcalc-"):
+                raise PermissionError(13, "Permission denied", name)
+            return real_open(name, *rest)
+
+        monkeypatch.setattr(os, "open", no_temporary)
+        path = tmp_path / "o.json"
+        code, _, err = run(capsys, "hermite", "--n", "2", "--output", str(path))
+        assert (code, err) == (2, f"error: [Errno 13] Permission denied: '{path}'\n")
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("old\n")  # an existing file is still written, as before
+        _, out, _ = run(capsys, "hermite", "--n", "2")
+        assert main(["hermite", "--n", "2", "--output", str(path)]) == 0
+        assert path.read_text() == out
+
+    def test_output_file_with_the_longest_name(self, capsys, tmp_path):
+        path = tmp_path / ("o" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        assert main(["hermite", "--n", "2", "--output", str(path)]) == 0
+        assert json.loads(path.read_text())["vars"] == ["x"]
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_term_is_named_by_degree_not_dumped(self, capsys, tmp_path):
         path = tmp_path / "wave.json"

@@ -1,19 +1,32 @@
 """Wire-format round trips and malformed-input rejection."""
 
+import copy
 import io
 import json
+import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcalc import serialize
 from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import q_exp_series, q_int
-from qcalc.qwave import SYMBOLIC_SPEED, WaveSolution, q_binomial_substitute
+from qcalc.qwave import (
+    SYMBOLIC_SPEED,
+    InitialData,
+    WaveSolution,
+    dalembert_solve,
+    named_source,
+    q_binomial_substitute,
+)
 from qcalc.serialize import (
+    _CSV_CHUNK,
+    WIRE_DIGITS,
     SerializationError,
     _laurent_from_list,
     coef_from_json,
@@ -169,19 +182,28 @@ _wire_entries = st.dictionaries(
 )
 
 
+def _wire_items(entries) -> list:
+    """The wire Laurent list of _wire_entries, in the drawn "im" forms."""
+    items = []
+    for e, (a, ad, form, b, bd) in entries.items():
+        item = {"s": e, "re": _wire(a, ad)}
+        if form == "zero":
+            item["im"] = "0"
+        elif form == "value":
+            item["im"] = _wire(b, bd)
+        items.append(item)
+    return items
+
+
 class TestIntegerReader:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_wire_entries)
     def test_agrees_with_the_fraction_route(self, entries):
-        items, values = [], {}
-        for e, (a, ad, form, b, bd) in entries.items():
-            item = {"s": e, "re": _wire(a, ad)}
-            if form == "zero":
-                item["im"] = "0"
-            elif form == "value":
-                item["im"] = _wire(b, bd)
-            items.append(item)
-            values[e] = GaussianRational(Fraction(item["re"]), Fraction(item.get("im", "0")))
+        items = _wire_items(entries)
+        values = {
+            item["s"]: GaussianRational(Fraction(item["re"]), Fraction(item.get("im", "0")))
+            for item in items
+        }
         got, expected = _laurent_from_list(items), LaurentPoly(values)
         assert (got.lo, got.den, got.re, got.im) == (
             expected.lo, expected.den, expected.re, expected.im
@@ -190,7 +212,155 @@ class TestIntegerReader:
         assert got.coeffs == {e: v for e, v in values.items() if v}
 
 
+@lru_cache(maxsize=None)
+def _cos_sin_body_20() -> MPoly:
+    """The body of solve --f-named cos_q --g-named sin_q --c 5/7 --order 20:
+    121 coefficients over 11 distinct denominators."""
+    (f, order), (g, _) = named_source("cos_q", 20), named_source("sin_q", 20)
+    return dalembert_solve(InitialData(f, g, order), Fraction(5, 7)).body
+
+
+@st.composite
+def _shared_den_docs(draw):
+    """A polynomial document whose terms draw their denominators from a pool
+    of at most three wire lists, every copy a list of its own, some with
+    "im": "0" spelled out where the pool leaves it out."""
+    pool = draw(st.lists(_wire_entries.map(_wire_items), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    spelled = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    terms = []
+    for d, (pick, spell) in enumerate(zip(picks, spelled)):
+        den = copy.deepcopy(pool[pick])
+        if spell:
+            for item in den:
+                item.setdefault("im", "0")
+        terms.append({"deg": [d], "coef": {"num": [{"s": d, "re": str(d + 1)}], "den": den}})
+    return {"vars": ["x"], "terms": terms}
+
+
+class TestDenominatorMemo:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_shared_den_docs())
+    def test_reads_like_each_coefficient_alone(self, doc):
+        alone = {}
+        for term in doc["terms"]:
+            try:
+                alone[tuple(term["deg"])] = coef_from_json(term["coef"])
+            except SerializationError as exc:
+                with pytest.raises(SerializationError) as info:
+                    mpoly_from_json(doc)
+                assert str(info.value) == f"bad coefficient at deg {term['deg']}: {exc}"
+                return
+        got = mpoly_from_json(doc).terms
+        assert got.keys() == {deg for deg, c in alone.items() if not c.is_zero()}
+        for deg, c in got.items():
+            expected = alone[deg]
+            assert (c.num.key(), c.den.key()) == (expected.num.key(), expected.den.key())
+        # every copy of the first term's denominator list reads to one value
+        first = doc["terms"][0]
+        for term in doc["terms"]:
+            a, b = tuple(first["deg"]), tuple(term["deg"])
+            if term["coef"]["den"] == first["coef"]["den"] and a in got and b in got:
+                assert got[a].den is got[b].den
+
+    def test_order_20_body_converts_each_distinct_denominator_once(self, monkeypatch):
+        doc = json.loads(json.dumps(mpoly_to_json(_cos_sin_body_20())))
+        calls = []
+        convert = serialize._from_int_terms
+        monkeypatch.setattr(
+            serialize, "_from_int_terms", lambda terms: calls.append(terms) or convert(terms)
+        )
+        body = mpoly_from_json(doc)
+        assert len(body.terms) == 121
+        assert len(calls) == 121 + 11  # every numerator, each distinct denominator once
+        assert body == _cos_sin_body_20()
+
+    def test_lists_with_one_probe_read_apart(self):
+        # same length, first item and last item: only the middle differs
+        one = [{"s": 0, "re": "1"}]
+        docs = [
+            {"num": one, "den": [{"s": 0, "re": "1"}, {"s": 1, "re": r}, {"s": 2, "re": "1"}]}
+            for r in ("2", "3")
+        ]
+        dens: dict = {}
+        for doc in docs:
+            assert coef_from_json(doc, dens).den.key() == coef_from_json(doc).den.key()
+
+    def test_zero_denominator_is_refused_on_every_copy(self):
+        dens: dict = {}
+        for _ in range(2):
+            with pytest.raises(SerializationError, match="zero denominator"):
+                coef_from_json({"num": [{"s": 0, "re": "1"}], "den": [{"s": 0, "re": "0"}]},
+                               dens)
+        assert len(dens) == 1  # the second copy was a memo hit
+
+    @pytest.mark.parametrize(
+        "copy_den",
+        [
+            [{"s": True, "re": "1"}, {"s": 2, "re": "1/2"}],
+            [{"s": 1, "re": "1"}, {"s": 2.0, "re": "1/2"}],
+            [{"s": 1, "re": 1}, {"s": 2, "re": "1/2"}],
+            [{"s": 1, "re": "1"}, {"s": 2, "re": "1/2", "im": None}],
+            [{"s": 1, "re": "1"}, {"s": 2, "re": "1/2"}, {"s": 1, "re": "1"}],
+        ],
+        ids=["s-true", "s-float", "re-int", "im-null", "repeated-s"],
+    )
+    def test_malformed_copy_is_refused_as_if_alone(self, copy_den):
+        one = [{"s": 0, "re": "1"}]
+        dens: dict = {}
+        coef_from_json({"num": one, "den": [{"s": 1, "re": "1"}, {"s": 2, "re": "1/2"}]}, dens)
+        with pytest.raises(SerializationError) as alone:
+            coef_from_json({"num": one, "den": copy_den})
+        with pytest.raises(SerializationError) as after:
+            coef_from_json({"num": one, "den": copy_den}, dens)
+        assert str(after.value) == str(alone.value)
+
+
+_PAST_THE_BOUND = f"more than {WIRE_DIGITS} digits, the wire digit bound"
+
+
+class TestWireDigitBound:
+    def test_reader(self):
+        one = [{"s": 0, "re": "1"}]
+        at = "9" * WIRE_DIGITS
+        got = coef_from_json({"num": [{"s": 0, "re": f"-{at}/{at[1:]}8"}], "den": one})
+        assert got == CoefExpr.of(Fraction(-int(at), int(at[1:] + "8")))
+        over = "1" * (WIRE_DIGITS + 1)
+        for past in (over, "-" + over, "1/" + over):
+            with pytest.raises(SerializationError, match=_PAST_THE_BOUND):
+                coef_from_json({"num": [{"s": 0, "re": past}], "den": one})
+
+    def test_writer(self):
+        at = 10**WIRE_DIGITS - 1
+        assert rational_to_str(Fraction(-at, 2)) == f"-{at}/2"
+        assert rational_to_str(Fraction(10**WIRE_DIGITS, 3 * 10)) == f"{10**(WIRE_DIGITS - 1)}/3"
+        limit = 10**WIRE_DIGITS
+        for past in (Fraction(limit), Fraction(-limit, 7), Fraction(1, limit)):
+            with pytest.raises(SerializationError, match=_PAST_THE_BOUND):
+                rational_to_str(past)
+        c = CoefExpr(LaurentPoly({0: Fraction(at, 7)}), q_int(3))
+        assert coef_from_json(json.loads(json.dumps(coef_to_json(c)))) == c
+        with pytest.raises(SerializationError, match="wire digit bound"):
+            coef_to_json(CoefExpr(LaurentPoly({0: 1, 2: 10**WIRE_DIGITS}), q_int(3)))
+
+
 class TestMPoly:
+    def test_each_distinct_denominator_is_written_once(self):
+        body = _cos_sin_body_20()
+        doc = mpoly_to_json(body)
+        alone = {
+            "vars": list(body.vars),
+            "terms": [
+                {"deg": list(e), "coef": coef_to_json(c)} for e, c in sorted(body.terms.items())
+            ],
+        }
+        assert json.dumps(doc) == json.dumps(alone)
+        ids: dict = {}
+        for term in doc["terms"]:
+            ids.setdefault(json.dumps(term["coef"]["den"]), set()).add(id(term["coef"]["den"]))
+        assert len(ids) == 11
+        assert all(len(same) == 1 for same in ids.values())
+
     def test_roundtrip(self):
         p = q_binomial_power("z", GR_I, "w", 3)
         assert mpoly_from_json(mpoly_to_json(p)) == p
@@ -394,6 +564,30 @@ def _csv_rows(draw):
     return [(x, t, draw(_csv_float), draw(st.booleans())) for x, t in points]
 
 
+def _grid_rows(n: int) -> list:
+    """n x-major rows over a 7-point t grid, zeros of both signs among the
+    coordinates and values."""
+    ts = [0.0, -0.0, 0.1, 1 / 3, 2.5, -1e-300, 7.0]
+    return [
+        (k // 7 * 0.01 - 1, ts[k % 7], math.sin(k) * 1e3 ** (k % 5 - 2) if k % 11 else -0.0,
+         k % 3 != 0)
+        for k in range(n)
+    ]
+
+
+_CHUNK_EDGES = [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
+
+
+class _CountingStream:
+    """A stream that keeps the number of lines of each write."""
+
+    def __init__(self):
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text.count("\n"))
+
+
 class TestVerdictAndCsv:
     def test_verdict_json_shape(self):
         doc = verdict_to_json(verify_hermite_binomial(2))
@@ -423,3 +617,19 @@ class TestVerdictAndCsv:
         buf = io.StringIO()
         write_sample_csv(rows, buf)
         assert buf.getvalue() == "x,t,u,valid\n0,-0,1,1\n-0,0,-0,0\n0,-0,0,1\n"
+
+    @pytest.mark.parametrize("n", _CHUNK_EDGES)
+    def test_csv_matches_the_per_row_writer_across_chunks(self, n):
+        rows = _grid_rows(n)
+        got, expected = io.StringIO(), io.StringIO()
+        write_sample_csv(rows, got)
+        _write_sample_csv_per_row(rows, expected)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("n", _CHUNK_EDGES)
+    def test_csv_writes_bounded_chunks(self, n):
+        stream = _CountingStream()
+        write_sample_csv(_grid_rows(n), stream)
+        assert sum(stream.writes) == n + 1
+        assert max(stream.writes) <= _CSV_CHUNK
+        assert len(stream.writes) <= n // _CSV_CHUNK + 1
