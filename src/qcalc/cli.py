@@ -6,18 +6,20 @@ counterexample (or the solver's self-check refused a solution), 2 usage or
 input error (also a verify bound flag that the chosen identity does not take).
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 Every JSON document is written as one line of compact JSON.
+
+Each command takes the parsed args and returns (exit_code, emit): it parses,
+checks and computes its whole result, JSON text included, before it returns,
+and emit(out) only writes what was built.  So a failing command writes
+nothing, and --output PATH is opened only once there is a result to write.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
-import os
 import random
 import re
-import stat
 import sys
 from fractions import Fraction
 
@@ -107,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(doc, out) -> None:
-    out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+def _json_result(code: int, doc):
+    """(code, emit) for a JSON document, rendered now so that emit only writes."""
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    return code, lambda out: out.write(text)
 
 
 def _parse_coeff_list(text: str):
@@ -157,7 +161,7 @@ def _initial_part(coeffs_text, named, which, c, order):
     return named_source(named, order)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     for flag, bound in (("--order", args.order), ("--n-max", args.n_max)):
         if bound is not None and bound < 0:
             raise SerializationError(f"{flag} must be >= 0")
@@ -192,23 +196,21 @@ def _cmd_verify(args, out) -> int:
             bound = DEFAULT_BOUNDS[ident]
         verdicts.append(fn(bound, q_samples) if ident == _SEEDED_IDENTITY else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
-    payload = docs if args.identity == "all" else docs[0]
-    _write_json(payload, out)
-    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_VIOLATED
+    code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_VIOLATED
+    return _json_result(code, docs if args.identity == "all" else docs[0])
 
 
-def _cmd_solve(args, out) -> int:
+def _cmd_solve(args):
     c = rational_from_str(args.c)
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)
     orders = [o for o in (f_order, g_order) if o is not None]
     data = InitialData(f, g, min(orders) if orders else None)
     solution = dalembert_solve(data, c)
-    _write_json(wave_to_json(solution), out)
-    return EXIT_OK
+    return _json_result(EXIT_OK, wave_to_json(solution))
 
 
-def _cmd_sample(args, out) -> int:
+def _cmd_sample(args):
     try:
         if args.infile == "-":
             doc = json.load(sys.stdin)
@@ -219,19 +221,17 @@ def _cmd_sample(args, out) -> int:
         raise SerializationError("wave document is nested too deeply") from None
     wave = wave_from_json(doc)
     rows = sample_grid(wave, args.q, args.c, _parse_grid(args.x), _parse_grid(args.t))
-    write_sample_csv(rows, out)
-    return EXIT_OK
+    return EXIT_OK, lambda out: write_sample_csv(rows, out)
 
 
-def _cmd_hermite(args, out) -> int:
+def _cmd_hermite(args):
     if args.n < 0:
         raise SerializationError("degree must be >= 0")
     build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
-    _write_json(mpoly_to_json(build[args.kind](args.n)), out)
-    return EXIT_OK
+    return _json_result(EXIT_OK, mpoly_to_json(build[args.kind](args.n)))
 
 
-def _cmd_expand(args, out) -> int:
+def _cmd_expand(args):
     if args.n < 0:
         raise SerializationError("power must be >= 0")
     if args.binomial in ("z+iw", "z-iw"):
@@ -242,8 +242,7 @@ def _cmd_expand(args, out) -> int:
         poly = q_binomial_substitute(
             MPoly.monomial(("x",), (args.n,), 1), sign, SYMBOLIC_SPEED
         )
-    _write_json(mpoly_to_json(poly), out)
-    return EXIT_OK
+    return _json_result(EXIT_OK, mpoly_to_json(poly))
 
 
 _COMMANDS = {
@@ -271,53 +270,6 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _run_to_file(command, args, path: str) -> int:
-    """Run command writing to path, so that a command that raises leaves path
-    as it was: no new file, and an existing file unchanged.
-
-    A device, FIFO or other file that is not a regular file is written
-    through, as stdout is.  Otherwise the output goes to a temporary file
-    beside path's target first.  A new path is the temporary renamed, with
-    the mode open(path, "w") gives a new file; an existing file is rewritten
-    from it in place, as open(path, "w") does, so its mode, owner and links
-    and a symlink to it stay.  Where no temporary can be made beside an
-    existing file, the output is rendered in memory first."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8") as out:
-            return command(args, out)
-    target = os.path.realpath(path)
-    temp = os.path.join(os.path.dirname(target), f".qcalc-{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        if mode is None:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        # say, a writable file in a read-only folder: render, then write
-        buf = io.StringIO()
-        code = command(args, buf)
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(buf.getvalue())
-        return code
-    try:
-        with open(fd, "w", encoding="utf-8") as out:
-            code = command(args, out)
-        if mode is None:
-            os.replace(temp, target)
-            return code
-        with open(temp, "rb") as src, open(path, "wb") as dst:
-            while chunk := src.read(1 << 20):
-                dst.write(chunk)
-    except BaseException:
-        os.unlink(temp)
-        raise
-    os.unlink(temp)
-    return code
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -326,9 +278,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        code, emit = _COMMANDS[args.command](args)
         if not args.output:
-            return _COMMANDS[args.command](args, sys.stdout)
-        return _run_to_file(_COMMANDS[args.command], args, args.output)
+            emit(sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8") as out:
+                emit(out)
+        return code
     except PostconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED

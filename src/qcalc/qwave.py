@@ -254,8 +254,8 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     at a point.  Each distinct denominator is converted to a float once.
     Raises ValueError when the grid has more than MAX_GRID_POINTS rows, when
     q is not finite and positive or c is not finite, or when the tables would
-    exceed _MAX_TABLE_CELLS cells, and OverflowError when a power of c, a
-    value or a tail is not finite.
+    exceed _MAX_TABLE_CELLS cells, and OverflowError when a coefficient at q,
+    a power of c, a value or a tail is not finite.
     """
     size = len(x_grid) * len(t_grid)
     if size > MAX_GRID_POINTS:
@@ -278,7 +278,13 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         except OverflowError:
             message = f"speed c={c_value!r} to the power {g} is out of float range"
             raise OverflowError(message) from None
-        v = complex(coef_to_complex(coef, q_value, dens)) * c_power
+        try:
+            z = coef_to_complex(coef, q_value, dens)
+        except OverflowError:
+            monomial = "*".join(f"{name}^{k}" for name, k in exps.items() if k) or "1"
+            message = f"coefficient of {monomial} at q={q_value!r} is out of float range"
+            raise OverflowError(message) from None
+        v = complex(z) * c_power
         terms.append((exps.get("x", 0), exps.get("t", 0), v))
     width = 1 + max((a for a, _, _ in terms), default=0)
     height = 1 + max((b for _, b, _ in terms), default=0)

@@ -436,6 +436,16 @@ class TestSample:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_coefficient_out_of_float_range_names_its_degree(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        argv = ["solve", "--f", "0,0,0,0,0,0,0,0,1", "--g", "0", "--c", "7" * 500]
+        assert main([*argv, "--output", str(path)]) == 0
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:0:1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: coefficient of t^8 at q=0.5 is out of float range\n"
+
     @pytest.mark.parametrize(
         "flags", [("--q", "nan"), ("--q", "inf"), ("--q", "0.5", "--c", "nan")]
     )
@@ -631,13 +641,12 @@ class TestHermiteAndExpand:
         path = tmp_path / "o.json"
         code = main(["solve", "--f", "0,zz", "--g", "0", "--c", "1", "--output", str(path)])
         assert code == 2
-        assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a stray one
 
-        def fails_after_writing(args, out):
-            out.write("partial\n")
-            raise ValueError("failed half way")
+        def fails_before_returning(args):
+            raise ValueError("failed before its result")
 
-        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_after_writing)
+        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_before_returning)
         code = main(["hermite", "--n", "2", "--output", str(path)])
         assert code == 2
         assert list(tmp_path.iterdir()) == []
@@ -700,29 +709,22 @@ class TestHermiteAndExpand:
             assert sym.is_symlink()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hard", "o.json", "sym"]
 
-        def fails_after_writing(args, out):
-            out.write("partial\n")
-            raise ValueError("failed half way")
+        def fails_before_returning(args):
+            raise ValueError("failed before its result")
 
-        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_after_writing)
+        monkeypatch.setitem(cli._COMMANDS, "hermite", fails_before_returning)
         assert main(["hermite", "--n", "3", "--output", str(sym)]) == 2
         assert path.read_bytes() == out.encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hard", "o.json", "sym"]
 
-    def test_output_where_no_temporary_can_be_made(self, capsys, tmp_path, monkeypatch):
-        real_open = os.open
-
-        def no_temporary(name, *rest):
-            if os.path.basename(name).startswith(".qcalc-"):
-                raise PermissionError(13, "Permission denied", name)
-            return real_open(name, *rest)
-
-        monkeypatch.setattr(os, "open", no_temporary)
-        path = tmp_path / "o.json"
-        code, _, err = run(capsys, "hermite", "--n", "2", "--output", str(path))
-        assert (code, err) == (2, f"error: [Errno 13] Permission denied: '{path}'\n")
+    def test_output_path_that_cannot_be_opened(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "o.json"
+        code, out, err = run(capsys, "hermite", "--n", "2", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
         assert list(tmp_path.iterdir()) == []
-        path.write_text("old\n")  # an existing file is still written, as before
+        path = tmp_path / "o.json"
+        path.write_text("old\n")  # an existing, writable file is rewritten
         _, out, _ = run(capsys, "hermite", "--n", "2")
         assert main(["hermite", "--n", "2", "--output", str(path)]) == 0
         assert path.read_text() == out
@@ -748,3 +750,59 @@ class TestHermiteAndExpand:
         assert out == ""
         assert err.count("\n") == 1 and len(err) < 200
         assert f"deg {term['deg']}" in err
+
+
+# one failing argv per command, with its exit code; WAVE stands for the
+# solution of f = 10x^2, whose values leave the float range on this x grid
+_FAILING_COMMANDS = {
+    "verify-negative-bound": (["verify", "--identity", "q-laplacian", "--n-max", "-1"], 2),
+    "solve-bad-rational": (["solve", "--f", "0,zz", "--g", "0", "--c", "1"], 2),
+    "solve-postcondition": (["solve", "--f", "0,0,1", "--g", "0", "--c", "1"], 1),
+    "sample-overflow": (
+        ["sample", "--in", "WAVE", "--q", "0.5", "--x", "1e154:1.1e154:1e153", "--t", "0:0:1"],
+        2,
+    ),
+    "hermite-negative-n": (["hermite", "--n", "-1"], 2),
+    "expand-negative-n": (["expand", "--binomial", "x+ct", "--n", "-1"], 2),
+}
+
+
+class TestNothingWrittenOnFailure:
+    """A command raises before its first byte or not at all: a failing one
+    prints nothing, makes no --output file and leaves an existing one as it was."""
+
+    @pytest.mark.parametrize("where", ["stdout", "new-path", "existing-file"])
+    @pytest.mark.parametrize("case", sorted(_FAILING_COMMANDS))
+    def test_failing_command_writes_nothing(self, capsys, tmp_path, monkeypatch, case, where):
+        argv, expected = _FAILING_COMMANDS[case]
+        wave = tmp_path / "wave.json"
+        assert main(["solve", "--f", "0,0,10", "--g", "0", "--c", "1", "--output", str(wave)]) == 0
+        if case == "solve-postcondition":
+            monkeypatch.setattr(WaveSolution, "residual_is_zero", lambda self: False)
+        argv = [str(wave) if arg == "WAVE" else arg for arg in argv]
+        folder = tmp_path / "out"
+        folder.mkdir()
+        path = folder / "result"
+        if where == "existing-file":
+            path.write_bytes(b"old\n")
+        if where != "stdout":
+            argv += ["--output", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if where == "existing-file":
+            assert [p.name for p in folder.iterdir()] == ["result"]
+            assert path.read_bytes() == b"old\n"
+        else:
+            assert list(folder.iterdir()) == []
+
+    def test_sample_over_its_own_input(self, capsys, tmp_path):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        argv = ["sample", "--in", str(path), "--q", "0.5", "--x", "0:1:0.5", "--t", "0:1:0.5"]
+        code, csv, _ = run(capsys, *argv)
+        assert code == 0 and csv.startswith("x,t,u,valid\n")
+        # the input is read in full before PATH is opened
+        assert main([*argv, "--output", str(path)]) == 0
+        assert path.read_text() == csv
+        assert capsys.readouterr().out == ""
