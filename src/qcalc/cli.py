@@ -109,9 +109,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _compact(value) -> str:
+    """json.dumps(value) as one compact line, through this module's json
+    attribute on each call, so a wrapper of it sees every encode."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _render(doc) -> str:
+    """_compact(doc), the same bytes.  The terms of a polynomial or wave
+    document, as mpoly_to_json builds them, are rendered one at a time, and
+    each distinct den list object is encoded once: terms with one
+    denominator share one list, so the memo is keyed on its id (doc keeps
+    every list alive meanwhile)."""
+    if not isinstance(doc, dict) or "terms" not in doc:
+        return _compact(doc)
+    dens: dict = {}
+    terms = []
+    for term in doc["terms"]:
+        coef = term["coef"]
+        den = coef["den"]
+        den_text = dens.get(id(den))
+        if den_text is None:
+            den_text = dens[id(den)] = _compact(den)
+        deg_text = _compact(term["deg"])
+        num_text = _compact(coef["num"])
+        terms.append(f'{{"deg":{deg_text},"coef":{{"num":{num_text},"den":{den_text}}}}}')
+    fields = [
+        f'"terms":[{",".join(terms)}]' if key == "terms"
+        else f"{_compact(key)}:{_compact(value)}"
+        for key, value in doc.items()
+    ]
+    return "{" + ",".join(fields) + "}"
+
+
 def _json_result(code: int, doc):
     """(code, emit) for a JSON document, rendered now so that emit only writes."""
-    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    text = _render(doc) + "\n"
     return code, lambda out: out.write(text)
 
 

@@ -21,10 +21,14 @@ canonical (den > 0 shares no factor with the entries, both ends nonzero), so
 zero tests, equality and denominator sharing compare ints and lists.  Add,
 negate, scale, shift and stretch are list operations on ints.  Products are
 formed by Kronecker substitution: each vector is packed into one int at
-s = 2**width, one big-int product is taken (up to four when both operands are
-complex), and the coefficients are read back as balanced width-bit digits;
-when every exponent of both operands has one parity, only every other slot
-is packed.  A one-term operand is a shift plus an integer scale instead.
+s = 2**(8*size), one big-int product is taken (up to four when both operands
+are complex), and the coefficients are read back as balanced digits; when
+every exponent of both operands has one parity, only every other slot is
+packed.  A slot is size whole bytes (1, 2, 4, 8, or more when wider), so a
+vector goes to and from its int through bytes in linear time: the slots
+hold two's-complement digits, and one sign bias B (0x80 at the top byte of
+every slot) turns them into the balanced sum, (y ^ B) - B, and back,
+(x + B) ^ B.  A one-term operand is a shift plus an integer scale instead.
 Exact division is schoolbook over the integers.  GaussianRational values
 appear only at the edges: the dict constructor, const and term, the coeffs
 view, as_monomial and exact evaluation.
@@ -46,6 +50,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, sub
+from struct import pack, unpack
 
 __all__ = [
     "QCalcError",
@@ -318,9 +323,9 @@ class LaurentPoly:
             ci = mono.im[0] if mono.im else 0
             return rest._times(mono.re[0], ci, mono.den).shift(mono.lo)
         # Kronecker substitution: each integer vector is packed into one int
-        # at s = 2**width, multiplied once and read back slot by slot.  When
-        # both operands use one exponent parity, only every other slot is
-        # packed and the product is spread back out.
+        # at s = 2**(8*size), multiplied once and read back slot by slot.
+        # When both operands use one exponent parity, only every other slot
+        # is packed and the product is spread back out.
         ar, ai, br, bi = a.re, a.im, b.re, b.im
         stride = 1
         if not any(ar[1::2]) and not any(br[1::2]) and not (ai and any(ai[1::2])) \
@@ -331,14 +336,14 @@ class LaurentPoly:
         bound = min(len(ar), len(br)) * _top(ar, ai) * _top(br, bi)  # largest |slot|
         if ai and bi:
             bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
-        width = bound.bit_length() + 1  # one sign bit for balanced digits
+        size = _slot_size(bound.bit_length() + 1)  # one sign bit for balanced digits
         n = len(ar) + len(br) - 1
-        ra, rb = _pack(ar, width), _pack(br, width)
-        ia = _pack(ai, width) if ai else 0
-        ib = _pack(bi, width) if bi else 0
+        ra, rb = _pack(ar, size), _pack(br, size)
+        ia = _pack(ai, size) if ai else 0
+        ib = _pack(bi, size) if bi else 0
         packed_im = ia * rb + ra * ib
-        re = _unpack(ra * rb - ia * ib, n, width)
-        im = _unpack(packed_im, n, width) if packed_im else None
+        re = _unpack(ra * rb - ia * ib, n, size)
+        im = _unpack(packed_im, n, size) if packed_im else None
         if stride == 2:
             re = _spread(re)
             im = im and _spread(im)
@@ -613,30 +618,52 @@ def _top(re: list[int], im: list[int] | None) -> int:
     return top
 
 
-def _pack(vec: list[int], width: int) -> int:
-    """sum(v * 2**(width*k)) by Horner; signed entries need no special case."""
-    acc = 0
-    for v in reversed(vec):
-        acc = (acc << width) + v
-    return acc
+# slot size in bytes -> struct code of a signed slot of that size; a wider
+# slot goes through int.to_bytes and int.from_bytes
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _unpack(x: int, n: int, width: int) -> list[int]:
-    """The n balanced width-bit digits of x, lowest first: the inverse of
-    _pack when every digit lies in [-2**(width-1), 2**(width-1)).  Low bits
-    at or above half their range stand for a negative digit, which borrows
-    from the rest, so 1 is carried back into it."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(n):
-        v = x & mask
-        x >>= width
-        if v >= half:
-            v -= mask + 1
-            x += 1
-        out.append(v)
-    return out
+def _slot_size(width: int) -> int:
+    """Bytes per slot for balanced digits of width bits: 1, 2, 4 or 8, or
+    the whole bytes of a wider slot."""
+    size = (width + 7) // 8
+    for code_size in _SLOT_CODES:
+        if size <= code_size:
+            return code_size
+    return size
+
+
+def _sign_bias(n: int, size: int) -> int:
+    """B: 0x80 in the top byte of each of n slots of size bytes.  XOR with B
+    flips each slot's sign bit, so a two's-complement digit v reads as the
+    unsigned v + 2**(8*size-1), and back."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack(vec: list[int], size: int) -> int:
+    """sum(v * 2**(8*size*k)) for entries in [-2**(8*size-1), 2**(8*size-1)):
+    the entries as two's-complement slots in one bytes object, read as an
+    unsigned int y; (y ^ B) - B then makes each slot's sign count."""
+    code = _SLOT_CODES.get(size)
+    if code:
+        data = pack(f"<{len(vec)}{code}", *vec)
+    else:
+        data = b"".join([v.to_bytes(size, "little", signed=True) for v in vec])
+    bias = _sign_bias(len(vec), size)
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _unpack(x: int, n: int, size: int) -> list[int]:
+    """The n balanced digits of x in slots of size bytes, lowest first: the
+    inverse of _pack.  x + B holds every digit plus half the slot range,
+    which never carries; ^ B turns each slot back into two's complement."""
+    bias = _sign_bias(n, size)
+    data = ((x + bias) ^ bias).to_bytes(n * size, "little")
+    code = _SLOT_CODES.get(size)
+    if code:
+        return list(unpack(f"<{n}{code}", data))
+    return [int.from_bytes(data[i : i + size], "little", signed=True)
+            for i in range(0, n * size, size)]
 
 
 def power(base, n: int, one):

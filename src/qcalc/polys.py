@@ -25,6 +25,7 @@ from .coeffs import (
     CE_ZERO,
     CoefExpr,
     GR_I,
+    GaussianRational,
     LP_ONE,
     LaurentPoly,
     PoleError,
@@ -269,7 +270,7 @@ class MPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
-            if isinstance(other, (int, Fraction, CoefExpr, LaurentPoly)):
+            if isinstance(other, (int, Fraction, GaussianRational, CoefExpr, LaurentPoly)):
                 other = MPoly.const(self.vars, other)
             else:
                 return NotImplemented

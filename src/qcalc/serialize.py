@@ -89,9 +89,22 @@ def _ratio_to_str(num: int, den: int) -> str:
 
 def rational_from_str(text: str) -> Fraction:
     """A rational in any form Fraction reads ("3/4", "-.5", "1e-3"), for
-    command-line arguments; wire values go through _wire_rational."""
+    command-line arguments; wire values go through _wire_rational.  A part
+    of more than WIRE_DIGITS digits, or an exponent past WIRE_DIGITS, is
+    refused before Fraction builds its integers ("1e999999999" would take
+    minutes)."""
+    value = str(text).strip()
+    mantissa, _, exponent = value.lower().partition("e")
+    if any(sum(map(str.isdecimal, part)) > WIRE_DIGITS for part in mantissa.split("/")):
+        raise SerializationError(f"bad rational {_brief(text)}: {_OVER_BOUND}")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > len(str(WIRE_DIGITS))
+                                 or int(exponent) > WIRE_DIGITS):
+        raise SerializationError(
+            f"bad rational {_brief(text)}: exponent past {WIRE_DIGITS}, the wire digit bound"
+        )
     try:
-        return Fraction(str(text).strip())
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializationError(f"bad rational {_brief(text)}: {exc}") from None
 

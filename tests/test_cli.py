@@ -6,10 +6,12 @@ import os
 import stat
 import threading
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
+from qcalc import cli
 from qcalc.cli import main
 from qcalc.coeffs import CE_Q, CoefExpr
 from qcalc.polys import MPoly
@@ -21,9 +23,10 @@ from qcalc.qwave import (
     dalembert_solve,
     named_source,
     named_wave,
+    poly_from_coefficients,
     q_binomial_substitute,
 )
-from qcalc.serialize import mpoly_from_json, wave_from_json, wave_to_json
+from qcalc.serialize import mpoly_from_json, mpoly_to_json, wave_from_json, wave_to_json
 
 
 def run(capsys, *argv):
@@ -108,7 +111,6 @@ class TestVerify:
         assert code == 0
 
     def test_violated_identity_exits_one(self, capsys, monkeypatch):
-        from qcalc import cli
         from qcalc.identities import Verdict
 
         def broken(n_max):
@@ -169,6 +171,28 @@ class TestSolve:
         assert run(capsys, *argv) == (2, "", message)
         assert main([*argv, "--output", str(tmp_path / "u.json")]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--c", "--f", "--g"])
+    @pytest.mark.parametrize("value", ["1e999999999", "-2.5E-999999999", "1e4301"])
+    def test_huge_exponent_form_exits_two_at_once(self, capsys, flag, value):
+        # Fraction would build a billion-digit integer first: minutes, not a message
+        argv = {"--f": "1", "--g": "0", "--c": "1", flag: value}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", *[a for kv in argv.items() for a in kv])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == f"error: bad rational {value!r}: exponent past 4300, the wire digit bound\n"
+
+    def test_argument_over_the_wire_digit_bound_exits_two(self, capsys):
+        for value in ("7" * 4301, "1/" + "3" * 4301, "0." + "1" * 4301):
+            code, out, err = run(capsys, "solve", "--f", "1", "--g", "0", "--c", value)
+            assert (code, out) == (2, "")
+            assert err.endswith(": more than 4300 digits, the wire digit bound\n")
+        # an exponent at the bound is read; the bound on what is written still holds
+        code, out, err = run(capsys, "solve", "--f", "1e4300", "--g", "0", "--c", "1/7")
+        assert (code, out) == (2, "") and err.startswith("error: a rational to write has")
+        code, out, _ = run(capsys, "solve", "--f", "1", "--g", "0", "--c", "3e-4299")
+        assert code == 0 and json.loads(out)["c"] == "3/1" + "0" * 4299
 
     def test_example_with_named_velocity(self, capsys):
         code, out, _ = run(
@@ -635,7 +659,6 @@ class TestHermiteAndExpand:
         assert json.loads(path.read_text())["vars"] == ["x"]
 
     def test_output_file_only_when_the_command_returns(self, capsys, tmp_path, monkeypatch):
-        from qcalc import cli
         from qcalc.identities import Verdict
 
         path = tmp_path / "o.json"
@@ -691,8 +714,6 @@ class TestHermiteAndExpand:
     def test_output_over_an_existing_file_rewrites_it_in_place(
         self, capsys, tmp_path, monkeypatch
     ):
-        from qcalc import cli
-
         _, out, _ = run(capsys, "hermite", "--n", "3")
         path = tmp_path / "o.json"
         path.write_text("old\n")
@@ -806,3 +827,71 @@ class TestNothingWrittenOnFailure:
         assert main([*argv, "--output", str(path)]) == 0
         assert path.read_text() == csv
         assert capsys.readouterr().out == ""
+
+
+def _one_shot(doc) -> str:
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _rendered(doc) -> str:
+    out = io.StringIO()
+    code, emit = cli._json_result(0, doc)
+    emit(out)
+    assert code == 0
+    return out.getvalue()
+
+
+class TestRenderedJson:
+    """_json_result renders a polynomial or wave document term by term and
+    encodes each distinct den list once; the text is the one-shot dump's."""
+
+    @pytest.mark.parametrize("speed", [Fraction(3, 5), SYMBOLIC_SPEED, CoefExpr.of(q_int(2))])
+    def test_cos_sin_wave_order_20(self, speed):
+        (f, order), (g, _) = named_source("cos_q", 20), named_source("sin_q", 20)
+        doc = wave_to_json(dalembert_solve(InitialData(f, g, order), speed))
+        assert _rendered(doc) == _one_shot(doc)
+        assert isinstance(doc["c"], dict) == isinstance(speed, CoefExpr)
+
+    def test_rational_data_and_zero_polynomial(self):
+        data = InitialData(
+            poly_from_coefficients([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)]),
+            poly_from_coefficients([Fraction(3, 4), Fraction(1, 9)]),
+        )
+        zero = dalembert_solve(InitialData(MPoly.const(("x",), 0), MPoly.const(("x",), 0)), 1)
+        for doc in (wave_to_json(dalembert_solve(data, Fraction(7, 3))), wave_to_json(zero),
+                    mpoly_to_json(MPoly(("x", "t"), {}))):
+            assert _rendered(doc) == _one_shot(doc)
+        assert wave_to_json(zero)["terms"] == []
+
+    def test_equal_denominators_in_distinct_lists(self):
+        doc = _shared_den_doc([dict(item) for item in _SHARED_DEN])
+        assert doc["terms"][1]["coef"]["den"] is not _SHARED_DEN
+        assert _rendered(doc) == _one_shot(doc)
+        doc["terms"][1]["coef"]["den"] = [{"s": 0, "re": "1"}]
+        assert _rendered(doc) == _one_shot(doc)
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7", "--order", "20"),
+        ("solve", "--f", "1/3,-2/7,5/11", "--g", "3/4,1/9", "--c", "7/3"),
+        ("solve", "--f", "0", "--g", "0", "--c", "1"),
+        *(("hermite", "--n", "20", "--kind", kind) for kind in ("q", "classical", "inverse-q")),
+        *(("expand", "--binomial", b, "--n", "20") for b in ("z+iw", "z-iw", "x+ct", "x-ct")),
+    ])
+    def test_cli_documents(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _one_shot(json.loads(out))
+
+    def test_each_distinct_denominator_is_encoded_once(self, monkeypatch):
+        # through cli's json attribute at call time, as a wrapper of it sees
+        calls = []
+        proxy = types.ModuleType("json")
+        proxy.__dict__.update(vars(json))
+        proxy.dumps = lambda obj, **kw: calls.append(obj) or json.dumps(obj, **kw)
+        monkeypatch.setattr(cli, "json", proxy)
+        doc = wave_to_json(_cos_sin_wave_order_6())
+        assert _rendered(doc) == _one_shot(doc)
+        dens = [term["coef"]["den"] for term in doc["terms"]]
+        distinct = {id(den) for den in dens}
+        assert len(distinct) < len(dens)
+        assert sum(any(obj is den for den in dens) for obj in calls) == len(distinct)

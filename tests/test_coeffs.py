@@ -392,6 +392,99 @@ class TestKroneckerProduct:
         assert LP_ONE * a is a
 
 
+def _horner_pack(vec: list[int], width: int) -> int:
+    """sum(v * 2**(width*k)) by Horner: the shift loop that coeffs._pack
+    replaced, kept as its oracle."""
+    acc = 0
+    for v in reversed(vec):
+        acc = (acc << width) + v
+    return acc
+
+
+def _shift_unpack(x: int, n: int, width: int) -> list[int]:
+    """The n balanced width-bit digits of x, lowest first, one shift per
+    slot: the loop that coeffs._unpack replaced, kept as its oracle."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(n):
+        v = x & mask
+        x >>= width
+        if v >= half:
+            v -= mask + 1
+            x += 1
+        out.append(v)
+    return out
+
+
+# digit widths in bits just under, at and just over each struct slot, then
+# slots of whole bytes sliced from the bytes object, up to several thousand bits
+_DIGIT_WIDTHS = (2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 73, 200, 1021, 4096)
+
+
+@st.composite
+def _digit_vector(draw):
+    """(width, digits): 1 to 3,000 digits (fewer when wide) that fit a slot
+    for width-bit digits, random or at the ends of the slot and of width."""
+    width = draw(st.sampled_from(_DIGIT_WIDTHS))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, min(3000, 2**19 // width))))
+    half = 1 << (8 * coeffs._slot_size(width) - 1)
+    top = 1 << (width - 1)
+    edges = (-half, half - 1, -top, min(top, half - 1), -1, 0, 1)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(("random", "edges", "mixed")))
+    digits = [rng.randrange(-top, top) for _ in range(n)]
+    if mode != "random":
+        digits = [rng.choice(edges) if mode == "edges" or rng.random() < 0.3 else d
+                  for d in digits]
+    return width, digits
+
+
+@st.composite
+def _kronecker_operand(draw):
+    """A LaurentPoly of 2 to 40 terms over one exponent parity or both, with
+    small or ~200-bit parts, real or complex."""
+    parity = draw(st.sampled_from((None, 0, 1)))
+    exps = st.integers(-40, 40)
+    if parity is not None:
+        exps = exps.map(lambda e, parity=parity: 2 * e + parity)
+    part = draw(st.sampled_from((st.integers(-3, 3).map(Fraction), _wide_part)))
+    im = draw(st.sampled_from((st.just(0), part)))
+    return LaurentPoly(draw(st.dictionaries(
+        exps, st.builds(GaussianRational, part, im), min_size=2, max_size=40)))
+
+
+class TestKroneckerPacking:
+    """coeffs._pack and _unpack, through bytes, against the shift loops."""
+
+    def test_slot_size(self):
+        want = {1: 1, 7: 1, 8: 1, 9: 2, 16: 2, 17: 4, 24: 4, 32: 4, 33: 8, 64: 8,
+                65: 9, 72: 9, 73: 10, 4096: 512}
+        assert {w: coeffs._slot_size(w) for w in want} == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_digit_vector())
+    def test_matches_the_shift_loops(self, width_digits):
+        width, digits = width_digits
+        size = coeffs._slot_size(width)
+        assert 8 * size >= width
+        packed = coeffs._pack(digits, size)
+        assert packed == _horner_pack(digits, 8 * size)
+        assert coeffs._unpack(packed, len(digits), size) == digits
+        assert _shift_unpack(packed, len(digits), 8 * size) == digits
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_kronecker_operand(), _kronecker_operand())
+    def test_products_match_the_shift_loops(self, a, b):
+        # the stride-2 parity path and complex operands included
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coeffs, "_pack", lambda vec, size: _horner_pack(vec, 8 * size))
+            mp.setattr(coeffs, "_unpack", lambda x, n, size: _shift_unpack(x, n, 8 * size))
+            want = a * b, b * a
+        assert (a * b, b * a) == want
+        assert (a * b).coeffs == _dict_mul(a.coeffs, b.coeffs)
+
+
 def _assert_canonical(p: LaurentPoly):
     """The stored form: (0, 1, [], None) for zero; else den > 0, no common
     factor of den and the entries, nonzero ends, im None exactly when real."""

@@ -140,6 +140,15 @@ class TestMPolyBasics:
         assert MPoly.const(("x",), 5) == 5
         assert not MPoly.var(("x",), "x") == 5
 
+    def test_eq_against_a_gaussian_constant(self):
+        # as LaurentPoly and CoefExpr compare with a GaussianRational
+        i_poly = MPoly.const(("x",), GR_I)
+        assert i_poly == GR_I and GR_I == i_poly
+        assert LaurentPoly.const(GR_I) == GR_I and CoefExpr.of(GR_I) == GR_I
+        assert i_poly != GaussianRational(0, 2)
+        assert MPoly.var(("x",), "x").scale(GR_I) != GR_I
+        assert MPoly.const(("x",), 0) == GaussianRational(0)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(UnsupportedOrderError):
             MPoly(("x",), {(-1,): 1})
