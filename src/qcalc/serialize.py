@@ -6,8 +6,10 @@ A coefficient is {"num": [{"s": exp, "re": "p/q", "im": "p/q"}, ...],
 and reads as "0" when absent.  A polynomial is
 {"vars": [...], "terms": [{"deg": [...], "coef": ...}, ...]} sorted by
 degree tuple, so emitted documents are deterministic and round-trip to
-values equal under cross-multiplication.  A wave's speed "c" is "c" when
-symbolic, a rational string when rational, and otherwise a coefficient
+values equal under cross-multiplication.  A truncated series is the
+polynomial document of one variable plus "order"; every term is checked on
+read, and the terms past the order are dropped.  A wave's speed "c" is "c"
+when symbolic, a rational string when rational, and otherwise a coefficient
 object (older documents carry that object as a JSON string; it still reads).
 The CLI writes each document as one line of compact JSON; older documents,
 indented and with "im": "0" on every term, read to the same values.
@@ -105,8 +107,10 @@ def rational_from_str(text: str) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SerializationError(f"bad rational {_brief(text)}: {exc}") from None
+    except ZeroDivisionError:
+        raise SerializationError(f"bad rational {_brief(text)}: zero denominator") from None
 
 
 # Wire rationals are read only in the form rational_to_str writes, in ASCII
@@ -267,15 +271,11 @@ def mpoly_from_json(doc) -> MPoly:
 
 
 def series_to_json(p: MPoly, order: int) -> dict:
-    """A truncated series (univariate MPoly of degree <= order) as
-    {"var", "order", "coeffs"} with one coefficient per degree 0..order."""
-    (var,) = p.vars
-    dens: dict = {}
-    return {
-        "var": var,
-        "order": order,
-        "coeffs": [coef_to_json(p.coefficient((d,)), dens) for d in range(order + 1)],
-    }
+    """A truncated series (univariate MPoly) as the polynomial document of
+    its terms of degree <= order, plus "order"."""
+    doc = mpoly_to_json(p.truncate_total_degree(order))
+    doc["order"] = order
+    return doc
 
 
 def _order_from(order, kind: str) -> int:
@@ -288,19 +288,14 @@ def _order_from(order, kind: str) -> int:
 
 
 def series_from_json(doc) -> tuple[MPoly, int]:
-    """Inverse of series_to_json: the series and its order; coefficients
-    beyond the order are dropped."""
-    if not isinstance(doc, dict) or not {"var", "order", "coeffs"} <= doc.keys():
-        raise SerializationError("series document needs var, order and coeffs fields")
-    order = _order_from(doc["order"], "series")
-    var = doc["var"]
-    if not isinstance(var, str):
-        raise SerializationError(f"series var {_brief(var)} is not a string")
-    if not isinstance(doc["coeffs"], list):
-        raise SerializationError("series coeffs must be a list")
-    dens: dict = {}
-    coeffs = [coef_from_json(c, dens) for c in doc["coeffs"][: order + 1]]
-    return MPoly((var,), {(d,): c for d, c in enumerate(coeffs)}), order
+    """Inverse of series_to_json: the series and its order.  Every term is
+    read and checked as a polynomial term; terms beyond the order are then
+    dropped."""
+    body = mpoly_from_json(doc)
+    if len(body.vars) != 1:
+        raise SerializationError(f"series vars {list(body.vars)} is not one variable")
+    order = _order_from(doc.get("order"), "series")
+    return body.truncate_total_degree(order), order
 
 
 def _speed_to_json(c):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import stat
 import threading
@@ -10,6 +11,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalc import cli
 from qcalc.cli import main
@@ -214,6 +217,12 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--f", "0,zz,1", "--g", "0", "--c", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--c", "--f"])
+    def test_zero_denominator_is_named(self, capsys, flag):
+        argv = {"--f": "1", "--g": "0", "--c": "1", flag: "1/0"}
+        code, out, err = run(capsys, "solve", *[a for kv in argv.items() for a in kv])
+        assert (code, out, err) == (2, "", "error: bad rational '1/0': zero denominator\n")
+
     def test_both_f_forms_rejected(self, capsys):
         code, _, _ = run(
             capsys,
@@ -382,10 +391,18 @@ class TestSample:
             capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1", "--t", "0:1:1"
         )
         assert code == 2
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:zz", "--t", "0:1:1"
+        )
+        assert (code, out, err) == (2, "", "error: grid '0:1:zz' has non-numeric parts\n")
 
 
     @pytest.mark.parametrize(
-        "grid", ["nan:1:0.5", "0:inf:1", "0:1:nan", "0:-inf:1", "1e154:1e154:1", "0:1e16:1"]
+        "grid",
+        [
+            "nan:1:0.5", "0:inf:1", "0:1:nan", "0:-inf:1", "1e154:1e154:1", "0:1e16:1",
+            "0:1:0", "0:1:-0.5",
+        ],
     )
     def test_grid_that_never_ends_exits_two(self, capsys, tmp_path, grid):
         path = tmp_path / "wave.json"
@@ -607,6 +624,44 @@ class TestSample:
         )
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _grid_by_loop(text: str) -> list:
+    """The loop _parse_grid documents: start + k*step for k = 0, 1, ... up to
+    the first point past stop + step*1e-9."""
+    start, stop, step = (float(p) for p in text.split(":"))
+    limit = stop + step * 1e-9
+    points = []
+    while start + len(points) * step <= limit:
+        points.append(start + len(points) * step)
+    return points
+
+
+class TestParseGrid:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-2:-1.7000000000000002:0.3",  # the first estimate is one point short
+            "941996039.8209823:941996039.8679823:0.001",  # and here one point over
+        ],
+    )
+    def test_count_corrections_match_the_loop(self, text):
+        assert cli._parse_grid(text) == _grid_by_loop(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        start=st.floats(-1e9, 1e9) | st.integers(-5, 5).map(float),
+        step=st.floats(1e-3, 10) | st.sampled_from([0.001, 0.01, 0.1, 0.3, 0.25]),
+        n=st.integers(-3, 40),
+        nudge=st.integers(-2, 2),
+    )
+    def test_small_grids_match_the_loop(self, start, step, n, nudge):
+        # stop lands on or a few ulps beside a grid point, where rounding decides
+        stop = start + n * step
+        for _ in range(abs(nudge)):
+            stop = math.nextafter(stop, math.copysign(math.inf, nudge))
+        text = f"{start!r}:{stop!r}:{step!r}"
+        assert cli._parse_grid(text) == _grid_by_loop(text)
 
 
 class TestHermiteAndExpand:

@@ -606,3 +606,20 @@ def test_kernel_operations_build_no_rationals(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert results[3] == _schoolbook_mul(a, b) and results[5] == _schoolbook_mul(a, mono)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LaurentPoly.term(1).stretch(0), ValueError, "stretch factor must be nonzero"),
+        (lambda: LaurentPoly({0: 1, 2: 1}) ** -1, ZeroDenominatorError,
+         "negative power of a non-monomial Laurent polynomial"),
+        (lambda: CoefExpr(1), TypeError,
+         "CoefExpr needs LaurentPoly numerator and denominator"),
+    ],
+    ids=["stretch-by-zero", "negative-power-of-a-sum", "coefexpr-of-an-int"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

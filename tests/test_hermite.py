@@ -241,3 +241,16 @@ class TestGeneratingFunction:
             lhs_total = lhs_total + lhs_nums[n] * scale * two_pow[n_max]
             rhs_total = rhs_total + rhs_nums[n] * scale * two_pow[n_max - n]
         assert lhs_total == rhs_total
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: q_hermite(-1), UnsupportedOrderError, "Hermite degree must be >= 0"),
+    ],
+    ids=["q-hermite"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcalc import identities
-from qcalc.coeffs import CoefExpr, GR_I, LP_ONE, PoleError
+from qcalc.coeffs import CoefExpr, GR_I, LP_ONE, PoleError, UnsupportedOrderError
 from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
 from qcalc.identities import (
     DEFAULT_BOUNDS,
@@ -293,3 +293,17 @@ class TestFailurePaths:
         assert verdict.status == "failed"
         assert verdict.detail == "mismatched operator unexpectedly annihilated"
         assert verdict.residual.is_zero()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: one_directional_check(-1, "+"), UnsupportedOrderError,
+         "one-directional check needs n >= 0"),
+    ],
+    ids=["one-directional-negative-n"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -571,3 +571,19 @@ class TestJacksonIntegralNumeric:
                         - anti.eval_univariate(CoefExpr.of(a)).eval_q(q0).re
                     )
                     assert abs(float(value - exact)) <= bound + 1e-15
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MPoly(("x",), {(1, 2): 1}), ValueError,
+         "exponent tuple (1, 2) does not match ('x',)"),
+        (lambda: q_binomial_power("z", 1, "z", 2), ValueError,
+         "q_binomial_power needs two distinct variables"),
+    ],
+    ids=["exponent-width", "one-variable-binomial"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

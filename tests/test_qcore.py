@@ -295,3 +295,21 @@ class TestTruncSeries:
         s = q_exp_series("e", 2)
         assert s.coefficient((2,)) == CoefExpr(LP_ONE, q_int(2))
         assert s.coefficient((3,)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: q_factorial(-1), UnsupportedOrderError,
+         "q-factorials are defined for n >= 0 only"),
+        (lambda: factorial_ratio(2, 3), UnsupportedOrderError,
+         "factorial_ratio needs 0 <= k <= n"),
+        (lambda: q_trig_series("tan", 3), ValueError,
+         "q-trigonometric kind must be 'cos' or 'sin'"),
+    ],
+    ids=["q-factorial", "factorial-ratio", "trig-kind"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -35,6 +35,7 @@ from qcalc.qwave import (
     q_binomial_substitute,
     qwave_operator,
     sample_grid,
+    speed_poly,
 )
 from qcalc.serialize import mpoly_to_json
 
@@ -682,3 +683,21 @@ def test_package_import_graph():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: dalembert_solve(InitialData(X2, MPoly.zero(("x",))), "d"), ValueError,
+         "unknown symbolic speed 'd'; use 'c'"),
+        (lambda: InitialData(MPoly(("y",), {(1,): 1}), MPoly.zero(("y",))), ValueError,
+         "initial data variables ('y',) not in (x, c)"),
+        (lambda: speed_poly(("x", "t"), "c"), ValueError,
+         "symbolic speed requires a polynomial with a c variable"),
+    ],
+    ids=["unknown-symbolic-speed", "foreign-initial-variable", "symbolic-speed-without-c"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qcalc import serialize
 from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
-from qcalc.qcore import q_exp_series, q_int
+from qcalc.qcore import q_exp_series, q_int, q_trig_series
 from qcalc.qwave import (
     SYMBOLIC_SPEED,
     InitialData,
@@ -48,11 +48,14 @@ from qcalc.coeffs import GR_I
 
 def _rational_by_fraction(text: str):
     """What rational_from_str did before its fast path: Fraction's parser on
-    the stripped text, or the error message it raised."""
+    the stripped text, or the error message it raised (a zero denominator
+    is named as the wire reader names it)."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return f"bad rational {text!r}: {exc}"
+    except ZeroDivisionError:
+        return f"bad rational {text!r}: zero denominator"
 
 
 _digits = st.integers(0, 10**30).map(str)
@@ -123,6 +126,10 @@ class TestCoefExpr:
             coef_from_json({"num": []})
         with pytest.raises(SerializationError):
             coef_from_json({"num": [{"re": "1"}], "den": [{"s": 0, "re": "1"}]})
+        with pytest.raises(
+            SerializationError, match="^Laurent polynomial must be a list of terms$"
+        ):
+            coef_from_json({"num": {}, "den": [{"s": 0, "re": "1"}]})
 
     @pytest.mark.parametrize(
         "text", ["1e3", "0.5", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "1/-2", "", "1/0", 1]
@@ -376,6 +383,8 @@ class TestMPoly:
             mpoly_from_json({"vars": ["x"]})
         with pytest.raises(SerializationError):
             mpoly_from_json({"vars": ["x"], "terms": [{"deg": [-1], "coef": coef_to_json(CoefExpr.of(1))}]})
+        with pytest.raises(SerializationError, match="^bad polynomial term 5$"):
+            mpoly_from_json({"vars": ["x"], "terms": [5]})
 
 
 def _quadratic_wave_doc():
@@ -430,7 +439,8 @@ class TestSeries:
     def test_roundtrip(self):
         s = q_exp_series("E", 5)
         doc = series_to_json(s, 5)
-        assert len(doc["coeffs"]) == 6
+        assert doc == mpoly_to_json(s) | {"order": 5}
+        assert len(doc["terms"]) == 6
         assert series_from_json(doc) == (s, 5)
         # a series stored beyond its order reads back truncated
         assert series_from_json(series_to_json(s, 5) | {"order": 3}) == (
@@ -438,18 +448,40 @@ class TestSeries:
             3,
         )
 
+    def test_named_series_roundtrip_at_every_order(self):
+        for s in (q_exp_series("e", 20), q_exp_series("E", 20),
+                  q_trig_series("cos", 20), q_trig_series("sin", 20)):
+            stored = json.loads(json.dumps(series_to_json(s, 20)))
+            for k in range(21):
+                want = (s.truncate_total_degree(k), k)
+                assert series_from_json(json.loads(json.dumps(series_to_json(s, k)))) == want
+                assert series_from_json(stored | {"order": k}) == want
+
     def test_malformed(self):
         with pytest.raises(SerializationError):
-            series_from_json({"var": "x"})
-        with pytest.raises(SerializationError):
-            series_from_json({"var": "x", "order": -1, "coeffs": []})
+            series_from_json({"vars": ["x"]})
+        with pytest.raises(SerializationError, match="series order None is not an integer"):
+            series_from_json({"vars": ["x"], "terms": []})
+        with pytest.raises(SerializationError, match="series order -1 is negative"):
+            series_from_json({"vars": ["x"], "terms": [], "order": -1})
+
+    def test_malformed_term_past_the_order_is_refused(self):
+        doc = series_to_json(q_exp_series("E", 5), 5) | {"order": 0}
+        doc["terms"][1]["coef"] = "garbage"
+        with pytest.raises(SerializationError, match=r"bad coefficient at deg \[1\]"):
+            series_from_json(doc)
+
+    def test_two_variables_refused(self):
+        doc = mpoly_to_json(MPoly(("x", "t"), {(1, 0): 1, (0, 1): 1})) | {"order": 2}
+        with pytest.raises(SerializationError, match=r"series vars \['x', 't'\] is not one"):
+            series_from_json(doc)
 
     @pytest.mark.parametrize(
-        "field, value", [("order", 2.7), ("order", True), ("order", "3"), ("var", ["x"])]
+        "field, value", [("order", 2.7), ("order", True), ("order", "3"), ("vars", [["x"]])]
     )
     def test_refused_like_wave_documents(self, field, value):
         doc = series_to_json(q_exp_series("E", 5), 5) | {field: value}
-        with pytest.raises(SerializationError, match=f"series {field} "):
+        with pytest.raises(SerializationError, match=f" {field} "):
             series_from_json(doc)
 
 
