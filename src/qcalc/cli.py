@@ -234,6 +234,8 @@ def _cmd_verify(args):
 
 
 def _cmd_solve(args):
+    if args.order < 0:
+        raise SerializationError("--order must be >= 0")
     c = rational_from_str(args.c)
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, index, sub
 from struct import pack, unpack
 
 __all__ = [
@@ -229,7 +229,7 @@ class LaurentPoly:
         for e, c in (coeffs or {}).items():
             cr, ci, cd = _ints(c)
             if cr or ci:
-                terms[int(e)] = cr, ci, cd
+                terms[index(e)] = cr, ci, cd
         p = _from_int_terms(terms)
         self.lo, self.den, self.re, self.im = p.lo, p.den, p.re, p.im
 
@@ -803,15 +803,6 @@ class CoefExpr:
         """True when the value is fixed by i -> -i (real coefficients up to
         the fraction-field equality)."""
         return self == self.conjugate_i()
-
-    def lower(self) -> LaurentPoly:
-        """Lossless lowering to a LaurentPoly; exact division must succeed."""
-        if self.den is LP_ONE:
-            return self.num
-        q = self.num.divexact(self.den)
-        if q is None:
-            raise ValueError("denominator does not divide numerator exactly")
-        return q
 
     def eval_q(self, q_value, s_value=None) -> GaussianRational:
         """Exact evaluation at rational q (and optional s with s**2 == q).

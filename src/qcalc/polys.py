@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, index
 
 from .coeffs import (
     CE_ONE,
@@ -110,7 +110,7 @@ class MPoly:
                 coef = CoefExpr.of(coef)
                 if coef.is_zero():
                     continue
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(index, exps))
                 if len(exps) != width:
                     raise ValueError(f"exponent tuple {exps} does not match {self.vars}")
                 if any(e < 0 for e in exps):

@@ -10,7 +10,8 @@ values equal under cross-multiplication.  A truncated series is the
 polynomial document of one variable plus "order"; every term is checked on
 read, and the terms past the order are dropped.  A wave's speed "c" is "c"
 when symbolic, a rational string when rational, and otherwise a coefficient
-object (older documents carry that object as a JSON string; it still reads).
+object; any other speed is refused.  A wave keeps one set of rules
+(_check_wave) on write and on read.
 The CLI writes each document as one line of compact JSON; older documents,
 indented and with "im": "0" on every term, read to the same values.
 
@@ -27,14 +28,13 @@ _CSV_CHUNK lines per write.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .coeffs import CoefExpr, LaurentPoly, QCalcError, _from_int_terms
+from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms
 from .polys import MPoly
-from .qwave import SYMBOLIC_SPEED, WaveSolution
+from .qwave import SYMBOLIC_SPEED, WaveSolution, speed_poly
 
 __all__ = [
     "SerializationError",
@@ -299,39 +299,26 @@ def series_from_json(doc) -> tuple[MPoly, int]:
 
 
 def _speed_to_json(c):
+    """"c", the wire rational of a real constant over LP_ONE, else a coefficient object."""
     if isinstance(c, str):
         return c
     c = CoefExpr.of(c)
-    try:
-        mono = c.lower().as_monomial()
-    except ValueError:
-        mono = None
-    if mono is not None and mono[0] == 0 and mono[1].is_real():
+    mono = c.num.as_monomial()
+    if c.den is LP_ONE and mono and mono[0] == 0 and mono[1].is_real():
         return rational_to_str(mono[1].re)
     return coef_to_json(c)
 
 
-def _speed_from_json(value) -> object:
-    if isinstance(value, str) and value.lstrip().startswith("{"):
-        try:
-            value = json.loads(value)  # older documents: the object inside a string
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"bad wave speed c {_brief(value)}: {exc.msg}") from None
-        except RecursionError:
-            raise SerializationError("wave speed c is nested too deeply") from None
-    if isinstance(value, dict):
-        return coef_from_json(value)
-    if value == SYMBOLIC_SPEED:
-        return SYMBOLIC_SPEED
-    return CoefExpr.of(Fraction(*_wire_rational(value)))
-
-
-def wave_to_json(w: WaveSolution) -> dict:
-    doc = mpoly_to_json(w.body)
-    doc["c"] = _speed_to_json(w.c)
-    doc["order"] = w.order
-    doc["provenance"] = w.provenance
-    return doc
+def _speed_from_json(value):
+    """Inverse of _speed_to_json; any other value is refused in one line."""
+    try:
+        if isinstance(value, dict):
+            return coef_from_json(value)
+        if value == SYMBOLIC_SPEED:
+            return SYMBOLIC_SPEED
+        return CoefExpr.of(Fraction(*_wire_rational(value)))
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"bad wave speed c: {exc}") from None
 
 
 # "unknown" is what a document without a provenance reads as.
@@ -339,19 +326,37 @@ _PROVENANCES = ("dalembert", "direct-binomial", "named-series", "unknown")
 _WAVE_VARS = {"x", "t", "c"}
 
 
+def _check_wave(body: MPoly, c, order, provenance) -> None:
+    """The rules of a wave's fields, kept on write and on read; the speed
+    must be one the solver takes over the body's variables (speed_poly)."""
+    if not set(body.vars) <= _WAVE_VARS:
+        raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
+    if order is not None:
+        _order_from(order, "wave")
+    if provenance not in _PROVENANCES:
+        raise SerializationError(f"unknown wave provenance {_brief(provenance)}")
+    try:
+        speed_poly(body.vars, c)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"bad wave speed c: {exc}") from None
+
+
+def wave_to_json(w: WaveSolution) -> dict:
+    _check_wave(*w)
+    doc = mpoly_to_json(w.body)
+    doc["c"] = _speed_to_json(w.c)
+    doc["order"] = w.order
+    doc["provenance"] = w.provenance
+    return doc
+
+
 def wave_from_json(doc) -> WaveSolution:
     if not isinstance(doc, dict) or "c" not in doc:
         raise SerializationError("wave document needs a c field")
-    body = mpoly_from_json(doc)
-    if not set(body.vars) <= _WAVE_VARS:
-        raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
-    order = doc.get("order")
-    if order is not None:
-        order = _order_from(order, "wave")
-    provenance = str(doc.get("provenance", "unknown"))
-    if provenance not in _PROVENANCES:
-        raise SerializationError(f"unknown wave provenance {_brief(provenance)}")
-    return WaveSolution(body, _speed_from_json(doc["c"]), order, provenance)
+    body, c = mpoly_from_json(doc), _speed_from_json(doc["c"])
+    wave = WaveSolution(body, c, doc.get("order"), doc.get("provenance", "unknown"))
+    _check_wave(*wave)
+    return wave
 
 
 def verdict_to_json(v) -> dict:

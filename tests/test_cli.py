@@ -536,6 +536,19 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("c", ["0", "c", '{"num": [], "den": [{"s": 0, "re": "1"}]}'])
+    def test_speed_the_solver_refuses_is_refused_on_read(self, capsys, tmp_path, c):
+        path = tmp_path / "wave.json"
+        main(["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--output", str(path)])
+        doc = json.loads(path.read_text())
+        assert doc["vars"] == ["x", "t"]
+        path.write_text(json.dumps(doc | {"c": c}))
+        code, out, err = run(
+            capsys, "sample", "--in", str(path), "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad wave speed c: ") and err.count("\n") == 1
+
     def test_indented_document_with_zero_im_reads(self, capsys, tmp_path):
         # the form earlier versions wrote: indent=2 and "im": "0" on every entry
         lean, old = tmp_path / "lean.json", tmp_path / "old.json"
@@ -833,6 +846,7 @@ class TestHermiteAndExpand:
 _FAILING_COMMANDS = {
     "verify-negative-bound": (["verify", "--identity", "q-laplacian", "--n-max", "-1"], 2),
     "solve-bad-rational": (["solve", "--f", "0,zz", "--g", "0", "--c", "1"], 2),
+    "solve-negative-order": (["solve", "--f", "0,0,1", "--g", "0", "--c", "1", "--order", "-5"], 2),
     "solve-postcondition": (["solve", "--f", "0,0,1", "--g", "0", "--c", "1"], 1),
     "sample-overflow": (
         ["sample", "--in", "WAVE", "--q", "0.5", "--x", "1e154:1.1e154:1e153", "--t", "0:0:1"],

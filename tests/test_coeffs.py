@@ -161,12 +161,6 @@ class TestCoefExpr:
         with pytest.raises(ZeroDenominatorError):
             CE_ZERO.inverse()
 
-    def test_lower(self):
-        c = CoefExpr(q_int(2) * q_int(3), q_int(3))
-        assert c.lower() == q_int(2)
-        with pytest.raises(ValueError):
-            CoefExpr(LP_ONE, q_int(2)).lower()
-
 
 # Random value builders shared by the property tests.
 _frac = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -616,8 +610,11 @@ def test_kernel_operations_build_no_rationals(monkeypatch):
          "negative power of a non-monomial Laurent polynomial"),
         (lambda: CoefExpr(1), TypeError,
          "CoefExpr needs LaurentPoly numerator and denominator"),
+        (lambda: LaurentPoly({1.5: 1}), TypeError,
+         "'float' object cannot be interpreted as an integer"),
     ],
-    ids=["stretch-by-zero", "negative-power-of-a-sum", "coefexpr-of-an-int"],
+    ids=["stretch-by-zero", "negative-power-of-a-sum", "coefexpr-of-an-int",
+         "float-exponent"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:

@@ -580,8 +580,10 @@ class TestJacksonIntegralNumeric:
          "exponent tuple (1, 2) does not match ('x',)"),
         (lambda: q_binomial_power("z", 1, "z", 2), ValueError,
          "q_binomial_power needs two distinct variables"),
+        (lambda: MPoly(("x",), {(2.5,): 1}), TypeError,
+         "'float' object cannot be interpreted as an integer"),
     ],
-    ids=["exponent-width", "one-variable-binomial"],
+    ids=["exponent-width", "one-variable-binomial", "float-exponent"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc import serialize
-from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
+from qcalc.coeffs import CE_Q, CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import q_exp_series, q_int, q_trig_series
 from qcalc.qwave import (
@@ -485,6 +485,35 @@ class TestSeries:
             series_from_json(doc)
 
 
+_WAVE_COEFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(CoefExpr.of),
+    st.just(CoefExpr(LP_ONE, q_int(3))),
+    st.just(CE_Q * CoefExpr(LaurentPoly.const(GR_I))),
+)
+
+
+@st.composite
+def _waves(draw):
+    """Wave solutions of every field form the writer takes: a body over (x, t)
+    or (x, t, c); a rational, symbolic, 1/[2]_q or q speed (symbolic only with
+    a c variable); an order of None or 0-20; each provenance."""
+    variables = draw(st.sampled_from([("x", "t"), ("x", "t", "c")]))
+    degrees = st.tuples(*[st.integers(0, 4)] * len(variables))
+    body = MPoly(variables, draw(st.dictionaries(degrees, _WAVE_COEFS, max_size=5)))
+    speeds = [
+        st.fractions(min_value=-9, max_value=9, max_denominator=9)
+        .filter(bool).map(CoefExpr.of),
+        st.just(CoefExpr(LP_ONE, q_int(2))),
+        st.just(CE_Q),
+    ]
+    if "c" in variables:
+        speeds.append(st.just(SYMBOLIC_SPEED))
+    c = draw(st.one_of(speeds))
+    order = draw(st.none() | st.integers(0, 20))
+    provenance = draw(st.sampled_from(["dalembert", "direct-binomial", "named-series", "unknown"]))
+    return WaveSolution(body, c, order, provenance)
+
+
 class TestWave:
     def test_roundtrip_numeric_speed(self):
         body = q_binomial_substitute(MPoly(("x",), {(2,): 1}), "-", Fraction(3, 2))
@@ -515,10 +544,10 @@ class TestWave:
         assert doc["c"] == coef_to_json(ws.c)  # an object, not JSON in a string
         back = wave_from_json(doc)
         assert back.c == ws.c
-        # the older form, the coefficient document inside a string, still reads
+        # the coefficient document inside a string is not a speed form
         doc["c"] = json.dumps(coef_to_json(ws.c), sort_keys=True)
-        assert wave_from_json(doc).c == ws.c
-        assert wave_to_json(wave_from_json(doc))["c"] == coef_to_json(ws.c)
+        with pytest.raises(SerializationError, match="^bad wave speed c: bad rational "):
+            wave_from_json(doc)
 
     def test_rational_speed_stays_a_string(self):
         ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CoefExpr.of(Fraction(-5, 7)), None, "dalembert")
@@ -531,12 +560,49 @@ class TestWave:
             wave_from_json(self._doc(c=c))
 
     def test_deeply_nested_legacy_speed_rejected(self):
-        with pytest.raises(SerializationError, match="nested too deeply"):
+        refusal = "^bad wave speed c: bad rational .* not of the form p/q$"
+        with pytest.raises(SerializationError, match=refusal):
             wave_from_json(self._doc(c='{"num": ' + "[" * 200_000 + "]" * 200_000 + "}"))
 
     def test_missing_speed(self):
         with pytest.raises(SerializationError):
             wave_from_json({"vars": ["x", "t"], "terms": []})
+
+    def test_unreduced_constant_speed_is_a_coefficient_object(self):
+        c = CoefExpr(q_int(2), q_int(2))
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), c, None, "dalembert")
+        assert wave_to_json(ws)["c"] == coef_to_json(c)
+        assert wave_from_json(wave_to_json(ws)).c == 1
+
+    @pytest.mark.parametrize(
+        "vars_, c, wire_c, order, provenance, message",
+        [
+            (("x", "t"), "c", "c", 2.7, "foo", "wave order 2.7 is not an integer"),
+            (("y",), 1, "1", None, "dalembert", "wave variables ['y'] are not within x, t, c"),
+            (("x", "t"), 1, "1", None, "foo", "unknown wave provenance 'foo'"),
+            (("x", "t"), 0, "0", None, "dalembert", "bad wave speed c: wave speed must be nonzero"),
+            (("x", "t"), "c", "c", None, "dalembert",
+             "bad wave speed c: symbolic speed requires a polynomial with a c variable"),
+        ],
+        ids=["order", "vars", "provenance", "zero-speed", "symbolic-speed-without-c"],
+    )
+    def test_writer_and_reader_share_the_rules(self, vars_, c, wire_c, order, provenance, message):
+        body = MPoly(vars_, {(1,) + (0,) * (len(vars_) - 1): 1})
+        with pytest.raises(SerializationError) as raised:
+            wave_to_json(WaveSolution(body, c, order, provenance))
+        assert str(raised.value) == message
+        doc = mpoly_to_json(body) | {"c": wire_c, "order": order, "provenance": provenance}
+        with pytest.raises(SerializationError) as raised:
+            wave_from_json(json.loads(json.dumps(doc)))
+        assert str(raised.value) == message
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_waves())
+    def test_roundtrip_is_exact(self, ws):
+        text = json.dumps(wave_to_json(ws))
+        back = wave_from_json(json.loads(text))
+        assert back == ws
+        assert json.dumps(wave_to_json(back)) == text
 
     @staticmethod
     def _doc(**changes):
