@@ -213,7 +213,7 @@ def _cmd_verify(args):
                 f"(only {_SEEDED_IDENTITY} takes it)"
             )
     ids = sorted(IDENTITY_CHECKS) if args.identity == "all" else [args.identity]
-    q_samples = [Fraction(1, 2), Fraction(3, 4), Fraction(2)]
+    q_samples = None  # verify_exp_product's own points
     if args.seed is not None:
         rng = random.Random(args.seed)
         q_samples = []

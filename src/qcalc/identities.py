@@ -219,7 +219,7 @@ def verify_q_hermite_binomial(n_max: int):
 @_verifier("exp-product", "order", 20)
 def verify_exp_product(order: int, q_samples=None):
     """e_q(x) e_q(-x) == e_{q^2}((1-q)/(1+q) x^2) coefficientwise to the given
-    order, plus exact spot checks at the supplied rational q values."""
+    order, plus exact spot checks at each rational q of q_samples (default 1/2, 3/4, 2)."""
     one_minus_q = LaurentPoly({0: 1, 2: -1})
     one_plus_q = q_int(2)
     lhs_all, rhs_all = [], []
@@ -235,7 +235,7 @@ def verify_exp_product(order: int, q_samples=None):
         rhs_all.append(rhs)
         if lhs != rhs:
             yield lhs - rhs, f"coefficient of x^{n} differs"
-    for q in q_samples or ():
+    for q in (Fraction(1, 2), Fraction(3, 4), Fraction(2)) if q_samples is None else q_samples:
         q = Fraction(q)
         if q == -1:
             raise PoleError("q = -1 is a pole of (1-q)/(1+q); sample rejected")

@@ -94,15 +94,28 @@ def _position(variables: tuple[str, ...], name: str) -> int:
         raise ValueError(f"variable {name!r} not among {variables}") from None
 
 
+def _brief(value) -> str:
+    """repr of a refused value for an error message, cut to about 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
+def _distinct_names(variables) -> tuple[str, ...]:
+    names = tuple(variables)
+    if not all(isinstance(v, str) for v in names):
+        raise ValueError(f"variable names {_brief(names)} are not all strings")
+    if len(set(names)) != len(names):
+        raise ValueError(f"variable names repeat in {_brief(names)}")
+    return names
+
+
 class MPoly:
     """Sparse polynomial in named variables with CoefExpr coefficients."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
-        self.vars = tuple(variables)
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError(f"variable names repeat in {self.vars}")
+        self.vars = _distinct_names(variables)
         clean: dict[tuple[int, ...], CoefExpr] = {}
         if terms:
             width = len(self.vars)
@@ -112,7 +125,7 @@ class MPoly:
                     continue
                 exps = tuple(map(index, exps))
                 if len(exps) != width:
-                    raise ValueError(f"exponent tuple {exps} does not match {self.vars}")
+                    raise ValueError(f"exponent tuple {_brief(exps)} does not match {_brief(self.vars)}")
                 if any(e < 0 for e in exps):
                     raise UnsupportedOrderError("negative exponents are not supported")
                 clean[exps] = coef
@@ -127,11 +140,11 @@ class MPoly:
 
     @classmethod
     def zero(cls, variables) -> MPoly:
-        return cls._raw(tuple(variables), {})
+        return cls._raw(_distinct_names(variables), {})
 
     @classmethod
     def const(cls, variables, value) -> MPoly:
-        variables = tuple(variables)
+        variables = _distinct_names(variables)
         c = CoefExpr.of(value)
         if c.is_zero():
             return cls._raw(variables, {})
@@ -139,7 +152,7 @@ class MPoly:
 
     @classmethod
     def var(cls, variables, name) -> MPoly:
-        variables = tuple(variables)
+        variables = _distinct_names(variables)
         exps = [0] * len(variables)
         exps[_position(variables, name)] = 1
         return cls._raw(variables, {tuple(exps): CE_ONE})
@@ -294,7 +307,7 @@ class MPoly:
 
     def with_vars(self, new_vars) -> MPoly:
         """Re-express over a variable list that contains every used variable."""
-        new_vars = tuple(new_vars)
+        new_vars = _distinct_names(new_vars)
         pos = {}
         for i, v in enumerate(self.vars):
             if v in new_vars:

@@ -14,9 +14,10 @@ This is the d'Alembert form (f+ + f-)/2 + (G+ - G-)/(2c), since the minus
 expansion is the plus one with t -> -t.  Each power of t comes with the same
 power of the speed, so dividing the odd half by the speed is exact.
 
-The solver checks its own output: u(x, 0) must reproduce f, the downward
-q-derivative in t at t = 0 must reproduce g, and the wave residual must
-vanish (identically for polynomial data, through total degree order-2 for
+InitialData and WaveSolution check their own fields when built.  The solver
+checks its own output: u(x, 0) must reproduce f, the downward q-derivative
+in t at t = 0 must reproduce g, and the wave residual must vanish
+(identically for polynomial data, through total degree order-2 for
 truncated series data).  A failed condition raises PostconditionError.
 """
 
@@ -27,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coeffs import CoefExpr, QCalcError, UnsupportedOrderError
-from .polys import MPoly, coef_to_complex, q_binomial_expand
+from .polys import MPoly, _brief, coef_to_complex, q_binomial_expand
 from .qcore import q_trig_series
 
 __all__ = [
@@ -54,6 +55,8 @@ _XT = ("x", "t")
 _XTC = ("x", "t", "c")
 _MAX_TABLE_CELLS = 2**22  # cells of each (x-degree + 1) x (t-degree + 1) table of sample_grid
 MAX_GRID_POINTS = 2**22  # points on one grid axis, and rows of one sample_grid call
+# "unknown" is what a wave document without a provenance reads as.
+_PROVENANCES = ("dalembert", "direct-binomial", "named-series", "unknown")
 
 
 class PostconditionError(QCalcError):
@@ -76,6 +79,15 @@ def _as_speed(c):
     return c
 
 
+def _check_order(order, kind: str, error=ValueError) -> int:
+    """A truncation order: an int >= 0 (True, 2.7 and "3" are refused)."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise error(f"{kind} order {_brief(order)} is not an integer")
+    if order < 0:
+        raise error(f"{kind} order {order} is negative")
+    return order
+
+
 def poly_from_coefficients(coeffs, var: str = "x") -> MPoly:
     """Univariate polynomial from a low-degree-first coefficient sequence."""
     return MPoly((var,), {(d,): CoefExpr.of(c) for d, c in enumerate(coeffs)})
@@ -85,12 +97,12 @@ class InitialData(namedtuple("InitialData", "f g order")):
     """Initial displacement f and initial q-velocity g, univariate in x.
 
     order is None for exact polynomial data; for truncated series data it is
-    the total degree through which both inputs are exact.  The polynomials may
-    carry the symbolic speed variable (as g does in the worked quadratic
-    example with initial velocity proportional to c x).  A named tuple, so it
-    is immutable, equal when the fields are, and also iterable and equal to
-    the plain tuple of its fields; _make and _replace run the checks of
-    __new__ too.
+    the total degree through which both inputs are exact, an int >= 0.  The
+    polynomials may carry the symbolic speed variable (as g does in the worked
+    quadratic example with initial velocity proportional to c x).  A named
+    tuple, so it is immutable, equal when the fields are, and also iterable
+    and equal to the plain tuple of its fields; _make and _replace run the
+    checks of __new__ too.
     """
 
     __slots__ = ()
@@ -101,6 +113,8 @@ class InitialData(namedtuple("InitialData", "f g order")):
                 raise ValueError("initial data must not involve the time variable")
             if not set(p.vars) <= {"x", "c"}:
                 raise ValueError(f"initial data variables {p.vars} not in (x, c)")
+        if order is not None:
+            _check_order(order, "initial data")
         return super().__new__(cls, f, g, order)
 
     @classmethod
@@ -119,11 +133,28 @@ def _as_x_poly(p) -> MPoly:
 
 
 class WaveSolution(namedtuple("WaveSolution", "body c order provenance")):
-    """A wave body plus its speed, truncation order and construction origin.
-    A named tuple: immutable, equal when the fields are, and also iterable
-    and equal to the plain tuple of its fields."""
+    """A body over variables within x, t, c, a speed speed_poly takes over them,
+    an order of None or an int >= 0, and one of _PROVENANCES; a named tuple,
+    immutable, iterable and equal when the fields are, checked by _make and _replace too."""
 
     __slots__ = ()
+
+    def __new__(cls, body: MPoly, c, order: int | None, provenance: str):
+        if not set(body.vars).issubset(_XTC):
+            raise ValueError(f"wave variables {_brief(list(body.vars))} are not within x, t, c")
+        if order is not None:
+            _check_order(order, "wave")
+        if provenance not in _PROVENANCES:
+            raise ValueError(f"unknown wave provenance {_brief(provenance)}")
+        try:
+            speed_poly(body.vars, c)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad wave speed c: {exc}") from None
+        return super().__new__(cls, body, c, order, provenance)
+
+    @classmethod
+    def _make(cls, iterable) -> WaveSolution:
+        return cls(*iterable)
 
     def residual_is_zero(self) -> bool:
         r = qwave_operator(self.body, self.c)

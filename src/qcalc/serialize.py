@@ -10,8 +10,8 @@ values equal under cross-multiplication.  A truncated series is the
 polynomial document of one variable plus "order"; every term is checked on
 read, and the terms past the order are dropped.  A wave's speed "c" is "c"
 when symbolic, a rational string when rational, and otherwise a coefficient
-object; any other speed is refused.  A wave keeps one set of rules
-(_check_wave) on write and on read.
+object; any other speed is refused.  A wave's fields and an order are checked
+by the values' own rules (qwave), whose text the reader reports.
 The CLI writes each document as one line of compact JSON; older documents,
 indented and with "im": "0" on every term, read to the same values.
 
@@ -33,8 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms
-from .polys import MPoly
-from .qwave import SYMBOLIC_SPEED, WaveSolution, speed_poly
+from .polys import MPoly, _brief
+from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order
 
 __all__ = [
     "SerializationError",
@@ -55,12 +55,6 @@ __all__ = [
 
 class SerializationError(QCalcError, ValueError):
     """Malformed wire data."""
-
-
-def _brief(value) -> str:
-    """repr of a wire value for an error message, cut to about 80 characters."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:76] + " ..."
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -272,19 +266,11 @@ def mpoly_from_json(doc) -> MPoly:
 
 def series_to_json(p: MPoly, order: int) -> dict:
     """A truncated series (univariate MPoly) as the polynomial document of
-    its terms of degree <= order, plus "order"."""
+    its terms of degree <= order, plus "order" (an int >= 0)."""
+    _check_order(order, "series", SerializationError)
     doc = mpoly_to_json(p.truncate_total_degree(order))
     doc["order"] = order
     return doc
-
-
-def _order_from(order, kind: str) -> int:
-    """A document's order: a JSON integer >= 0 (2.7, true and "3" are refused)."""
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise SerializationError(f"{kind} order {_brief(order)} is not an integer")
-    if order < 0:
-        raise SerializationError(f"{kind} order {order} is negative")
-    return order
 
 
 def series_from_json(doc) -> tuple[MPoly, int]:
@@ -294,7 +280,7 @@ def series_from_json(doc) -> tuple[MPoly, int]:
     body = mpoly_from_json(doc)
     if len(body.vars) != 1:
         raise SerializationError(f"series vars {list(body.vars)} is not one variable")
-    order = _order_from(doc.get("order"), "series")
+    order = _check_order(doc.get("order"), "series", SerializationError)
     return body.truncate_total_degree(order), order
 
 
@@ -321,28 +307,7 @@ def _speed_from_json(value):
         raise SerializationError(f"bad wave speed c: {exc}") from None
 
 
-# "unknown" is what a document without a provenance reads as.
-_PROVENANCES = ("dalembert", "direct-binomial", "named-series", "unknown")
-_WAVE_VARS = {"x", "t", "c"}
-
-
-def _check_wave(body: MPoly, c, order, provenance) -> None:
-    """The rules of a wave's fields, kept on write and on read; the speed
-    must be one the solver takes over the body's variables (speed_poly)."""
-    if not set(body.vars) <= _WAVE_VARS:
-        raise SerializationError(f"wave variables {list(body.vars)} are not within x, t, c")
-    if order is not None:
-        _order_from(order, "wave")
-    if provenance not in _PROVENANCES:
-        raise SerializationError(f"unknown wave provenance {_brief(provenance)}")
-    try:
-        speed_poly(body.vars, c)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"bad wave speed c: {exc}") from None
-
-
 def wave_to_json(w: WaveSolution) -> dict:
-    _check_wave(*w)
     doc = mpoly_to_json(w.body)
     doc["c"] = _speed_to_json(w.c)
     doc["order"] = w.order
@@ -354,9 +319,10 @@ def wave_from_json(doc) -> WaveSolution:
     if not isinstance(doc, dict) or "c" not in doc:
         raise SerializationError("wave document needs a c field")
     body, c = mpoly_from_json(doc), _speed_from_json(doc["c"])
-    wave = WaveSolution(body, c, doc.get("order"), doc.get("provenance", "unknown"))
-    _check_wave(*wave)
-    return wave
+    try:
+        return WaveSolution(body, c, doc.get("order"), doc.get("provenance", "unknown"))
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from None
 
 
 def verdict_to_json(v) -> dict:

@@ -80,6 +80,23 @@ def test_exp_product_spot_checks():
     assert verify_exp_product(10, q_samples=[Fraction(1, 2), Fraction(3)]).ok
 
 
+def test_exp_product_default_spot_checks(monkeypatch):
+    # without q_samples the library checks the points the CLI checks without
+    # --seed: 1/2, 3/4 and 2, each at x^0 .. x^6; an explicit list still wins
+    calls = []
+    original = CoefExpr.eval_q
+
+    def counting(self, q, s=None):
+        calls.append(q)
+        return original(self, q, s)
+
+    monkeypatch.setattr(CoefExpr, "eval_q", counting)
+    assert verify_exp_product(6).ok
+    assert len(calls) == 42 and set(calls) == {Fraction(1, 2), Fraction(3, 4), Fraction(2)}
+    calls.clear()
+    assert verify_exp_product(6, q_samples=[]).ok and not calls
+
+
 def test_q_hermite_binomial_low_degree_by_hand():
     # n = 1: ( [2] z + i [2] w ) / [2] = z + i w
     two = CoefExpr.of(q_int(2))

@@ -582,8 +582,21 @@ class TestJacksonIntegralNumeric:
          "q_binomial_power needs two distinct variables"),
         (lambda: MPoly(("x",), {(2.5,): 1}), TypeError,
          "'float' object cannot be interpreted as an integer"),
+        (lambda: MPoly.zero(("x", "x")), ValueError, "variable names repeat in ('x', 'x')"),
+        (lambda: MPoly.const(("x", "x"), 2), ValueError, "variable names repeat in ('x', 'x')"),
+        (lambda: MPoly.var(("x", "x"), "x"), ValueError, "variable names repeat in ('x', 'x')"),
+        (lambda: MPoly(("x",), {(1,): 1}).with_vars(("x", "x")), ValueError,
+         "variable names repeat in ('x', 'x')"),
+        (lambda: MPoly((1, 2), {(1, 0): 3}), ValueError,
+         "variable names (1, 2) are not all strings"),
+        (lambda: MPoly.zero(("x", None)), ValueError,
+         "variable names ('x', None) are not all strings"),
     ],
-    ids=["exponent-width", "one-variable-binomial", "float-exponent"],
+    ids=[
+        "exponent-width", "one-variable-binomial", "float-exponent", "zero-repeated-name",
+        "const-repeated-name", "var-repeated-name", "with-vars-repeated-name",
+        "non-string-names", "zero-non-string-name",
+    ],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:

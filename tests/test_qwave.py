@@ -119,7 +119,7 @@ class TestValueClasses:
     @pytest.mark.parametrize("attr", ["order", "f", "body", "extra"])
     def test_assignment_is_refused(self, attr):
         data = InitialData(X2, MPoly.zero(("x",)))
-        ws = WaveSolution(X2, CE_ONE, None, "x")
+        ws = WaveSolution(X2, CE_ONE, None, "direct-binomial")
         for value in (data, ws):
             with pytest.raises(AttributeError):
                 setattr(value, attr, None)
@@ -455,7 +455,9 @@ def _sampled_waves(draw):
         st.dictionaries(st.tuples(*[degree] * len(variables)), _sample_coef, max_size=8)
     )
     order = draw(st.none() | st.integers(0, 9))
-    return WaveSolution(MPoly(variables, terms), SYMBOLIC_SPEED, order, "direct-binomial")
+    # a body without c samples the same at every speed
+    speed = SYMBOLIC_SPEED if "c" in variables else CE_ONE
+    return WaveSolution(MPoly(variables, terms), speed, order, "direct-binomial")
 
 
 def _horner(coeffs, x):
@@ -506,8 +508,8 @@ _coordinate = st.floats(-1.5, 1.5)
 # Top-band terms that cancel: x t - x t c at c = 1 and x t + x t c at c = -1
 # have value 0 but tail 2|x t|, which summing signed parts or merging the two
 # terms before abs would lose; at x = -1 the tail must still use |x|.
-_CANCELLING = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): -1}), SYMBOLIC_SPEED, 2, "x")
-_SIGNED = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): 1}), SYMBOLIC_SPEED, 2, "x")
+_CANCELLING = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): -1}), SYMBOLIC_SPEED, 2, "direct-binomial")
+_SIGNED = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): 1}), SYMBOLIC_SPEED, 2, "direct-binomial")
 
 
 class TestSampleGrid:
@@ -531,7 +533,7 @@ class TestSampleGrid:
         ]
 
     def test_invalid_q(self):
-        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "x")
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "direct-binomial")
         with pytest.raises(ValueError):
             sample_grid(ws, 0.0, 1.0, [0.0], [0.0])
 
@@ -539,15 +541,15 @@ class TestSampleGrid:
         "q, c", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, -math.inf)]
     )
     def test_non_finite_q_or_speed(self, q, c):
-        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "x")
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 0): 1}), CE_ONE, None, "direct-binomial")
         with pytest.raises(ValueError, match="finite"):
             sample_grid(ws, q, c, [0.0], [0.0])
 
     def test_table_cell_cap(self, monkeypatch):
         monkeypatch.setattr(qwave, "_MAX_TABLE_CELLS", 100)
-        at_cap = WaveSolution(MPoly(("x", "t"), {(9, 9): 1}), CE_ONE, None, "x")
+        at_cap = WaveSolution(MPoly(("x", "t"), {(9, 9): 1}), CE_ONE, None, "direct-binomial")
         assert sample_grid(at_cap, 0.5, 1.0, [2.0], [1.0])[0][2] == 2.0**9
-        over = WaveSolution(MPoly(("x", "t"), {(10, 9): 1, (0, 0): 1}), CE_ONE, None, "x")
+        over = WaveSolution(MPoly(("x", "t"), {(10, 9): 1, (0, 0): 1}), CE_ONE, None, "direct-binomial")
         with pytest.raises(ValueError, match="110 table cells, more than 100"):
             sample_grid(over, 0.5, 1.0, [0.0], [0.0])
 
@@ -685,6 +687,9 @@ def test_package_import_graph():
         visit(mod)
 
 
+X_XT = MPoly(("x", "t"), {(1, 0): 1})
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -694,8 +699,30 @@ def test_package_import_graph():
          "initial data variables ('y',) not in (x, c)"),
         (lambda: speed_poly(("x", "t"), "c"), ValueError,
          "symbolic speed requires a polynomial with a c variable"),
+        (lambda: InitialData(X2, X2, -1), ValueError, "initial data order -1 is negative"),
+        (lambda: InitialData(X2, X2, 2.7), ValueError,
+         "initial data order 2.7 is not an integer"),
+        (lambda: InitialData(X2, X2, True), ValueError,
+         "initial data order True is not an integer"),
+        (lambda: InitialData(X2, X2, 3)._replace(order=-1), ValueError,
+         "initial data order -1 is negative"),
+        (lambda: WaveSolution(MPoly(("y",), {(1,): 1}), CE_ONE, None, "dalembert"), ValueError,
+         "wave variables ['y'] are not within x, t, c"),
+        (lambda: WaveSolution(X_XT, CE_ONE, 2.7, "dalembert"), ValueError,
+         "wave order 2.7 is not an integer"),
+        (lambda: WaveSolution(X_XT, CE_ONE, None, "x"), ValueError,
+         "unknown wave provenance 'x'"),
+        (lambda: WaveSolution(X_XT, SYMBOLIC_SPEED, None, "dalembert"), ValueError,
+         "bad wave speed c: symbolic speed requires a polynomial with a c variable"),
+        (lambda: WaveSolution(X_XT, CE_ONE, 3, "dalembert")._replace(order=-1), ValueError,
+         "wave order -1 is negative"),
     ],
-    ids=["unknown-symbolic-speed", "foreign-initial-variable", "symbolic-speed-without-c"],
+    ids=[
+        "unknown-symbolic-speed", "foreign-initial-variable", "symbolic-speed-without-c",
+        "initial-order-negative", "initial-order-fraction", "initial-order-bool",
+        "initial-replace-order", "wave-variables", "wave-order", "wave-provenance",
+        "wave-speed", "wave-replace-order",
+    ],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:

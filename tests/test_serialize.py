@@ -465,6 +465,20 @@ class TestSeries:
         with pytest.raises(SerializationError, match="series order -1 is negative"):
             series_from_json({"vars": ["x"], "terms": [], "order": -1})
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [(-1, "series order -1 is negative"), (2.7, "series order 2.7 is not an integer"),
+         (True, "series order True is not an integer")],
+    )
+    def test_writer_refuses_the_orders_the_reader_refuses(self, order, message):
+        s = q_exp_series("E", 5)
+        with pytest.raises(SerializationError) as raised:
+            series_to_json(s, order)
+        assert str(raised.value) == message
+        with pytest.raises(SerializationError) as raised:
+            series_from_json(series_to_json(s, 5) | {"order": order})
+        assert str(raised.value) == message
+
     def test_malformed_term_past_the_order_is_refused(self):
         doc = series_to_json(q_exp_series("E", 5), 5) | {"order": 0}
         doc["terms"][1]["coef"] = "garbage"
@@ -588,13 +602,29 @@ class TestWave:
     )
     def test_writer_and_reader_share_the_rules(self, vars_, c, wire_c, order, provenance, message):
         body = MPoly(vars_, {(1,) + (0,) * (len(vars_) - 1): 1})
-        with pytest.raises(SerializationError) as raised:
-            wave_to_json(WaveSolution(body, c, order, provenance))
-        assert str(raised.value) == message
+        # the writer cannot be handed such a wave: the value refuses to be built
+        with pytest.raises(ValueError) as raised:
+            WaveSolution(body, c, order, provenance)
+        assert type(raised.value) is ValueError and str(raised.value) == message
         doc = mpoly_to_json(body) | {"c": wire_c, "order": order, "provenance": provenance}
         with pytest.raises(SerializationError) as raised:
             wave_from_json(json.loads(json.dumps(doc)))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "extra, deg, message",
+        [([], None, "wave variables ['v0', 'v1', "),
+         (["v0"], None, "variable names repeat in ('v0', 'v1', "),
+         ([], [0], "exponent tuple (0,) does not match ('v0', 'v1', ")],
+        ids=["foreign", "repeated", "degree-width"],
+    )
+    def test_long_variable_list_is_cut_in_the_message(self, extra, deg, message):
+        doc = {"vars": [f"v{k}" for k in range(2000)] + extra, "c": "1",
+               "terms": [] if deg is None else [{"deg": deg, "coef": coef_to_json(CE_Q)}]}
+        with pytest.raises(SerializationError) as raised:
+            wave_from_json(doc)
+        assert str(raised.value).startswith(message)
+        assert len(str(raised.value)) < 200
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_waves())
