@@ -151,8 +151,10 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
     acc = MPoly.zero(h_a[0].vars)
     ik = GR_ONE
     for k, weight in enumerate(weights):
-        pair = h_a[n - k] * h_b[k]
-        acc = acc + pair.scale(CoefExpr.of(weight) * ik)
+        # scaling the factor with fewer terms takes fewer coefficient products
+        # than scaling their product; the sum is the same exact value
+        a, b, c = h_a[n - k], h_b[k], CoefExpr.of(weight) * ik
+        acc = acc + (a.scale(c) * b if len(a.terms) <= len(b.terms) else a * b.scale(c))
         ik = ik * GR_I
     return acc.scale(CoefExpr.of(two**n).inverse())
 

@@ -91,7 +91,7 @@ def _position(variables: tuple[str, ...], name: str) -> int:
     try:
         return variables.index(name)
     except ValueError:
-        raise ValueError(f"variable {name!r} not among {variables}") from None
+        raise ValueError(f"variable {name!r} not among {_brief(variables)}") from None
 
 
 def _brief(value) -> str:
@@ -187,7 +187,7 @@ class MPoly:
 
     def _check_vars(self, other: MPoly):
         if self.vars != other.vars:
-            raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
+            raise ValueError(f"variable lists differ: {_brief(self.vars)} vs {_brief(other.vars)}")
 
     def __add__(self, other):
         if not isinstance(other, MPoly):

@@ -55,6 +55,7 @@ _XT = ("x", "t")
 _XTC = ("x", "t", "c")
 _MAX_TABLE_CELLS = 2**22  # cells of each (x-degree + 1) x (t-degree + 1) table of sample_grid
 MAX_GRID_POINTS = 2**22  # points on one grid axis, and rows of one sample_grid call
+_TAIL_TOLERANCE = 1e-6  # sample_grid: a point is valid when tail <= this * max(1, |value|)
 # "unknown" is what a wave document without a provenance reads as.
 _PROVENANCES = ("dalembert", "direct-binomial", "named-series", "unknown")
 
@@ -281,8 +282,12 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The sums are taken by Horner's rule, first in x for each power of t,
-    then in t; one loop over the (value, tail) coefficient pairs gives both
-    at a point.  Each distinct denominator is converted to a float once.
+    then in t.  Each x row first bounds its tail by the Horner of the tail
+    coefficients at the largest |t| of the grid; when that bound is within
+    1e-6, every point of the row is valid and only the value is summed,
+    otherwise one loop over the (value, tail) coefficient pairs gives both at
+    each point.  The flags are the same either way, since no point's tail
+    exceeds the bound.  Each distinct denominator is converted to a float once.
     Raises ValueError when the grid has more than MAX_GRID_POINTS rows, when
     q is not finite and positive or c is not finite, or when the tables would
     exceed _MAX_TABLE_CELLS cells, and OverflowError when a coefficient at q,
@@ -334,6 +339,7 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     # Horner runs highest power first, so each table is read back to front
     x_pairs = [list(zip(reversed(vr), reversed(tr))) for vr, tr in zip(value_rows, tail_rows)]
     t_points = [(t, abs(t)) for t in map(float, t_grid)]
+    t_max = max((at for _, at in t_points), default=0.0)
     rows = []
     for x in map(float, x_grid):
         ax = abs(x)
@@ -344,12 +350,25 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
                 value = value * x + v
                 tail = tail * ax + w
             t_pairs.append((value, tail))
+        # The tail coefficients and every |t| are >= 0 and rounded * and + are
+        # monotone, so no point's tail exceeds the tail at t_max; a bound within
+        # the tolerance makes every flag of the row True, the same flag the
+        # pair loop computes.  A NaN bound fails <= and takes the pair loop.
+        bound = 0.0
+        for _, w in t_pairs:
+            bound = bound * t_max + w
+        certified = bound <= _TAIL_TOLERANCE
+        t_values = [v for v, _ in t_pairs]
         for t, at in t_points:
             value = tail = 0.0
-            for v, w in t_pairs:
-                value = value * t + v
-                tail = tail * at + w
+            if certified:
+                for v in t_values:
+                    value = value * t + v
+            else:
+                for v, w in t_pairs:
+                    value = value * t + v
+                    tail = tail * at + w
             if not (math.isfinite(value) and math.isfinite(tail)):
                 raise OverflowError(f"wave value at x={x!r}, t={t!r} is out of float range")
-            rows.append((x, t, value, tail <= 1e-6 * max(1.0, abs(value))))
+            rows.append((x, t, value, certified or tail <= _TAIL_TOLERANCE * max(1.0, abs(value))))
     return rows

@@ -232,6 +232,14 @@ class TestMPolyBasics:
         with pytest.raises(ValueError, match=r"variable 't' not among \('x',\)"):
             MPoly.var(("x",), "t")
 
+    def test_long_variable_lists_are_cut_in_the_message(self):
+        names = tuple(f"v{k}" for k in range(2000))
+        with pytest.raises(ValueError, match="variable 'z' not among") as missing:
+            MPoly.var(names, "z")
+        with pytest.raises(ValueError, match="variable lists differ") as differ:
+            MPoly.zero(names) + MPoly.zero(names[:-1])
+        assert len(str(missing.value)) < 200 and len(str(differ.value)) < 200
+
 
 class TestQDerivative:
     def test_monomial_rule(self):

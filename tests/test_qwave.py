@@ -594,8 +594,28 @@ class TestSampleGrid:
     )
     @example(_CANCELLING, 0.5, 1.0, [-0.5, 0.0, -0.0], [0.5, -0.25])
     @example(_SIGNED, 0.5, -1.0, [1.0], [-1.0, 1.0])
+    # the largest |t| is at a negative t: the tail 2|x t| is within 1e-6 at
+    # t = 0.5 but not at t = -1, so a row bound taken at max(t) would pass it
+    @example(_SIGNED, 0.5, 1.0, [7e-7], [-1.0, 0.5])
     def test_bit_identical_to_the_two_horner_kernel(self, wave, q, c, xs, ts):
         assert sample_grid(wave, q, c, xs, ts) == _sample_grid_two_horner(wave, q, c, xs, ts)
+
+    def test_rows_with_and_without_a_tail_bound_match_the_two_horner_kernel(self):
+        wave = _cos_sin_wave(20)
+        # at q = 0.5 the band over t in [0, 1] is within 1e-6 on the rows near
+        # x = 0 and not on the rows near |x| = 1
+        xs, ts = [k / 20 for k in range(-20, 21)], [k / 4 for k in range(5)]
+        rows = sample_grid(wave, 0.5, 1.0, xs, ts)
+        assert rows == _sample_grid_two_horner(wave, 0.5, 1.0, xs, ts)
+        assert {r[3] for r in rows} == {True, False}
+
+    def test_polynomial_body_matches_the_two_horner_kernel(self):
+        body = MPoly(("x", "t"), {(2, 0): 1, (1, 1): -3, (0, 3): 2})
+        wave = WaveSolution(body, CE_ONE, None, "direct-binomial")
+        xs, ts = [-2.0, -0.5, 0.0, 1.5, 40.0], [-3.0, 0.0, 2.5]
+        rows = sample_grid(wave, 0.5, 1.0, xs, ts)
+        assert rows == _sample_grid_two_horner(wave, 0.5, 1.0, xs, ts)
+        assert all(r[3] is True for r in rows)
 
     @pytest.mark.parametrize("q", [0.5, 0.7, 0.95, 1.5])
     def test_order_20_wave_bit_identical_to_the_two_horner_kernel(self, q):
