@@ -8,9 +8,12 @@ Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 Every JSON document is written as one line of compact JSON.
 
 Each command takes the parsed args and returns (exit_code, emit): it parses,
-checks and computes its whole result, JSON text included, before it returns,
-and emit(out) only writes what was built.  So a failing command writes
-nothing, and --output PATH is opened only once there is a result to write.
+checks and computes its whole result before it returns, the wire digit bound
+included, and emit(out) encodes that decided value, one polynomial term at a
+time, in chunks of about 1 MB (_JSON_CHUNK).  Past the first byte nothing
+can raise but MemoryError or the write's own OSError.  So a failing command
+writes nothing, and --output PATH is opened only once there is a result to
+write.
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ from .qwave import (
 )
 from .serialize import (
     SerializationError,
-    mpoly_to_json,
     rational_from_str,
+    streamed_doc,
     verdict_to_json,
     wave_from_json,
-    wave_to_json,
     write_sample_csv,
 )
 
@@ -115,37 +117,63 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _render(doc) -> str:
-    """_compact(doc), the same bytes.  The terms of a polynomial or wave
-    document, as mpoly_to_json builds them, are rendered one at a time, and
-    each distinct den list object is encoded once: terms with one
-    denominator share one list, so the memo is keyed on its id (doc keeps
-    every list alive meanwhile)."""
+# characters per write of a JSON document: few calls, and no buffer that
+# grows with the document
+_JSON_CHUNK = 1 << 20
+
+
+def _json_text(doc):
+    """The text of _compact(doc) and a newline, in pieces.  The "terms" of a
+    polynomial or wave document, a list or serialize.streamed_doc's
+    generator, are rendered one term at a time, and each distinct den list
+    object is encoded once: the writer's terms with one denominator share
+    one list, and the memo keeps each list it keys, so no id is reused."""
     if not isinstance(doc, dict) or "terms" not in doc:
-        return _compact(doc)
+        yield _compact(doc) + "\n"
+        return
     dens: dict = {}
-    terms = []
-    for term in doc["terms"]:
-        coef = term["coef"]
-        den = coef["den"]
-        den_text = dens.get(id(den))
-        if den_text is None:
-            den_text = dens[id(den)] = _compact(den)
-        deg_text = _compact(term["deg"])
-        num_text = _compact(coef["num"])
-        terms.append(f'{{"deg":{deg_text},"coef":{{"num":{num_text},"den":{den_text}}}}}')
-    fields = [
-        f'"terms":[{",".join(terms)}]' if key == "terms"
-        else f"{_compact(key)}:{_compact(value)}"
-        for key, value in doc.items()
-    ]
-    return "{" + ",".join(fields) + "}"
+    sep = "{"
+    for key, value in doc.items():
+        if key != "terms":
+            yield f"{sep}{_compact(key)}:{_compact(value)}"
+        else:
+            yield f'{sep}"terms":['
+            comma = ""
+            for term in value:
+                coef = term["coef"]
+                den = coef["den"]
+                seen = dens.get(id(den))
+                if seen is None:
+                    seen = dens[id(den)] = den, _compact(den)
+                deg_text = _compact(term["deg"])
+                num_text = _compact(coef["num"])
+                yield f'{comma}{{"deg":{deg_text},"coef":{{"num":{num_text},"den":{seen[1]}}}}}'
+                comma = ","
+            yield "]"
+        sep = ","
+    yield "}\n"
 
 
-def _json_result(code: int, doc):
-    """(code, emit) for a JSON document, rendered now so that emit only writes."""
-    text = _render(doc) + "\n"
-    return code, lambda out: out.write(text)
+def _json_emit(doc):
+    """emit(out) for a JSON document: writes _json_text(doc) in chunks of
+    about _JSON_CHUNK characters.  The document comes decided: a command
+    hands it over only once making its text can raise nothing but
+    MemoryError (serialize.streamed_doc has checked the digit bound)."""
+
+    def emit(out):
+        chunk: list = []
+        size = 0
+        for piece in _json_text(doc):
+            chunk.append(piece)
+            size += len(piece)
+            if size >= _JSON_CHUNK:
+                out.write("".join(chunk))
+                chunk.clear()
+                size = 0
+        if chunk:
+            out.write("".join(chunk))
+
+    return emit
 
 
 def _parse_coeff_list(text: str):
@@ -230,7 +258,7 @@ def _cmd_verify(args):
         verdicts.append(fn(bound, q_samples) if ident == _SEEDED_IDENTITY else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
     code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_VIOLATED
-    return _json_result(code, docs if args.identity == "all" else docs[0])
+    return code, _json_emit(docs if args.identity == "all" else docs[0])
 
 
 def _cmd_solve(args):
@@ -242,7 +270,7 @@ def _cmd_solve(args):
     orders = [o for o in (f_order, g_order) if o is not None]
     data = InitialData(f, g, min(orders) if orders else None)
     solution = dalembert_solve(data, c)
-    return _json_result(EXIT_OK, wave_to_json(solution))
+    return EXIT_OK, _json_emit(streamed_doc(solution))
 
 
 def _cmd_sample(args):
@@ -263,7 +291,7 @@ def _cmd_hermite(args):
     if args.n < 0:
         raise SerializationError("degree must be >= 0")
     build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
-    return _json_result(EXIT_OK, mpoly_to_json(build[args.kind](args.n)))
+    return EXIT_OK, _json_emit(streamed_doc(build[args.kind](args.n)))
 
 
 def _cmd_expand(args):
@@ -277,7 +305,7 @@ def _cmd_expand(args):
         poly = q_binomial_substitute(
             MPoly.monomial(("x",), (args.n,), 1), sign, SYMBOLIC_SPEED
         )
-    return _json_result(EXIT_OK, mpoly_to_json(poly))
+    return EXIT_OK, _json_emit(streamed_doc(poly))
 
 
 _COMMANDS = {

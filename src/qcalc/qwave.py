@@ -225,12 +225,19 @@ def _t_parity(p: MPoly, parity: int) -> MPoly:
     return MPoly._raw(p.vars, {e: v for e, v in terms if e[1] % 2 == parity})
 
 
+def _t_degree(p: MPoly, degree: int) -> MPoly:
+    """The terms of a body over (x, t[, c]) of the given t-degree."""
+    return MPoly._raw(p.vars, {e: v for e, v in p.terms.items() if e[1] == degree})
+
+
 def _check_solution(ws: WaveSolution, data: InitialData):
+    # at t = 0 only the t-degree 0 terms of u, and only the t-degree 1 terms
+    # of its q-derivative in t, survive: the rest is dropped first
     u = ws.body
-    zero_t = u.substitute("t", 0)
+    zero_t = _t_degree(u, 0).substitute("t", 0)
     if zero_t != data.f.with_vars(u.vars):
         raise PostconditionError("solver postcondition failed: u(x, 0) != f")
-    velocity = u.q_derivative("t", "1/q").substitute("t", 0)
+    velocity = _t_degree(u, 1).q_derivative("t", "1/q").substitute("t", 0)
     if velocity != data.g.with_vars(u.vars):
         raise PostconditionError("solver postcondition failed: initial q-velocity != g")
     if not ws.residual_is_zero():

@@ -17,7 +17,9 @@ indented and with "im": "0" on every term, read to the same values.
 
 No wire integer has more than WIRE_DIGITS decimal digits: the writer refuses
 a value past that bound and the reader refuses such a string before it
-converts it, on every Python version.  A polynomial's coefficients share few
+converts it, on every Python version.  streamed_doc checks the bound over a
+whole body before it hands out a generator of its term dicts, so a caller
+can write each term as it is made.  A polynomial's coefficients share few
 distinct denominators, so each distinct denominator is converted once per
 document in both directions: mpoly_to_json puts one shared list object in
 every term with that denominator (the JSON text is unchanged), and
@@ -32,7 +34,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms
+from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms, _top
 from .polys import MPoly, _brief
 from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order
 
@@ -46,6 +48,7 @@ __all__ = [
     "mpoly_from_json",
     "series_to_json",
     "series_from_json",
+    "streamed_doc",
     "wave_to_json",
     "wave_from_json",
     "verdict_to_json",
@@ -221,15 +224,36 @@ def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:
     return CoefExpr(_laurent_from_list(doc["num"]), den)
 
 
-def mpoly_to_json(p: MPoly) -> dict:
+def _wire_terms(p: MPoly):
+    """The wire term dicts of p, sorted by degree, made one at a time; they
+    share one denominator memo, so every term with one denominator holds
+    the same list object."""
     dens: dict = {}
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"deg": list(e), "coef": coef_to_json(c, dens)}
-            for e, c in sorted(p.terms.items())
-        ],
-    }
+    for e, c in sorted(p.terms.items()):
+        yield {"deg": list(e), "coef": coef_to_json(c, dens)}
+
+
+def _check_wire_digits(p: MPoly) -> None:
+    """Raise what encoding p's terms would raise past the wire digit bound,
+    before any is encoded: a Laurent polynomial with no integer past
+    _WIRE_BITS cannot pass the bound, and only another one is encoded."""
+    for c in p.terms.values():
+        for part in (c.num, c.den):
+            if part.re and max(_top(part.re, part.im), part.den).bit_length() > _WIRE_BITS:
+                _laurent_to_list(part)
+
+
+def _mpoly_doc(p: MPoly) -> dict:
+    return {"vars": list(p.vars), "terms": _wire_terms(p)}
+
+
+def _listed(doc: dict) -> dict:
+    doc["terms"] = list(doc["terms"])
+    return doc
+
+
+def mpoly_to_json(p: MPoly) -> dict:
+    return _listed(_mpoly_doc(p))
 
 
 def mpoly_from_json(doc) -> MPoly:
@@ -307,12 +331,24 @@ def _speed_from_json(value):
         raise SerializationError(f"bad wave speed c: {exc}") from None
 
 
+def _wave_doc(w: WaveSolution) -> dict:
+    return {**_mpoly_doc(w.body), "c": _speed_to_json(w.c), "order": w.order,
+            "provenance": w.provenance}
+
+
 def wave_to_json(w: WaveSolution) -> dict:
-    doc = mpoly_to_json(w.body)
-    doc["c"] = _speed_to_json(w.c)
-    doc["order"] = w.order
-    doc["provenance"] = w.provenance
-    return doc
+    return _listed(_wave_doc(w))
+
+
+def streamed_doc(value: MPoly | WaveSolution) -> dict:
+    """The document mpoly_to_json or wave_to_json gives, with "terms" a
+    generator of the same term dicts.  The digit bound is checked over the
+    whole body first, so making the terms raises no SerializationError."""
+    if isinstance(value, WaveSolution):
+        _check_wire_digits(value.body)
+        return _wave_doc(value)
+    _check_wire_digits(value)
+    return _mpoly_doc(value)
 
 
 def wave_from_json(doc) -> WaveSolution:

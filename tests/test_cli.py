@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc import cli
+from qcalc import cli, serialize
 from qcalc.cli import main
-from qcalc.coeffs import CE_Q, CoefExpr
-from qcalc.polys import MPoly
+from qcalc.coeffs import CE_Q, GR_I, CoefExpr
+from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
+from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import q_factorial, q_int
 from qcalc.qwave import (
     SYMBOLIC_SPEED,
@@ -29,18 +30,73 @@ from qcalc.qwave import (
     poly_from_coefficients,
     q_binomial_substitute,
 )
-from qcalc.serialize import mpoly_from_json, mpoly_to_json, wave_from_json, wave_to_json
+from qcalc.serialize import (
+    mpoly_from_json,
+    mpoly_to_json,
+    streamed_doc,
+    wave_from_json,
+    wave_to_json,
+)
+
+
+class _WatchedStream:
+    """A stream that forwards writes and keeps what a write raised."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.raised = None
+
+    def write(self, text):
+        try:
+            return self.inner.write(text)
+        except BaseException as exc:
+            self.raised = exc
+            raise
+
+
+def _watched_main(argv) -> int:
+    """main(argv), with the stream each command's emit is handed wrapped.  A
+    command raises before it returns its emit or not at all, so emit may
+    only fail in a write of its own: any other exception that leaves it, and
+    so any that comes after its first write, fails the test."""
+    late = []
+
+    def watch(command):
+        def watched_command(args):
+            code, emit = command(args)
+
+            def watched_emit(out):
+                stream = _WatchedStream(out)
+                try:
+                    emit(stream)
+                except BaseException as exc:
+                    if exc is not stream.raised:
+                        late.append(exc)
+                    raise
+
+            return code, watched_emit
+
+        return watched_command
+
+    commands = dict(cli._COMMANDS)
+    cli._COMMANDS.update({name: watch(command) for name, command in commands.items()})
+    try:
+        code = main(argv)
+    finally:
+        cli._COMMANDS.update(commands)
+    assert not late, f"{late[0]!r} left emit, not raised by a write"
+    return code
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = _watched_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def _cos_sin_wave_order_6() -> WaveSolution:
-    """solve --f-named cos_q --g-named sin_q --c 5/7 --order 6, built in process."""
-    (f, order), (g, _) = named_source("cos_q", 6), named_source("sin_q", 6)
+def _cos_sin_wave(order: int = 6) -> WaveSolution:
+    """solve --f-named cos_q --g-named sin_q --c 5/7 --order ORDER, built in process."""
+    (f, order), (g, _) = named_source("cos_q", order), named_source("sin_q", order)
     return dalembert_solve(InitialData(f, g, order), Fraction(5, 7))
 
 
@@ -270,7 +326,7 @@ class TestSolve:
         doc = json.loads(out)
         entries = _laurent_entries(doc)
         assert entries and not any("im" in entry for entry in entries)
-        assert doc == wave_to_json(_cos_sin_wave_order_6())
+        assert doc == wave_to_json(_cos_sin_wave())
 
     def test_roundtrip_equality(self, capsys):
         code, out, _ = run(capsys, "solve", "--f", "0,1,2", "--g", "3,1", "--c", "1/2")
@@ -552,7 +608,7 @@ class TestSample:
     def test_indented_document_with_zero_im_reads(self, capsys, tmp_path):
         # the form earlier versions wrote: indent=2 and "im": "0" on every entry
         lean, old = tmp_path / "lean.json", tmp_path / "old.json"
-        doc = wave_to_json(_cos_sin_wave_order_6())
+        doc = wave_to_json(_cos_sin_wave())
         lean.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
         for entry in _laurent_entries(doc):
             entry.setdefault("im", "0")
@@ -573,7 +629,7 @@ class TestSample:
     @pytest.mark.parametrize("key", ["re", "im"])
     def test_zero_denominator_in_a_rational_exits_two(self, capsys, tmp_path, key):
         path = tmp_path / "wave.json"
-        doc = wave_to_json(_cos_sin_wave_order_6())
+        doc = wave_to_json(_cos_sin_wave())
         doc["terms"][0]["coef"]["num"][0][key] = "1/0"
         path.write_text(json.dumps(doc, indent=2))
         code, out, err = run(
@@ -753,7 +809,7 @@ class TestHermiteAndExpand:
 
     def test_output_file_has_the_stdout_bytes(self, capsys, tmp_path):
         wave = tmp_path / "wave.json"
-        wave.write_text(json.dumps(wave_to_json(_cos_sin_wave_order_6())))
+        wave.write_text(json.dumps(wave_to_json(_cos_sin_wave())))
         argv = ["sample", "--in", str(wave), "--q", "0.7", "--x", "-1:1:0.05", "--t", "0:1:0.02"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.count("\n") == 1 + 41 * 51  # more than one write
@@ -898,27 +954,70 @@ class TestNothingWrittenOnFailure:
         assert capsys.readouterr().out == ""
 
 
+class TestNoExceptionAfterTheFirstWrite:
+    """run() watches the stream each emit is handed (_watched_main), so every
+    CLI test that goes through it, the sample error paths and the wire digit
+    bound included, fails if an exception other than a write's own leaves
+    emit, after its first write or before it."""
+
+    @pytest.mark.parametrize("case", sorted(_FAILING_COMMANDS))
+    def test_failing_command_never_emits(self, capsys, tmp_path, monkeypatch, case):
+        argv, expected = _FAILING_COMMANDS[case]
+        wave = tmp_path / "wave.json"
+        assert main(["solve", "--f", "0,0,10", "--g", "0", "--c", "1", "--output", str(wave)]) == 0
+        if case == "solve-postcondition":
+            monkeypatch.setattr(WaveSolution, "residual_is_zero", lambda self: False)
+        emitted = []
+        monkeypatch.setattr(cli, "_json_emit", lambda doc: emitted.append(doc))
+        monkeypatch.setattr(cli, "write_sample_csv", lambda rows, out: emitted.append(rows))
+        argv = [str(wave) if arg == "WAVE" else arg for arg in argv]
+        assert run(capsys, *argv)[:2] == (expected, "")
+        assert emitted == []
+
+    def test_the_watch_sees_an_exception_after_a_write(self, capsys, monkeypatch):
+        def writes_then_fails(args):
+            def emit(out):
+                out.write("{")
+                raise ValueError("failed after its first byte")
+
+            return 0, emit
+
+        monkeypatch.setitem(cli._COMMANDS, "hermite", writes_then_fails)
+        with pytest.raises(AssertionError, match="left emit, not raised by a write"):
+            run(capsys, "hermite", "--n", "2")
+
+    def test_a_write_of_its_own_may_fail(self, capsys, monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Full(), raising=False)
+        code, out, err = run(capsys, "hermite", "--n", "2", "--output", "h.json")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 28] No space left on device\n"
+
+
 def _one_shot(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _rendered(doc) -> str:
     out = io.StringIO()
-    code, emit = cli._json_result(0, doc)
-    emit(out)
-    assert code == 0
+    cli._json_emit(doc)(out)
     return out.getvalue()
 
 
 class TestRenderedJson:
-    """_json_result renders a polynomial or wave document term by term and
-    encodes each distinct den list once; the text is the one-shot dump's."""
+    """_json_emit renders a polynomial or wave document term by term, its
+    terms a list or streamed_doc's generator, and encodes each distinct den
+    list once; the text is the one-shot dump's."""
 
     @pytest.mark.parametrize("speed", [Fraction(3, 5), SYMBOLIC_SPEED, CoefExpr.of(q_int(2))])
     def test_cos_sin_wave_order_20(self, speed):
         (f, order), (g, _) = named_source("cos_q", 20), named_source("sin_q", 20)
-        doc = wave_to_json(dalembert_solve(InitialData(f, g, order), speed))
-        assert _rendered(doc) == _one_shot(doc)
+        wave = dalembert_solve(InitialData(f, g, order), speed)
+        doc = wave_to_json(wave)
+        assert _rendered(doc) == _rendered(streamed_doc(wave)) == _one_shot(doc)
         assert isinstance(doc["c"], dict) == isinstance(speed, CoefExpr)
 
     def test_rational_data_and_zero_polynomial(self):
@@ -931,6 +1030,9 @@ class TestRenderedJson:
                     mpoly_to_json(MPoly(("x", "t"), {}))):
             assert _rendered(doc) == _one_shot(doc)
         assert wave_to_json(zero)["terms"] == []
+        for value in (dalembert_solve(data, Fraction(7, 3)), zero, MPoly(("x", "t"), {})):
+            to_json = wave_to_json if isinstance(value, WaveSolution) else mpoly_to_json
+            assert _rendered(streamed_doc(value)) == _one_shot(to_json(value))
 
     def test_equal_denominators_in_distinct_lists(self):
         doc = _shared_den_doc([dict(item) for item in _SHARED_DEN])
@@ -958,9 +1060,73 @@ class TestRenderedJson:
         proxy.__dict__.update(vars(json))
         proxy.dumps = lambda obj, **kw: calls.append(obj) or json.dumps(obj, **kw)
         monkeypatch.setattr(cli, "json", proxy)
-        doc = wave_to_json(_cos_sin_wave_order_6())
+        wave = _cos_sin_wave()
+        doc = wave_to_json(wave)
         assert _rendered(doc) == _one_shot(doc)
         dens = [term["coef"]["den"] for term in doc["terms"]]
         distinct = {id(den) for den in dens}
         assert len(distinct) < len(dens)
         assert sum(any(obj is den for den in dens) for obj in calls) == len(distinct)
+        # the same when the terms are made while they are written
+        made = []
+        wire_terms = serialize._wire_terms
+        monkeypatch.setattr(serialize, "_wire_terms", lambda p: (
+            made.append(term["coef"]["den"]) or term for term in wire_terms(p)))
+        calls.clear()
+        assert _rendered(streamed_doc(wave)) == _one_shot(doc)
+        assert len(made) == len(dens) and len({id(den) for den in made}) == len(distinct)
+        assert sum(any(obj is den for den in made) for obj in calls) == len(distinct)
+
+
+_HERMITE = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
+
+
+def _expanded(binomial, n):
+    if binomial in ("z+iw", "z-iw"):
+        return q_binomial_power("z", GR_I if binomial == "z+iw" else -GR_I, "w", n)
+    sign = "+" if binomial == "x+ct" else "-"
+    return q_binomial_substitute(MPoly.monomial(("x",), (n,), 1), sign, SYMBOLIC_SPEED)
+
+
+class TestStreamedJson:
+    """solve, hermite and expand hand emit the exact value; emit makes the
+    terms while it writes chunks of about cli._JSON_CHUNK characters."""
+
+    def test_first_chunk_is_written_before_the_last_term_is_made(self, monkeypatch):
+        made = []
+        wire_terms = serialize._wire_terms
+        monkeypatch.setattr(serialize, "_wire_terms", lambda p: (
+            made.append(term["deg"]) or term for term in wire_terms(p)))
+        monkeypatch.setattr(cli, "_JSON_CHUNK", 4096)
+        made_at_write = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                made_at_write.append(len(made))
+                return super().write(text)
+
+        out = Stream()
+        monkeypatch.setattr(cli.sys, "stdout", out)
+        argv = ["solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7"]
+        assert main([*argv, "--order", "20"]) == 0
+        wave = _cos_sin_wave(20)
+        assert len(made) == len(wave.body.terms)
+        assert made_at_write[0] < len(made)
+        assert made_at_write == sorted(made_at_write) and len(made_at_write) > 10
+        assert out.getvalue() == _one_shot(wave_to_json(wave))
+
+    @pytest.mark.parametrize("argv, build", [
+        (("solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7", "--order", "20"),
+         lambda: wave_to_json(_cos_sin_wave(20))),
+        *((("hermite", "--n", "20", "--kind", kind), lambda kind=kind: mpoly_to_json(
+            _HERMITE[kind](20))) for kind in _HERMITE),
+        *((("expand", "--binomial", b, "--n", "20"), lambda b=b: mpoly_to_json(
+            _expanded(b, 20))) for b in ("z+iw", "z-iw", "x+ct", "x-ct")),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])
+    def test_bytes_are_the_one_shot_dump(self, capsys, monkeypatch, argv, build, chunk):
+        monkeypatch.setattr(cli, "_JSON_CHUNK", chunk)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _one_shot(build())
+

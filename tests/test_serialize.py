@@ -350,6 +350,30 @@ class TestWireDigitBound:
         with pytest.raises(SerializationError, match="wire digit bound"):
             coef_to_json(CoefExpr(LaurentPoly({0: 1, 2: 10**WIRE_DIGITS}), q_int(3)))
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("part", ["num", "den", "im"])
+    def test_streamed_doc_checks_the_bound_before_any_term(self, offset, part):
+        # 1/big beside 1 makes an entry past _WIRE_BITS that reduces to 1:
+        # only big itself decides, as when the terms are encoded
+        big = 10**WIRE_DIGITS + offset
+        wide = LaurentPoly({0: Fraction(1, big), 1: GaussianRational(0, 1) if part == "im" else 1})
+        coef = CoefExpr(q_int(2), wide) if part == "den" else CoefExpr(wide, q_int(3))
+        assert max(wide.re + (wide.im or [])).bit_length() > serialize._WIRE_BITS
+        poly = MPoly(("x",), {(0,): 1, (1,): coef})
+        wave = WaveSolution(poly.with_vars(("x", "t")), Fraction(1, 2), None, "dalembert")
+        for value, to_json in ((poly, mpoly_to_json), (wave, wave_to_json)):
+            if big < 10**WIRE_DIGITS:
+                doc = serialize.streamed_doc(value)
+                doc["terms"] = list(doc["terms"])
+                assert doc == to_json(value)
+            else:
+                with pytest.raises(SerializationError) as streamed:
+                    serialize.streamed_doc(value)
+                with pytest.raises(SerializationError) as listed:
+                    to_json(value)
+                assert str(streamed.value) == str(listed.value) == (
+                    f"a rational to write has {_PAST_THE_BOUND}")
+
 
 class TestMPoly:
     def test_each_distinct_denominator_is_written_once(self):
