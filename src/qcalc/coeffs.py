@@ -36,18 +36,18 @@ view, as_monomial and exact evaluation.
 The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials, their ratios and Gaussian binomial coefficients
 are LaurentPoly values (exponents even), each table one public function
-under functools.lru_cache, the package's one cache idiom.  factorial_ratio
-is one running product and caches only the entry asked for.  Gaussian
-binomials fill their band bottom-up by the q-Pascal rule, from shifts and
-additions alone, so they are independent of the q-factorials and of exact
-division; both serve elsewhere as exact common-denominator multipliers.
+under functools.lru_cache, the package's one cache idiom, caching only the
+entries asked for.  Past q_int, each table is one call of _q_products, a
+product of factors (1 - q**a) / (1 - q**b) by two-term steps on one int
+list in q, so nothing recurses and nothing below the entry is built.  They
+serve elsewhere as exact common-denominator multipliers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, index, sub
 from struct import pack, unpack
@@ -855,43 +855,46 @@ def q_int_reciprocal(n: int) -> LaurentPoly:
     return q_int(n).invert_s()
 
 
+def _q_products(tops, bottoms) -> LaurentPoly:
+    """prod(1 - q**a) / prod(1 - q**b) over zip(tops, bottoms), a, b >= 1, each
+    partial product a polynomial in q, on one int list: times 1 - q**a is a
+    shifted subtraction, over 1 - q**b is c[j] = p[j] + c[j - b], whose top b
+    entries are the remainder (ArithmeticError unless they are zero)."""
+    c = [1]
+    for a, b in zip(tops, bottoms):
+        p = c + [0] * a
+        p[a:] = map(sub, p[a:], c)
+        for r in range(b):
+            p[r::b] = accumulate(p[r::b])
+        if any(p[-b:]):
+            raise ArithmeticError(f"1 - q**{b} leaves a remainder")
+        c = p[:-b]
+    return _canonical(0, 1, _spread(c), None)
+
+
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> LaurentPoly:
     """Product of the q-integers 1..n; q_factorial(0) = 1."""
     if n < 0:
         raise UnsupportedOrderError("q-factorials are defined for n >= 0 only")
-    if n == 0:
-        return LP_ONE
-    for m in range(1, n):  # fill the table below bottom-up: recursion stays shallow
-        q_factorial(m)
-    return q_factorial(n - 1) * q_int(n)
+    return _q_products(range(1, n + 1), repeat(1))
 
 
 @lru_cache(maxsize=None)
 def factorial_ratio(n: int, k: int) -> LaurentPoly:
-    """The exact polynomial q_factorial(n) / q_factorial(k), built as one
-    running product of the q-integers k+1 .. n (no division involved); only
-    the requested entry is cached."""
+    """The exact polynomial q_factorial(n) / q_factorial(k), the product of
+    the q-integers k+1 .. n, each (1 - q**j) / (1 - q)."""
     if not 0 <= k <= n:
         raise UnsupportedOrderError("factorial_ratio needs 0 <= k <= n")
-    out = LP_ONE
-    for j in range(k + 1, n + 1):
-        out = out * q_int(j)
-    return out
+    return _q_products(range(k + 1, n + 1), repeat(1))
 
 
 @lru_cache(maxsize=None)
 def gauss_binomial(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial coefficient as an honest polynomial in q.
-
-    Built by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]; degree
-    k(n-k) in q, symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1.
-    """
+    """Gaussian binomial coefficient as an honest polynomial in q: the product
+    of (1 - q**(n-i)) / (1 - q**(i+1)) over i < min(k, n-k), degree k(n-k) in
+    q, symmetric under k <-> n-k, and equal to binomial(n, k) at q = 1."""
     if not 0 <= k <= n:
         raise UnsupportedOrderError("gauss_binomial needs 0 <= k <= n")
-    if k == 0 or k == n:
-        return LP_ONE
-    for m in range(2, n):  # fill the band below bottom-up: recursion stays shallow
-        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
-            gauss_binomial(m, j)
-    return gauss_binomial(n - 1, k - 1) + gauss_binomial(n - 1, k).shift(2 * k)
+    k = min(k, n - k)
+    return _q_products(range(n, n - k, -1), range(1, k + 1))

@@ -3,13 +3,13 @@
 The q-family is constructed from the closed-form sum extracted from its
 generating function e_q(-t^2) e_q([2]_q t x): every coefficient is the
 exact polynomial (-1)^k [n]_q! [2]_q^(n-2k) / ([k]_q! [n-2k]_q!), assembled
-from cached q-factorial ratios so no division is ever performed.  The
+from cached q-factorial ratios, so no division is performed here.  The
 sqrt(q) recurrence is exercised in the test suite rather than used to build.
 
 Every family is one public function cached with functools.lru_cache, the
 package's one cache idiom, and every returned value is immutable.  The
-classical recurrence fills its table bottom-up inside that function, as
-gauss_binomial does, so recursion never nests more than one level deep.
+classical recurrence fills its table bottom-up inside that function, so
+recursion never nests more than one level deep.
 """
 
 from __future__ import annotations

@@ -313,7 +313,7 @@ class MPoly:
             if v in new_vars:
                 pos[i] = new_vars.index(v)
             elif self.degree_in(v) > 0:
-                raise ValueError(f"variable {v!r} in use but absent from {new_vars}")
+                raise ValueError(f"variable {v!r} in use but absent from {_brief(new_vars)}")
         out = {}
         for e, c in self.terms.items():
             ne = [0] * len(new_vars)

@@ -75,8 +75,5 @@ def q_euler_number(order: int) -> CoefExpr:
     over the common denominator [order]_q!."""
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
-    num = term = LP_ONE  # term runs through [order]_q!/[n]_q! from n = order down
-    for n in range(order, 0, -1):
-        term = term * q_int(n)
-        num = num + term
+    num = sum((factorial_ratio(order, n) for n in range(order)), LP_ONE)  # n = order: 1
     return CoefExpr(num, q_factorial(order))

@@ -113,7 +113,7 @@ class InitialData(namedtuple("InitialData", "f g order")):
             if "t" in p.vars:
                 raise ValueError("initial data must not involve the time variable")
             if not set(p.vars) <= {"x", "c"}:
-                raise ValueError(f"initial data variables {p.vars} not in (x, c)")
+                raise ValueError(f"initial data variables {_brief(p.vars)} not in (x, c)")
         if order is not None:
             _check_order(order, "initial data")
         return super().__new__(cls, f, g, order)

@@ -303,7 +303,7 @@ def series_from_json(doc) -> tuple[MPoly, int]:
     dropped."""
     body = mpoly_from_json(doc)
     if len(body.vars) != 1:
-        raise SerializationError(f"series vars {list(body.vars)} is not one variable")
+        raise SerializationError(f"series vars {_brief(list(body.vars))} is not one variable")
     order = _check_order(doc.get("order"), "series", SerializationError)
     return body.truncate_total_degree(order), order
 

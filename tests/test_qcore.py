@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 import qcalc
-from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE
+from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE, _q_products
 from qcalc.polys import MPoly
 from qcalc.qcore import (
     factorial_ratio,
@@ -43,6 +43,48 @@ def _gauss_oracle(n, k):
     return LaurentPoly(
         {2 * j: _box_partitions(j, k, n - k) for j in range(k * (n - k) + 1)}
     )
+
+
+def _pascal_rows(n_max):
+    """Rows 0..n_max of Gaussian binomials by the q-Pascal rule
+    [n k] = [n-1 k-1] + q^k [n-1 k], from LaurentPoly adds and shifts alone."""
+    rows = [[LP_ONE]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [LaurentPoly({})]
+        rows.append([LP_ONE] + [prev[k - 1] + prev[k].shift(2 * k) for k in range(1, n + 1)])
+    return rows
+
+
+def _running_products(k, n_max):
+    """[k+1]_q [k+2]_q ... [n]_q for n = k .. n_max, multiplying the dense
+    q-integers one at a time through LaurentPoly.__mul__."""
+    out = [LP_ONE]
+    for j in range(k + 1, n_max + 1):
+        out.append(out[-1] * q_int(j))
+    return out
+
+
+class TestProductKernel:
+    """The two-term-step kernel against the constructions it replaced."""
+
+    def test_gauss_binomial_against_pascal_rule(self):
+        for n, row in enumerate(_pascal_rows(60)):
+            for k, expected in enumerate(row):
+                assert gauss_binomial(n, k) == expected, (n, k)
+
+    def test_q_factorial_against_running_product(self):
+        for n, expected in enumerate(_running_products(0, 60)):
+            assert q_factorial(n) == expected, n
+
+    def test_factorial_ratio_against_running_product(self):
+        for k in range(41):
+            for n, expected in enumerate(_running_products(k, 40), start=k):
+                assert factorial_ratio(n, k) == expected, (n, k)
+
+    def test_remainder_raises(self):
+        # (1 - q^3) / (1 - q^2) is not a polynomial
+        with pytest.raises(ArithmeticError):
+            _q_products((3,), (2,))
 
 
 class TestQInt:
@@ -90,7 +132,7 @@ class TestQFactorial:
                 assert factorial_ratio(n, k) * q_factorial(k) == q_factorial(n)
 
     def test_ratio_caches_only_the_requested_entry(self):
-        # one running product, no recursion through the intermediate ratios
+        # one kernel call, no recursion through the intermediate ratios
         factorial_ratio.cache_clear()
         assert factorial_ratio(12, 3) == q_factorial(12).divexact(q_factorial(3))
         assert factorial_ratio.cache_info().currsize == 1
@@ -145,7 +187,7 @@ class TestGaussBinomial:
             gauss_binomial(3, -1)
 
     def test_pascal_recurrences(self):
-        # the first recurrence is the construction; the second checks it
+        # both q-Pascal recurrences hold for the product construction
         for n in range(1, 13):
             for k in range(1, n + 1):
                 left = gauss_binomial(n, k)
@@ -176,7 +218,8 @@ class TestGaussBinomial:
             assert total == product
 
     def test_reconstructs_factorial(self):
-        # gauss(n,k) [k]! [n-k]! == [n]!: the table is built without q-factorials
+        # gauss(n,k) [k]! [n-k]! == [n]!: the kernel's pairs for the binomial
+        # differ from those of the factorials
         for n in range(13):
             for k in range(n + 1):
                 assert (

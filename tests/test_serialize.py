@@ -650,6 +650,21 @@ class TestWave:
         assert str(raised.value).startswith(message)
         assert len(str(raised.value)) < 200
 
+    def test_long_variable_lists_are_cut_in_value_messages(self):
+        # the re-expression, initial-data and series checks name the refused
+        # variables through polys._brief, whatever the length of the list
+        names = tuple(f"v{k}" for k in range(2000))
+        wide = MPoly.var(names, "v0")
+        calls = [
+            lambda: MPoly.var(("w",), "w").with_vars(names),
+            lambda: InitialData(wide, wide),
+            lambda: series_from_json(mpoly_to_json(wide) | {"order": 1}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert len(str(raised.value)) < 200, str(raised.value)[:300]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_waves())
     def test_roundtrip_is_exact(self, ws):
