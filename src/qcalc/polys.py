@@ -327,9 +327,8 @@ class MPoly:
         i = self._index(old)
         if new in self.vars:
             raise ValueError(f"variable {new!r} already present")
-        return MPoly._raw(
-            self.vars[:i] + (new,) + self.vars[i + 1 :], dict(self.terms)
-        )
+        new_vars = _distinct_names(self.vars[:i] + (new,) + self.vars[i + 1 :])
+        return MPoly._raw(new_vars, dict(self.terms))
 
     def substitute(self, name: str, replacement) -> MPoly:
         """Replace a variable by a one-term MPoly (over the same variables) or

@@ -46,6 +46,14 @@ class TestClassical:
         for n in range(11):
             assert hermite_classical(n) == _classical_oracle(n)
 
+    def test_against_recurrence(self):
+        # H_{k+1} = 2x H_k - 2k H_{k-1}, built here through MPoly products
+        two_x = MPoly(("x",), {(1,): 2})
+        prev, cur = MPoly.const(("x",), 1), two_x
+        for k in range(1, 41):
+            assert hermite_classical(k) == cur
+            prev, cur = cur, two_x * cur - prev.scale(2 * k)
+
     def test_imaginary_argument_value(self):
         # H_2 at i*xi/2 equals -xi^2 - 2
         h = hermite_classical(2).rename_var("x", "xi")
@@ -58,6 +66,17 @@ class TestClassical:
 
 
 class TestQHermite:
+    def test_against_three_table_product(self):
+        # [n]!/([k]! [n-2k]!) [2]^(n-2k) = gauss(n, 2k) ([2k]!/[k]!) [2]^(n-2k)
+        two = q_int(2)
+        for n in range(41):
+            terms = {}
+            for k in range(n // 2 + 1):
+                d = n - 2 * k
+                coef = gauss_binomial(n, 2 * k) * factorial_ratio(2 * k, k) * two**d
+                terms[(d,)] = -coef if k % 2 else coef
+            assert q_hermite(n) == MPoly(("x",), terms)
+
     def test_printed_low_degrees(self):
         two = q_int(2)
         assert q_hermite(0) == MPoly.const(("x",), 1)
@@ -141,6 +160,15 @@ class TestQHermiteDual:
     def test_variable_naming(self):
         assert q_hermite_dual(2, var="y").vars == ("y",)
 
+    def test_against_inversion_and_rescaling(self):
+        # q -> 1/q on every coefficient, then x -> qx, as two passes
+        for k in range(41):
+            p = q_hermite(k).map_coeffs(lambda c: c.substitute_inverse_q())
+            x_form = p.scale_substitute("x", 2)
+            assert q_hermite_dual(k, "x") == x_form
+            for var in ("w", "y"):
+                assert q_hermite_dual(k, var) == x_form.rename_var("x", var)
+
     def test_other_variables_rename_the_x_form(self):
         for k in range(9):
             assert q_hermite_dual(k, "w") == q_hermite_dual(k, "x").rename_var("x", "w")
@@ -151,9 +179,9 @@ def test_each_family_is_one_cached_function():
     for family in (hermite_classical, q_hermite, q_hermite_dual):
         assert family.cache_info() is not None
     hermite_classical.cache_clear()
-    # the cold call fills the table below bottom-up inside the cached function
+    # the cold call caches the entry asked for and nothing below it
     assert hermite_classical(12) == _classical_oracle(12)
-    assert hermite_classical.cache_info().currsize == 13
+    assert hermite_classical.cache_info().currsize == 1
 
 
 def test_cache_is_thread_safe():
@@ -248,8 +276,9 @@ class TestGeneratingFunction:
     "call, error, message",
     [
         (lambda: q_hermite(-1), UnsupportedOrderError, "Hermite degree must be >= 0"),
+        (lambda: q_hermite_dual(2, 7), ValueError, "variable names (7,) are not all strings"),
     ],
-    ids=["q-hermite"],
+    ids=["q-hermite", "dual-non-string-name"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:

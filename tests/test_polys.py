@@ -599,11 +599,13 @@ class TestJacksonIntegralNumeric:
          "variable names (1, 2) are not all strings"),
         (lambda: MPoly.zero(("x", None)), ValueError,
          "variable names ('x', None) are not all strings"),
+        (lambda: MPoly(("x", "y"), {(1, 0): 1}).rename_var("x", 5), ValueError,
+         "variable names (5, 'y') are not all strings"),
     ],
     ids=[
         "exponent-width", "one-variable-binomial", "float-exponent", "zero-repeated-name",
         "const-repeated-name", "var-repeated-name", "with-vars-repeated-name",
-        "non-string-names", "zero-non-string-name",
+        "non-string-names", "zero-non-string-name", "rename-non-string-name",
     ],
 )
 def test_refusals(call, error, message):
