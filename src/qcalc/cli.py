@@ -9,9 +9,9 @@ Every JSON document is written as one line of compact JSON.
 
 Each command takes the parsed args and returns (exit_code, emit): it parses,
 checks and computes its whole result before it returns, the wire digit bound
-included, and emit(out) encodes that decided value, one polynomial term at a
-time, in chunks of about 1 MB (_JSON_CHUNK).  Past the first byte nothing
-can raise but MemoryError or the write's own OSError.  So a failing command
+included, and emit(out) encodes that decided value and writes it one
+polynomial term at a time.  Past the first byte nothing can raise but
+MemoryError or the write's own OSError.  So a failing command
 writes nothing, and --output PATH is opened only once there is a result to
 write.
 """
@@ -117,11 +117,6 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-# characters per write of a JSON document: few calls, and no buffer that
-# grows with the document
-_JSON_CHUNK = 1 << 20
-
-
 def _json_text(doc):
     """The text of _compact(doc) and a newline, in pieces.  The "terms" of a
     polynomial or wave document, a list or serialize.streamed_doc's
@@ -155,23 +150,14 @@ def _json_text(doc):
 
 
 def _json_emit(doc):
-    """emit(out) for a JSON document: writes _json_text(doc) in chunks of
-    about _JSON_CHUNK characters.  The document comes decided: a command
+    """emit(out) for a JSON document: writes each piece of _json_text(doc),
+    one term a piece, as it is made.  The document comes decided: a command
     hands it over only once making its text can raise nothing but
     MemoryError (serialize.streamed_doc has checked the digit bound)."""
 
     def emit(out):
-        chunk: list = []
-        size = 0
         for piece in _json_text(doc):
-            chunk.append(piece)
-            size += len(piece)
-            if size >= _JSON_CHUNK:
-                out.write("".join(chunk))
-                chunk.clear()
-                size = 0
-        if chunk:
-            out.write("".join(chunk))
+            out.write(piece)
 
     return emit
 
@@ -342,7 +328,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code, emit = _COMMANDS[args.command](args)
-        if not args.output:
+        if args.output is None:
             emit(sys.stdout)
         else:
             with open(args.output, "w", encoding="utf-8") as out:

@@ -232,12 +232,11 @@ def _t_degree(p: MPoly, degree: int) -> MPoly:
 
 def _check_solution(ws: WaveSolution, data: InitialData):
     # at t = 0 only the t-degree 0 terms of u, and only the t-degree 1 terms
-    # of its q-derivative in t, survive: the rest is dropped first
+    # of its q-derivative in t, survive; what is kept has no t left to set to 0
     u = ws.body
-    zero_t = _t_degree(u, 0).substitute("t", 0)
-    if zero_t != data.f.with_vars(u.vars):
+    if _t_degree(u, 0) != data.f.with_vars(u.vars):
         raise PostconditionError("solver postcondition failed: u(x, 0) != f")
-    velocity = _t_degree(u, 1).q_derivative("t", "1/q").substitute("t", 0)
+    velocity = _t_degree(u, 1).q_derivative("t", "1/q")
     if velocity != data.g.with_vars(u.vars):
         raise PostconditionError("solver postcondition failed: initial q-velocity != g")
     if not ws.residual_is_zero():

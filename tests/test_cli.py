@@ -874,6 +874,19 @@ class TestHermiteAndExpand:
         assert main(["hermite", "--n", "2", "--output", str(path)]) == 0
         assert path.read_text() == out
 
+    @pytest.mark.parametrize("argv", [
+        ("hermite", "--n", "3"),
+        ("solve", "--f", "1", "--g", "0", "--c", "1"),
+    ])
+    def test_empty_output_path_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # an unset shell variable gives an empty PATH: it fails at open like
+        # any other bad path, and nothing goes to stdout
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--output", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_file_with_the_longest_name(self, capsys, tmp_path):
         path = tmp_path / ("o" * os.pathconf(tmp_path, "PC_NAME_MAX"))
         assert main(["hermite", "--n", "2", "--output", str(path)]) == 0
@@ -1089,15 +1102,14 @@ def _expanded(binomial, n):
 
 
 class TestStreamedJson:
-    """solve, hermite and expand hand emit the exact value; emit makes the
-    terms while it writes chunks of about cli._JSON_CHUNK characters."""
+    """solve, hermite and expand hand emit the exact value; emit makes each
+    term as it writes it to the stream."""
 
     def test_first_chunk_is_written_before_the_last_term_is_made(self, monkeypatch):
         made = []
         wire_terms = serialize._wire_terms
         monkeypatch.setattr(serialize, "_wire_terms", lambda p: (
             made.append(term["deg"]) or term for term in wire_terms(p)))
-        monkeypatch.setattr(cli, "_JSON_CHUNK", 4096)
         made_at_write = []
 
         class Stream(io.StringIO):
@@ -1123,10 +1135,37 @@ class TestStreamedJson:
         *((("expand", "--binomial", b, "--n", "20"), lambda b=b: mpoly_to_json(
             _expanded(b, 20))) for b in ("z+iw", "z-iw", "x+ct", "x-ct")),
     ])
-    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])
-    def test_bytes_are_the_one_shot_dump(self, capsys, monkeypatch, argv, build, chunk):
-        monkeypatch.setattr(cli, "_JSON_CHUNK", chunk)
+    # the buffer of the stream emit writes to: the stream, not emit, groups
+    # the writes, and the bytes are the same at every size
+    @pytest.mark.parametrize("buffer", [1, 1000, 1 << 20])
+    def test_bytes_are_the_one_shot_dump(self, capsys, monkeypatch, tmp_path, argv, build,
+                                         buffer):
+        expected = _one_shot(build())
+        # captured stdout
         code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert out == _one_shot(build())
+        assert (code, out) == (0, expected)
+        # --output PATH, opened with the given buffer
+        path = tmp_path / "o.json"
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: open(
+            *args, buffering=buffer, **kwargs), raising=False)
+        assert run(capsys, *argv, "--output", str(path))[:2] == (0, "")
+        assert path.read_bytes() == expected.encode()
+        # a stdout that records each write
+        writes = []
+        sink = io.BytesIO()
+
+        class Recorder(io.TextIOWrapper):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        stdout = Recorder(io.BufferedWriter(sink, buffer_size=buffer), encoding="utf-8")
+        monkeypatch.setattr(cli.sys, "stdout", stdout)
+        assert run(capsys, *argv)[:2] == (0, "")
+        stdout.flush()
+        assert sink.getvalue() == expected.encode()
+        # one write per term, per other key, and for "]" and "}\n"
+        doc = json.loads(expected)
+        assert len(writes) == len(doc["terms"]) + len(doc) + 2
+        assert "".join(writes) == expected
 
