@@ -113,51 +113,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _compact(value) -> str:
     """json.dumps(value) as one compact line, through this module's json
-    attribute on each call, so a wrapper of it sees every encode."""
+    attribute on each call, so a wrapper of it sees every encode but the
+    term texts serialize formats itself."""
     return json.dumps(value, separators=(",", ":"))
 
 
-def _json_text(doc):
-    """The text of _compact(doc) and a newline, in pieces.  The "terms" of a
-    polynomial or wave document, a list or serialize.streamed_doc's
-    generator, are rendered one term at a time, and each distinct den list
-    object is encoded once: the writer's terms with one denominator share
-    one list, and the memo keeps each list it keys, so no id is reused."""
-    if not isinstance(doc, dict) or "terms" not in doc:
-        yield _compact(doc) + "\n"
-        return
-    dens: dict = {}
-    sep = "{"
-    for key, value in doc.items():
-        if key != "terms":
-            yield f"{sep}{_compact(key)}:{_compact(value)}"
-        else:
-            yield f'{sep}"terms":['
-            comma = ""
-            for term in value:
-                coef = term["coef"]
-                den = coef["den"]
-                seen = dens.get(id(den))
-                if seen is None:
-                    seen = dens[id(den)] = den, _compact(den)
-                deg_text = _compact(term["deg"])
-                num_text = _compact(coef["num"])
-                yield f'{comma}{{"deg":{deg_text},"coef":{{"num":{num_text},"den":{seen[1]}}}}}'
-                comma = ","
-            yield "]"
-        sep = ","
-    yield "}\n"
-
-
 def _json_emit(doc):
-    """emit(out) for a JSON document: writes each piece of _json_text(doc),
-    one term a piece, as it is made.  The document comes decided: a command
-    hands it over only once making its text can raise nothing but
-    MemoryError (serialize.streamed_doc has checked the digit bound)."""
+    """emit(out) for a JSON document: writes its compact text and a newline,
+    the "terms" of a serialize.streamed_doc one write a term, each made as it
+    is written, and each other key one write through _compact.  The document
+    comes decided: making its text raises nothing but MemoryError
+    (streamed_doc has checked the digit bound)."""
 
     def emit(out):
-        for piece in _json_text(doc):
-            out.write(piece)
+        terms = doc.get("terms") if isinstance(doc, dict) else None
+        if not hasattr(terms, "text"):
+            out.write(_compact(doc) + "\n")
+            return
+        sep = "{"
+        for key, value in doc.items():
+            if key != "terms":
+                out.write(f"{sep}{_compact(key)}:{_compact(value)}")
+            else:
+                out.write(f'{sep}"terms":[')
+                comma = ""
+                for text in terms.text():
+                    out.write(comma + text)
+                    comma = ","
+                out.write("]")
+            sep = ","
+        out.write("}\n")
 
     return emit
 

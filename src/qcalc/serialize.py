@@ -19,14 +19,14 @@ No wire integer has more than WIRE_DIGITS decimal digits: the writer refuses
 a value past that bound and the reader refuses such a string before it
 converts it, on every Python version.  streamed_doc, the one builder of a
 polynomial or wave document, checks the bound over the whole body and then
-hands out the term dicts as a generator, so a caller can write each term as
-it is made; mpoly_to_json and wave_to_json list them.  A polynomial's
-coefficients share few distinct denominators, so each distinct denominator
-is converted once per document in both directions: the writer puts one
-shared list object in every term with that denominator (the JSON text is
-unchanged), and mpoly_from_json reads every copy of a denominator list to
-one shared LaurentPoly (_den_from_list).  Sample rows go out in chunks of
-about _CSV_CHUNK lines per write.
+hands out the terms as they are read: as term dicts, which mpoly_to_json and
+wave_to_json list, or as each term's compact JSON text, formatted straight
+from the integer vectors, which the CLI writes.  A polynomial's coefficients
+share few distinct denominators, so each distinct denominator is converted
+once per document in both directions: the writer encodes it once (one
+shared list object in the dicts), and mpoly_from_json reads every copy of a
+denominator list to one shared LaurentPoly (_den_from_list).  Sample rows
+go out in chunks of about _CSV_CHUNK lines per write.
 """
 
 from __future__ import annotations
@@ -143,6 +143,14 @@ def _laurent_to_list(p: LaurentPoly) -> list:
     return out
 
 
+def _laurent_text(p: LaurentPoly) -> str:
+    """The compact JSON text of _laurent_to_list(p), made from the integer vectors."""
+    den = p.den
+    items = [f'{{"s":{e},"re":"{_ratio_to_str(a, den)}"'
+             + (f',"im":"{_ratio_to_str(b, den)}"}}' if b else "}") for e, a, b in p.int_terms()]
+    return f"[{','.join(items)}]"
+
+
 # LaurentPoly keeps a slot for every exponent from the lowest to the highest,
 # so a wire polynomial may span at most this many exponents per term; the
 # engine writes about two per term (even exponents).
@@ -225,13 +233,29 @@ def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:
     return CoefExpr(_laurent_from_list(doc["num"]), den)
 
 
-def _wire_terms(p: MPoly):
-    """The wire term dicts of p, sorted by degree, made one at a time; they
-    share one denominator memo, so every term with one denominator holds
-    the same list object."""
-    dens: dict = {}
-    for e, c in sorted(p.terms.items()):
-        yield {"deg": list(e), "coef": coef_to_json(c, dens)}
+class _Terms:
+    """The terms of a polynomial sorted by degree, made as they are read.
+    Iterated, they are the wire term dicts, those with one denominator
+    sharing one list object; text() gives the compact JSON text of each,
+    formatted from the integer vectors, each distinct denominator's once."""
+
+    def __init__(self, body: MPoly):
+        self.body = body
+
+    def __iter__(self):
+        dens: dict = {}
+        for e, c in sorted(self.body.terms.items()):
+            yield {"deg": list(e), "coef": coef_to_json(c, dens)}
+
+    def text(self):
+        dens: dict = {}
+        for e, c in sorted(self.body.terms.items()):
+            key = c.den.key()
+            den = dens.get(key)
+            if den is None:
+                den = dens[key] = _laurent_text(c.den)
+            num = _laurent_text(c.num)
+            yield f'{{"deg":[{",".join(map(str, e))}],"coef":{{"num":{num},"den":{den}}}}}'
 
 
 def _check_wire_digits(p: MPoly) -> None:
@@ -241,16 +265,16 @@ def _check_wire_digits(p: MPoly) -> None:
     for c in p.terms.values():
         for part in (c.num, c.den):
             if part.re and max(_top(part.re, part.im), part.den).bit_length() > _WIRE_BITS:
-                _laurent_to_list(part)
+                _laurent_text(part)
 
 
 def streamed_doc(value: MPoly | WaveSolution) -> dict:
-    """The document of a polynomial or a wave, "terms" a generator of its
-    term dicts.  The digit bound is checked over the whole body first, so
-    making the terms raises no SerializationError."""
+    """The document of a polynomial or a wave, "terms" a _Terms.  The digit
+    bound is checked over the whole body first, so making the terms raises
+    no SerializationError."""
     body = value.body if isinstance(value, WaveSolution) else value
     _check_wire_digits(body)
-    doc = {"vars": list(body.vars), "terms": _wire_terms(body)}
+    doc = {"vars": list(body.vars), "terms": _Terms(body)}
     if body is not value:
         doc.update(c=_speed_to_json(value.c), order=value.order, provenance=value.provenance)
     return doc

@@ -7,7 +7,6 @@ import os
 import stat
 import threading
 import time
-import types
 from fractions import Fraction
 
 import pytest
@@ -1021,9 +1020,9 @@ def _rendered(doc) -> str:
 
 
 class TestRenderedJson:
-    """_json_emit renders a polynomial or wave document term by term, its
-    terms a list or streamed_doc's generator, and encodes each distinct den
-    list once; the text is the one-shot dump's."""
+    """_json_emit writes a streamed_doc document term by term, each term's
+    text formatted by serialize with each distinct denominator encoded once,
+    and any other document in one piece; the text is the one-shot dump's."""
 
     @pytest.mark.parametrize("speed", [Fraction(3, 5), SYMBOLIC_SPEED, CoefExpr.of(q_int(2))])
     def test_cos_sin_wave_order_20(self, speed):
@@ -1067,28 +1066,35 @@ class TestRenderedJson:
         assert out == _one_shot(json.loads(out))
 
     def test_each_distinct_denominator_is_encoded_once(self, monkeypatch):
-        # through cli's json attribute at call time, as a wrapper of it sees
+        # every Laurent polynomial of a streamed document's terms is encoded
+        # by serialize._laurent_text, looked up at call time
         calls = []
-        proxy = types.ModuleType("json")
-        proxy.__dict__.update(vars(json))
-        proxy.dumps = lambda obj, **kw: calls.append(obj) or json.dumps(obj, **kw)
-        monkeypatch.setattr(cli, "json", proxy)
+        laurent_text = serialize._laurent_text
+        monkeypatch.setattr(serialize, "_laurent_text", lambda p: calls.append(p) or laurent_text(p))
         wave = _cos_sin_wave()
         doc = wave_to_json(wave)
         assert _rendered(doc) == _one_shot(doc)
-        dens = [term["coef"]["den"] for term in doc["terms"]]
-        distinct = {id(den) for den in dens}
-        assert len(distinct) < len(dens)
-        assert sum(any(obj is den for den in dens) for obj in calls) == len(distinct)
-        # the same when the terms are made while they are written
+        coefs = [c for _, c in sorted(wave.body.terms.items())]
+        distinct = {c.den.key() for c in coefs}
+        assert len(distinct) < len(coefs)
+        # the terms are made while they are written
         made = []
-        wire_terms = serialize._wire_terms
-        monkeypatch.setattr(serialize, "_wire_terms", lambda p: (
-            made.append(term["coef"]["den"]) or term for term in wire_terms(p)))
+        term_texts = serialize._Terms.text
+        monkeypatch.setattr(serialize._Terms, "text", lambda terms: (
+            made.append(text) or text for text in term_texts(terms)))
         calls.clear()
         assert _rendered(streamed_doc(wave)) == _one_shot(doc)
-        assert len(made) == len(dens) and len({id(den) for den in made}) == len(distinct)
-        assert sum(any(obj is den for den in made) for obj in calls) == len(distinct)
+        made_dens = {json.dumps(json.loads(text)["coef"]["den"]) for text in made}
+        assert len(made) == len(coefs) and len(made_dens) == len(distinct)
+        # one encode per numerator, and one per distinct denominator, at its first term
+        expected, seen = [], set()
+        for c in coefs:
+            if c.den.key() not in seen:
+                seen.add(c.den.key())
+                expected.append(c.den)
+            expected.append(c.num)
+        assert len(calls) == len(coefs) + len(distinct)
+        assert all(got is want for got, want in zip(calls, expected))
 
 
 _HERMITE = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
@@ -1107,9 +1113,9 @@ class TestStreamedJson:
 
     def test_first_chunk_is_written_before_the_last_term_is_made(self, monkeypatch):
         made = []
-        wire_terms = serialize._wire_terms
-        monkeypatch.setattr(serialize, "_wire_terms", lambda p: (
-            made.append(term["deg"]) or term for term in wire_terms(p)))
+        term_texts = serialize._Terms.text
+        monkeypatch.setattr(serialize._Terms, "text", lambda terms: (
+            made.append(text) or text for text in term_texts(terms)))
         made_at_write = []
 
         class Stream(io.StringIO):
@@ -1124,6 +1130,8 @@ class TestStreamedJson:
         wave = _cos_sin_wave(20)
         assert len(made) == len(wave.body.terms)
         assert made_at_write[0] < len(made)
+        # the first term is written once it is made: the vars and "terms" pieces come before it
+        assert made_at_write[2] == 1
         assert made_at_write == sorted(made_at_write) and len(made_at_write) > 10
         assert out.getvalue() == _one_shot(wave_to_json(wave))
 

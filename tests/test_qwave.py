@@ -190,6 +190,91 @@ class TestWaveOperator:
         assert not qwave_operator(u, Fraction(1)).is_zero()
 
 
+def _composed_operator(body: MPoly, c) -> MPoly:
+    """Reference for qwave_operator: (D_{1/q}^t)^2 - c^2 (D_q^x)^2 composed
+    from whole-body passes, two q-derivatives in each variable, then
+    dtt - dxx * speed^2."""
+    speed = speed_poly(body.vars, c)
+    dtt = body.q_derivative("t", "1/q").q_derivative("t", "1/q")
+    dxx = body.q_derivative("x", "q").q_derivative("x", "q")
+    return dtt - dxx * speed**2
+
+
+_OPERATOR_COEFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(CoefExpr.of),
+    # q-dependent and complex, over a q-integer denominator
+    st.builds(
+        lambda terms, k: CoefExpr(LaurentPoly(terms), q_int(k)),
+        st.dictionaries(
+            st.integers(-3, 4), st.builds(GaussianRational, st.integers(-4, 4), st.integers(-2, 2)),
+            min_size=1, max_size=3,
+        ),
+        st.integers(1, 3),
+    ),
+)
+# rational, symbolic, and the q-dependent 1/[2]_q, q and -[3]_q
+_OPERATOR_SPEEDS = [Fraction(3, 5), Fraction(-7, 2), SYMBOLIC_SPEED,
+                    CoefExpr(LaurentPoly.const(1), q_int(2)), CE_Q, CoefExpr.of(-q_int(3))]
+
+
+@st.composite
+def _operator_cases(draw):
+    """(body, speed): a body over (x, t), or (x, t, c) whenever the speed is
+    symbolic; its degrees are capped at 1 (no q-derivative survives twice),
+    3 or 6."""
+    c = draw(st.sampled_from(_OPERATOR_SPEEDS))
+    with_c = c == SYMBOLIC_SPEED or draw(st.booleans())
+    variables = XTC if with_c else ("x", "t")
+    top = draw(st.sampled_from([1, 3, 6]))
+    degrees = st.tuples(*[st.integers(0, top)] * len(variables))
+    return MPoly(variables, draw(st.dictionaries(degrees, _OPERATOR_COEFS, max_size=8))), c
+
+
+def _solve_poly_wave() -> WaveSolution:
+    """A solve of 15 + 15 seeded 30-bit rational coefficients at c = 5/9."""
+    rng = random.Random(1)
+
+    def rational30():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1 << 29, 1 << 30),
+                        rng.randrange(1 << 29, 1 << 30))
+
+    f, g = ([rational30() for _ in range(15)] for _ in range(2))
+    data = InitialData(poly_from_coefficients(f), poly_from_coefficients(g))
+    return dalembert_solve(data, Fraction(5, 9))
+
+
+class TestOperatorAgainstComposedPasses:
+    """qwave_operator's one pass over the body against the composed passes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_operator_cases())
+    @example((MPoly(("x", "t"), {(1, 1): 1, (0, 1): 3, (1, 0): 2}), Fraction(5)))
+    @example((MPoly(XTC, {(2, 0, 0): 1, (0, 2, 2): CE_Q}), SYMBOLIC_SPEED))
+    @example((MPoly(XTC, {(2, 0, 1): 1, (0, 2, 0): 2}), SYMBOLIC_SPEED))
+    @example((MPoly(("x", "t"), {(3, 2): 1, (5, 0): CE_Q}), CoefExpr.of(-q_int(3))))
+    def test_equals_the_composed_operator(self, case):
+        body, c = case
+        got, want = qwave_operator(body, c), _composed_operator(body, c)
+        assert got == want
+        assert got.vars == body.vars and got.is_zero() == want.is_zero()
+
+    # the solver's bodies at their own speed, and at a speed they do not solve for
+    @pytest.mark.parametrize("build, speed, solves", [
+        (lambda: _cos_sin_wave(20).body, Fraction(5, 7), True),
+        (lambda: _cos_sin_wave(20).body, Fraction(1), False),
+        (lambda: _cos_sin_wave(20).body.with_vars(XTC), SYMBOLIC_SPEED, False),
+        (lambda: _solve_poly_wave().body, Fraction(5, 9), True),
+        (lambda: _solve_poly_wave().body, CE_Q, False),
+        (lambda: q_binomial_substitute(X2, "-", SYMBOLIC_SPEED), SYMBOLIC_SPEED, True),
+    ], ids=["cos-sin-20", "cos-sin-20-at-1", "cos-sin-20-symbolic", "solve-poly",
+            "solve-poly-at-q", "traveling-quadratic"])
+    def test_solver_bodies(self, build, speed, solves):
+        body = build()
+        got, want = qwave_operator(body, speed), _composed_operator(body, speed)
+        assert got == want
+        assert got.is_zero() == want.is_zero() == solves
+
+
 class TestOneDirectional:
     def test_matched_and_mismatched(self):
         v = one_directional_check(2, "-")

@@ -9,10 +9,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcalc import serialize
+from qcalc import cli, serialize
 from qcalc.coeffs import CE_Q, CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import q_exp_series, q_int, q_trig_series
@@ -550,6 +550,84 @@ def _waves(draw):
     order = draw(st.none() | st.integers(0, 20))
     provenance = draw(st.sampled_from(["dalembert", "direct-binomial", "named-series", "unknown"]))
     return WaveSolution(body, c, order, provenance)
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _laurent_list_by_fraction(p: LaurentPoly) -> list:
+    """Reference for the writer's Laurent text: the wire list built from the
+    GaussianRational view, each part printed by Fraction ("p/q", bare "p")."""
+    out = []
+    for e, c in p.coeffs.items():
+        item = {"s": e, "re": str(c.re)}
+        if c.im:
+            item["im"] = str(c.im)
+        out.append(item)
+    return out
+
+
+@st.composite
+def _laurent_polys(draw):
+    """Laurent polynomials with imaginary parts, negative and odd exponents,
+    zero slots between terms, and a content denominator that only some
+    entries share a factor with."""
+    den = draw(st.sampled_from([1, 2, 6, 12, 30, 77]))
+    parts = st.tuples(st.integers(-40, 40), st.integers(-40, 40) | st.just(0))
+    entries = draw(st.dictionaries(st.integers(-9, 9), parts, max_size=8))
+    return LaurentPoly({
+        e: GaussianRational(Fraction(a, den), Fraction(b, den)) for e, (a, b) in entries.items()
+    })
+
+
+class TestLaurentText:
+    """The writer formats each Laurent polynomial's text straight from its
+    integer vectors; the text is the compact dump of its wire list."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_laurent_polys())
+    @example(LaurentPoly({-3: Fraction(1, 6), 0: Fraction(1, 2), 4: GaussianRational(
+        Fraction(2, 3), Fraction(-5, 6)), 5: GaussianRational(0, Fraction(1, 3))}))
+    @example(LaurentPoly({}))
+    def test_equals_the_dump_of_the_wire_list(self, p):
+        text = serialize._laurent_text(p)
+        assert text == _compact(serialize._laurent_to_list(p))
+        assert text == _compact(_laurent_list_by_fraction(p))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_waves())
+    def test_term_texts_equal_the_dump_of_the_term_dicts(self, wave):
+        terms = serialize._Terms(wave.body)
+        assert list(terms.text()) == [_compact(term) for term in terms]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("part", ["num", "den", "im"])
+    def test_values_at_the_bound(self, sign, offset, part):
+        big = sign * (10**WIRE_DIGITS + offset)
+        p = LaurentPoly({
+            "num": {0: big, 1: 1},
+            "den": {0: Fraction(1, big), 2: Fraction(3, big)},
+            "im": {0: GaussianRational(1, big), 1: 2},
+        }[part])
+        poly = MPoly(("x",), {(0,): 1, (1,): CoefExpr(p, q_int(3))})
+        out = io.StringIO()
+        if offset < 0:
+            assert serialize._laurent_text(p) == _compact(_laurent_list_by_fraction(p))
+            cli._json_emit(serialize.streamed_doc(poly))(out)
+            assert out.getvalue() == _compact(mpoly_to_json(poly)) + "\n"
+            return
+        with pytest.raises(SerializationError) as text:
+            serialize._laurent_text(p)
+        with pytest.raises(SerializationError) as listed:
+            serialize._laurent_to_list(p)
+        # refused before the document's first byte
+        with pytest.raises(SerializationError) as streamed:
+            cli._json_emit(serialize.streamed_doc(poly))(out)
+        assert out.getvalue() == ""
+        assert str(text.value) == str(listed.value) == str(streamed.value) == (
+            f"a rational to write has {_PAST_THE_BOUND}")
 
 
 class TestWave:
