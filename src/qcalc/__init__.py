@@ -46,7 +46,6 @@ from .polys import (
     q_binomial_power,
     q_binomial_weights,
     q_laplacian,
-    q_laplacian_chain,
     q_power_product,
 )
 from .hermite import (

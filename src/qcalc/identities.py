@@ -41,6 +41,8 @@ from .coeffs import (
 from .hermite import hermite_classical, q_hermite, q_hermite_dual
 from .polys import (
     MPoly,
+    _map_var,
+    _q_derivative_op,
     d_operator,
     dbar_operator,
     q_binomial_power,
@@ -300,6 +302,7 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
     two = q_int(2)
     sign = (LP_ONE, LaurentPoly.const(-1))
     weights = [CoefExpr(sign[j % 2], q_factorial(j) * two ** (2 * j)) for j in range(n_max + 1)]
+    second_derivative = _q_derivative_op(("x",), "x", "q", 2)  # (D_q^x)^2
     for n in range(n_max + 1):
         # chain[j] is the nested chain of length j, levels 0 .. j-1, applied to p
         chain = [q_binomial_power("z", GR_I, "w", n)]
@@ -314,7 +317,7 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
         # one-variable relation; the trailing zero image adds nothing
         images = [MPoly.monomial(("x",), (n,), 1)]
         while not images[-1].is_zero():
-            images.append(images[-1].q_derivative("x").q_derivative("x"))
+            images.append(_map_var(images[-1], [second_derivative]))
         res = _exp_sum(weights, images).scale(CoefExpr.of(two**n)) - q_hermite(n)
         if not res.is_zero():
             yield res, f"Hermite operator relation fails at n={n}"

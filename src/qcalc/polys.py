@@ -5,13 +5,15 @@ list.  The q-derivative is implemented by the monomial rule
 x**n -> [n]_q x**(n-1), which agrees with the difference quotient
 (f(qx) - f(x)) / ((q-1)x) on every polynomial and is total at x = 0.
 
-One term-mapping kernel, _map_var, sends var**n to sum_k w_k var**(n-k) b**k
-with b a one-term polynomial.  MPoly.substitute (and eval_univariate through
-it), MPoly.q_derivative, MPoly.jackson_antiderivative and q_binomial_expand
-(behind q_binomial_power and the wave substitution in qwave) are calls into
-it; the repeated product q_power_product stays as the independent
-cross-check.  Also here: the holomorphic-pair operators on (z, w), the
-q-Laplacian family and the truncated numeric Jackson integral.
+One term-mapping kernel, _map_var, applies a sum of one-variable operators,
+each sending var**n to sum_k w_k var**(n-k) b**k with b a one-term
+polynomial.  MPoly.substitute (and eval_univariate through it),
+MPoly.q_derivative, MPoly.jackson_antiderivative and q_binomial_expand
+(behind q_binomial_power and the wave substitution in qwave) are calls with
+one operator; the holomorphic-pair operators on (z, w), the q-Laplacian
+family and qwave.qwave_operator are calls with two.  The repeated product
+q_power_product stays as the independent cross-check of the expansion.
+Also here: the truncated numeric Jackson integral.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .coeffs import (
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
+    factorial_ratio,
     gauss_binomial,
     power,
     q_int,
-    q_int_reciprocal,
 )
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "dbar_operator",
     "d_operator",
     "q_laplacian",
-    "q_laplacian_chain",
     "jackson_integral_numeric",
 ]
 
@@ -335,7 +336,7 @@ class MPoly:
         a scalar; a replacement with two or more terms raises ValueError."""
         if not isinstance(replacement, MPoly):
             replacement = MPoly.const(self.vars, replacement)
-        return _map_var(self, name, replacement, lambda n: ((n, LP_ONE),))
+        return _map_var(self, [(name, replacement, lambda n: ((n, LP_ONE),))])
 
     def eval_univariate(self, value) -> CoefExpr:
         """Evaluate a one-variable polynomial at a CoefExpr point."""
@@ -349,11 +350,7 @@ class MPoly:
         direction "q" sends x**n to [n]_q x**(n-1); direction "1/q" uses the
         reciprocal q-integers [n]_{1/q} = [n]_q / q**(n-1).
         """
-        if direction not in ("q", "1/q"):
-            raise ValueError("direction must be 'q' or '1/q'")
-        factor = q_int if direction == "q" else q_int_reciprocal
-        one = MPoly.const(self.vars, 1)
-        return _map_var(self, name, one, lambda n: ((1, factor(n)),) if n else ())
+        return _map_var(self, [_q_derivative_op(self.vars, name, direction)])
 
     def scale_substitute(self, name: str, s_power: int) -> MPoly:
         """Substitute var -> s**s_power * var; degree-d coefficients pick up
@@ -363,7 +360,7 @@ class MPoly:
     def jackson_antiderivative(self, name: str) -> MPoly:
         """Inverse of the q-derivative: x**n -> x**(n+1) / [n+1]_q."""
         square = MPoly.var(self.vars, name) ** 2
-        return _map_var(self, name, square, lambda n: ((1, CoefExpr(LP_ONE, q_int(n + 1))),))
+        return _map_var(self, [(name, square, lambda n: ((1, CoefExpr(LP_ONE, q_int(n + 1))),))])
 
     def truncate_total_degree(self, bound: int, names=None) -> MPoly:
         """Keep terms whose total degree over the given variables is <= bound."""
@@ -413,7 +410,7 @@ def q_binomial_expand(p: MPoly, var: str, b: MPoly) -> MPoly:
     """Apply var**n -> (var + b)(var + qb)...(var + q^(n-1) b) linearly to p,
     by the closed form sum_k weight_k var**(n-k) b**k; b is a one-term
     polynomial over p's variables (or zero)."""
-    return _map_var(p, var, b, lambda n: enumerate(q_binomial_weights(n)))
+    return _map_var(p, [(var, b, lambda n: enumerate(q_binomial_weights(n)))])
 
 
 def q_binomial_power(a_var: str, b_coef, b_var: str, n: int) -> MPoly:
@@ -428,42 +425,70 @@ def q_binomial_power(a_var: str, b_coef, b_var: str, n: int) -> MPoly:
     return q_binomial_expand(MPoly.monomial(ab, (n, 0)), a_var, b)
 
 
-def _map_var(p: MPoly, var: str, b: MPoly, pairs) -> MPoly:
-    """The one term-mapping kernel behind every linear operator on one
-    variable: each term coef * var**n * rest becomes
-    sum over (k, w) in pairs(n) of coef * w * var**(n-k) * b**k * rest.
+def _map_var(p: MPoly, ops) -> MPoly:
+    """The one term-mapping kernel behind every linear operator: the sum over
+    the operators (var, b, pairs) in ops of the maps sending each term
+    coef * var**n * rest to sum over (k, w) in pairs(n) of
+    coef * w * var**(n-k) * b**k * rest.
 
-    b is a one-term polynomial over p's variables; a zero b is the term 0.
-    The powers b**k are built once and equal monomials are merged in the
-    order the terms are met.  When b's coefficient is 1 each term costs one
-    multiply, by its weight.
+    Each b is a one-term polynomial over p's variables; a zero b is the term 0.
+    Each term of p goes through every operator into one sum, which a monomial
+    leaves as soon as its coefficients cancel, so cancelling parts of the
+    result are never held at once.  The powers b**k are built once per
+    operator.  When b's coefficient is 1 each output term costs one multiply.
     """
-    p._check_vars(b)
-    if len(b.terms) > 1:
-        raise ValueError(f"replacement must be a single term, not {len(b.terms)} terms")
-    i = p._index(var)
     zero = (0,) * len(p.vars)
-    ((step, b_coef),) = b.terms.items() or ((zero, CE_ZERO),)
-    step = step[:i] + (step[i] - 1,) + step[i + 1 :]  # var**-1 * b
-    unit = b_coef == CE_ONE
-    powers = [(zero, CE_ONE)]  # var**-k * b**k as (exponent shift, coefficient)
+    prepared = []
+    for var, b, pairs in ops:
+        p._check_vars(b)
+        if len(b.terms) > 1:
+            raise ValueError(f"replacement must be a single term, not {len(b.terms)} terms")
+        i = p._index(var)
+        ((step, b_coef),) = b.terms.items() or ((zero, CE_ZERO),)
+        step = step[:i] + (step[i] - 1,) + step[i + 1 :]  # var**-1 * b
+        powers = [(zero, CE_ONE)]  # var**-k * b**k as (exponent shift, coefficient)
+        prepared.append((i, pairs, step, b_coef, b_coef == CE_ONE, powers))
     out: dict[tuple[int, ...], CoefExpr] = {}
     for e, coef in p.terms.items():
-        for k, w in pairs(e[i]):
-            while len(powers) <= k:
-                shift, c = powers[-1]
-                powers.append((tuple(map(add, shift, step)), c * b_coef))
-            shift, c = powers[k]
-            key = tuple(map(add, e, shift))
-            v = coef * w if unit else coef * w * c
-            prev = out.get(key)
-            if prev is not None:
-                v = prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+        for i, pairs, step, b_coef, unit, powers in prepared:
+            for k, w in pairs(e[i]):
+                while len(powers) <= k:
+                    shift, c = powers[-1]
+                    powers.append((tuple(map(add, shift, step)), c * b_coef))
+                shift, c = powers[k]
+                key = tuple(map(add, e, shift))
+                v = coef * w if unit else coef * w * c
+                prev = out.get(key)
+                if prev is not None:
+                    v = prev + v
+                if v.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = v
     return MPoly._raw(p.vars, out)
+
+
+def _q_derivative_op(variables, name: str, direction: str, order: int = 1, b=None, scale=None):
+    """The kernel operator of scale times the order-th q-derivative in name:
+    name**n -> scale * [n][n-1]..[n-order+1] name**(n-order) b**order, b = 1
+    by default.  The weight is factorial_ratio(n, n - order), inverted in s
+    for direction "1/q", made once per degree."""
+    if direction not in ("q", "1/q"):
+        raise ValueError("direction must be 'q' or '1/q'")
+    weights = {}
+
+    def pairs(n):
+        if n < order:
+            return ()
+        pair = weights.get(n)
+        if pair is None:
+            w = factorial_ratio(n, n - order)
+            if direction == "1/q":
+                w = w.invert_s()
+            pair = weights[n] = ((order, w if scale is None else scale * w),)
+        return pair
+
+    return name, MPoly.const(variables, 1) if b is None else b, pairs
 
 
 def dbar_operator(p: MPoly) -> MPoly:
@@ -478,31 +503,17 @@ def d_operator(p: MPoly) -> MPoly:
 
 
 def _pair_operator(p: MPoly, w_factor) -> MPoly:
-    """Half of D_q in z plus w_factor times D_{1/q} in w."""
-    return (
-        p.q_derivative("z", "q") + p.q_derivative("w", "1/q").scale(w_factor)
-    ).scale(Fraction(1, 2))
+    """Half of D_q in z plus w_factor times D_{1/q} in w (on the w operator's b)."""
+    w_op = _q_derivative_op(p.vars, "w", "1/q", b=MPoly.const(p.vars, w_factor))
+    return _map_var(p, [_q_derivative_op(p.vars, "z", "q"), w_op]).scale(Fraction(1, 2))
 
 
 def q_laplacian(p: MPoly, level: int = 0) -> MPoly:
-    """(D_q^z)^2 + q^level (D_{1/q}^w)^2 applied exactly."""
+    """(D_q^z)^2 + q^level (D_{1/q}^w)^2 applied exactly, in one pass."""
     if level < 0:
         raise UnsupportedOrderError("q-Laplacian level must be >= 0")
-    zz = p.q_derivative("z", "q").q_derivative("z", "q")
-    ww = p.q_derivative("w", "1/q").q_derivative("w", "1/q")
-    if level:
-        ww = ww.scale(LaurentPoly.term(2 * level))
-    return zz + ww
-
-
-def q_laplacian_chain(p: MPoly, m: int) -> MPoly:
-    """Compose the q-Laplacian levels 0, 1, ..., m-1 (level 0 innermost)."""
-    if m < 0:
-        raise UnsupportedOrderError("chain length must be >= 0")
-    out = p
-    for level in range(m):
-        out = q_laplacian(out, level)
-    return out
+    ww = _q_derivative_op(p.vars, "w", "1/q", 2, scale=LaurentPoly.term(2 * level))
+    return _map_var(p, [_q_derivative_op(p.vars, "z", "q", 2), ww])
 
 
 def jackson_integral_numeric(g, a, b, q_value, terms: int):

@@ -20,14 +20,16 @@ from qcalc.coeffs import (
 )
 from qcalc.polys import (
     MPoly,
+    _map_var,
+    _q_derivative_op,
     coef_to_complex,
     d_operator,
     dbar_operator,
     jackson_integral_numeric,
     q_binomial_expand,
     q_binomial_power,
+    q_binomial_weights,
     q_laplacian,
-    q_laplacian_chain,
     q_power_product,
 )
 from qcalc.qcore import q_factorial, q_int, q_int_reciprocal
@@ -416,10 +418,14 @@ class TestQLaplacian:
         assert q_laplacian(p) == MPoly.const(("z", "w"), q_int(2))
 
     def test_nested_chains(self):
+        # levels 0 .. m-1, level 0 innermost
         for n in range(9):
             p = q_binomial_power("z", GR_I, "w", n)
             for m in range(1, 4):
-                assert q_laplacian_chain(p, m).is_zero()
+                chain = p
+                for level in range(m):
+                    chain = q_laplacian(chain, level)
+                assert chain.is_zero()
 
     def test_level_one_alone_does_not_annihilate(self):
         # the chain order matters: the level-1 operator by itself leaves
@@ -525,6 +531,116 @@ class TestOperatorsAgainstTermLoops:
     def test_eval_univariate_needs_one_variable(self):
         with pytest.raises(ValueError, match="needs a univariate polynomial"):
             MPoly(("x", "t"), {(1, 0): 1}).eval_univariate(2)
+
+
+def _composed_laplacian(p, level):
+    """Reference for q_laplacian: two whole-body q-derivative passes in each
+    variable, the w half scaled by q^level, then added."""
+    zz = p.q_derivative("z", "q").q_derivative("z", "q")
+    ww = p.q_derivative("w", "1/q").q_derivative("w", "1/q")
+    return zz + ww.scale(LaurentPoly.term(2 * level))
+
+
+def _composed_pair(p, w_factor):
+    """Reference for the pair operators: whole-body passes in z and in w, added
+    and halved."""
+    dz = p.q_derivative("z", "q")
+    dw = p.q_derivative("w", "1/q")
+    return (dz + dw.scale(w_factor)).scale(Fraction(1, 2))
+
+
+_ZW_COEFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(CoefExpr.of),
+    st.builds(GaussianRational, st.integers(-4, 4), st.integers(-3, 3)).map(CoefExpr.of),
+    # q-dependent and complex, over a q-integer denominator
+    st.builds(
+        lambda terms, k: CoefExpr(LaurentPoly(terms), q_int(k)),
+        st.dictionaries(
+            st.integers(-3, 4), st.builds(GaussianRational, st.integers(-4, 4), st.integers(-2, 2)),
+            min_size=1, max_size=3,
+        ),
+        st.integers(1, 3),
+    ),
+)
+
+
+@st.composite
+def _zw_polys(draw):
+    """A body over (z, w), its degrees capped at 1, 3 or 6."""
+    top = draw(st.sampled_from([1, 3, 6]))
+    degrees = st.tuples(st.integers(0, top), st.integers(0, top))
+    return MPoly(("z", "w"), draw(st.dictionaries(degrees, _ZW_COEFS, max_size=8)))
+
+
+def _assert_same(got, want, p):
+    assert got == want
+    assert got.vars == p.vars
+    assert not any(c.is_zero() for c in got.terms.values())
+    assert mpoly_to_json(got) == mpoly_to_json(want)
+
+
+class TestPairAndLaplacianAgainstComposedPasses:
+    """The pair operators and the q-Laplacian take one kernel pass with two
+    operators; the composed whole-body passes are the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_zw_polys(), st.integers(0, 3))
+    @example(q_binomial_power("z", GR_I, "w", 4), 0)
+    @example(q_binomial_power("z", GR_I, "w", 2), 1)
+    @example(MPoly(("z", "w"), {(3, 2): 1, (2, 3): CoefExpr(LP_ONE, q_int(3))}), 3)
+    def test_q_laplacian(self, p, level):
+        _assert_same(q_laplacian(p, level), _composed_laplacian(p, level), p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_zw_polys())
+    @example(q_binomial_power("z", GR_I, "w", 5))
+    @example(MPoly(("z", "w"), {(1, 0): 1, (0, 1): -GR_I}))
+    def test_pair_operators(self, p):
+        _assert_same(dbar_operator(p), _composed_pair(p, GR_I), p)
+        _assert_same(d_operator(p), _composed_pair(p, -GR_I), p)
+
+
+_XTC = ("x", "t", "c")
+
+
+@st.composite
+def _kernel_ops(draw):
+    """One kernel operator (var, b, pairs) over (x, t, c): a substitution, a
+    q-binomial expansion or a first or second q-derivative, optionally scaled,
+    with b a one-term polynomial whose coefficient may be 1, 0 or another."""
+    var = draw(st.sampled_from(_XTC))
+    exps = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    b = MPoly(_XTC, {exps: draw(st.sampled_from([1, 0, -1]) | _coef)})
+    kind = draw(st.sampled_from(["substitute", "binomial", "q", "1/q"]))
+    if kind == "substitute":
+        return var, b, lambda n: ((n, LP_ONE),)
+    if kind == "binomial":
+        return var, b, lambda n: enumerate(q_binomial_weights(n))
+    order = draw(st.sampled_from([1, 2]))
+    return _q_derivative_op(_XTC, var, kind, order, b, draw(st.none() | _coef.map(CoefExpr.of)))
+
+
+class TestKernelOperatorSums:
+    """Several operators in one _map_var call equal the sum of one-operator
+    calls, with no zero coefficient stored."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_polys(_XTC), st.lists(_kernel_ops(), min_size=2, max_size=3))
+    def test_sum_of_single_calls(self, p, ops):
+        got = _map_var(p, ops)
+        want = sum((_map_var(p, [op]) for op in ops), MPoly.zero(_XTC))
+        assert got == want
+        assert not any(c.is_zero() for c in got.terms.values())
+
+    def test_keys_cancel_across_operators(self):
+        # on xt + x^2, D_q^x gives t + [2] x and x -> -1 (b = -1, not 1)
+        # gives -t + 1: the t terms cancel inside the one call
+        p = MPoly(("x", "t"), {(1, 1): 1, (2, 0): 1})
+        dx = _q_derivative_op(p.vars, "x", "q")
+        minus_one = ("x", MPoly.const(p.vars, -1), lambda n: ((n, LP_ONE),))
+        got = _map_var(p, [dx, minus_one])
+        assert got.terms == {(1, 0): CoefExpr.of(q_int(2)), (0, 0): CE_ONE}
+        assert got == _map_var(p, [dx]) + _map_var(p, [minus_one])
 
 
 class TestCoefToComplex:

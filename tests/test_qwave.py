@@ -189,6 +189,16 @@ class TestWaveOperator:
         u = MPoly(("x", "t"), {(0, 2): 1})
         assert not qwave_operator(u, Fraction(1)).is_zero()
 
+    def test_body_without_t_or_x(self):
+        # a variable the body lacks has a zero derivative, not an error
+        x2 = WaveSolution(MPoly(("x",), {(2,): 1}), 1, None, "unknown")
+        assert not x2.residual_is_zero()
+        assert qwave_operator(x2.body, 1) == MPoly.const(("x",), -q_int(2))
+        assert WaveSolution(MPoly(("x",), {(1,): 3}), 1, None, "unknown").residual_is_zero()
+        assert WaveSolution(MPoly(("x",), {(1,): 3}), 1, 4, "unknown").residual_is_zero()
+        t2 = MPoly(("t", "c"), {(2, 0): 1, (1, 1): 5})
+        assert qwave_operator(t2, SYMBOLIC_SPEED) == MPoly.const(("t", "c"), q_int(2).invert_s())
+
 
 def _composed_operator(body: MPoly, c) -> MPoly:
     """Reference for qwave_operator: (D_{1/q}^t)^2 - c^2 (D_q^x)^2 composed
