@@ -28,8 +28,14 @@ packed.  A slot is size whole bytes (1, 2, 4, 8, or more when wider), so a
 vector goes to and from its int through bytes in linear time: the slots
 hold two's-complement digits, and one sign bias B (0x80 at the top byte of
 every slot) turns them into the balanced sum, (y ^ B) - B, and back,
-(x + B) ^ B.  A one-term operand is a shift plus an integer scale instead.
-Exact division is schoolbook over the integers.  GaussianRational values
+(x + B) ^ B.  A one-term operand is a shift plus an integer scale instead,
+and two one-term operands take the direct formula: one Gaussian-integer
+product over the product of the denominators, as do a sum or difference of
+two one-term operands at one exponent over the common denominator; one gcd
+then cuts the content, so results are canonical on every path.  CoefExpr
+products and sums whose denominators are both 1 take the numerators'
+product or sum as the result, with no cross-multiplication.  Exact
+division is schoolbook over the integers.  GaussianRational values
 appear only at the edges: the dict constructor, const and term, the coeffs
 view, as_monomial and exact evaluation.
 
@@ -129,24 +135,36 @@ class GaussianRational:
             raise ZeroDenominatorError("inverse of zero")
         return _gr(self.re / n, -self.im / n)
 
+    # An operand that is not an int, a Fraction or a GaussianRational gets
+    # NotImplemented, so a LaurentPoly or CoefExpr operand takes its own
+    # reflected method, as it does from the other side.
     def __add__(self, other):
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return _gr(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return _gr(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return as_gaussian(other) - self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return _gr(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return _gr(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -155,10 +173,16 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * as_gaussian(other).inverse()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return as_gaussian(other) * self.inverse()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -198,13 +222,21 @@ def _gr(re: Fraction, im: Fraction) -> GaussianRational:
     return out
 
 
-def as_gaussian(x) -> GaussianRational:
-    """Coerce an int, Fraction or GaussianRational to GaussianRational."""
+def _operand(x) -> GaussianRational | None:
+    """x as a GaussianRational for an int, Fraction or GaussianRational, else None."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
         return _gr(Fraction(x), _F0)
-    raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+    return None
+
+
+def as_gaussian(x) -> GaussianRational:
+    """Coerce an int, Fraction or GaussianRational to GaussianRational."""
+    out = _operand(x)
+    if out is None:
+        raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+    return out
 
 
 GR_ZERO = _gr(_F0, _F0)
@@ -220,6 +252,12 @@ class LaurentPoly:
     of den and every entry is 1, the entries at both ends are nonzero, im is
     None when every coefficient is real, and zero is (0, 1, [], None).  The
     lists are never mutated once stored; results may share them.
+
+    Products and sums take the operand shape's path: two one-slot operands
+    are one Gaussian-integer product (or, at one exponent, one sum) cut by
+    one gcd; a one-slot operand times a wider one is a shift and an integer
+    scale; anything wider is a Kronecker product or a padded vector sum.
+    Every path returns the canonical form.
     """
 
     __slots__ = ("lo", "den", "re", "im")
@@ -318,6 +356,11 @@ class LaurentPoly:
         a, b = self, other
         if not a.re or not b.re:
             return LP_ZERO
+        if len(a.re) == 1 == len(b.re):
+            # one Gaussian-integer product over a.den * b.den; it is nonzero
+            xr, xi = a.re[0], a.im[0] if a.im else 0
+            yr, yi = b.re[0], b.im[0] if b.im else 0
+            return _cut(a.lo + b.lo, a.den * b.den, xr * yr - xi * yi, xr * yi + xi * yr)
         if len(a.re) == 1 or len(b.re) == 1:
             mono, rest = (a, b) if len(a.re) == 1 else (b, a)
             ci = mono.im[0] if mono.im else 0
@@ -519,6 +562,15 @@ def _canonical(lo: int, den: int, re: list[int], im: list[int] | None) -> Lauren
     return _new(lo, den, re, im)
 
 
+def _cut(lo: int, den: int, re: int, im: int) -> LaurentPoly:
+    """The one-slot LaurentPoly (re + im*i) / den * s**lo, den > 0 and
+    (re, im) != (0, 0), in canonical form: one gcd cuts the content."""
+    g = gcd(den, re, im)
+    if g != 1:
+        den, re, im = den // g, re // g, im // g
+    return _new(lo, den, [re], [im] if im else None)
+
+
 def _from_int_terms(terms: dict[int, tuple[int, int, int]]) -> LaurentPoly:
     """LaurentPoly of {exponent: (re, im, den)}, each coefficient (re + im*i) / den
     with den > 0: one lcm of the denominators, then one slot per exponent."""
@@ -552,8 +604,19 @@ def _horner(lo: int, den: int, re: list[int], im: list[int] | None, x) -> Gaussi
 
 def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     """a op b for op add or sub, both operands nonzero: align the vectors on
-    one denominator and one exponent range, then one map per part."""
+    one denominator and one exponent range, then one map per part; two
+    single slots at one exponent are one sum over the common denominator."""
     ar, ai, br, bi = a.re, a.im, b.re, b.im
+    if len(ar) == 1 == len(br) and a.lo == b.lo:
+        da, db = a.den, b.den
+        xr, xi = ar[0], ai[0] if ai else 0
+        yr, yi = br[0], bi[0] if bi else 0
+        if da != db:
+            xr, xi, yr, yi, da = xr * db, xi * db, yr * da, yi * da, da * db
+        re, im = op(xr, yr), op(xi, yi)
+        if not (re or im):
+            return LP_ZERO
+        return _cut(a.lo, da, re, im)
     den = a.den
     if b.den != den:
         den = lcm(den, b.den)
@@ -691,6 +754,11 @@ class CoefExpr:
     Monomial denominators are folded into the numerator on construction, and a
     zero numerator normalises the denominator to 1, so ``num.is_zero()`` is a
     reliable zero test.  Denominators are otherwise left unreduced.
+
+    A product or sum of two values whose denominators are both LP_ONE is the
+    numerators' product or sum over LP_ONE, built without __init__'s checks
+    (a sum that cancels is CE_ZERO); any other denominator goes through the
+    cross-multiplication.  The numerator is a canonical LaurentPoly either way.
     """
 
     __slots__ = ("num", "den")
@@ -731,11 +799,15 @@ class CoefExpr:
         return self.den is other.den or self.den == other.den
 
     def __add__(self, other):
-        other = CoefExpr.of(other)
-        if self.num.is_zero():
+        if not isinstance(other, CoefExpr):
+            other = CoefExpr.of(other)
+        if not self.num.re:
             return other
-        if other.num.is_zero():
+        if not other.num.re:
             return self
+        if self.den is LP_ONE and other.den is LP_ONE:
+            num = self.num + other.num
+            return _ce(num) if num.re else CE_ZERO
         if self._same_den(other):
             return CoefExpr(self.num + other.num, self.den)
         return CoefExpr(
@@ -754,11 +826,12 @@ class CoefExpr:
         return CoefExpr(-self.num, self.den)
 
     def __mul__(self, other):
-        other = CoefExpr.of(other)
-        if self.num.is_zero() or other.num.is_zero():
+        if not isinstance(other, CoefExpr):
+            other = CoefExpr.of(other)
+        if not self.num.re or not other.num.re:
             return CE_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:
-            return CoefExpr(self.num * other.num)
+            return _ce(self.num * other.num)
         return CoefExpr(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -833,6 +906,14 @@ class CoefExpr:
         if self.den is LP_ONE:
             return f"CoefExpr({self.num!s})"
         return f"CoefExpr(({self.num!s}) / ({self.den!s}))"
+
+
+def _ce(num: LaurentPoly) -> CoefExpr:
+    """CoefExpr(num) over LP_ONE, past __init__'s checks, which a value over
+    LP_ONE passes unchanged."""
+    out = CoefExpr.__new__(CoefExpr)
+    out.num, out.den = num, LP_ONE
+    return out
 
 
 CE_ZERO = CoefExpr(LP_ZERO)

@@ -142,6 +142,9 @@ def _hermite_at(a: MPoly, b: MPoly, n_max: int, q: bool):
             [_at(h_dual(m), b) for m in range(n_max + 1)])
 
 
+_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)  # i**k is _I_POWERS[k % 4]
+
+
 def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
     """two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b) from the lists of _hermite_at.
     q family: w_k = [n k]_q q^(k(k-1)/2), two = [2]_q.  Classical family:
@@ -151,13 +154,11 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
     else:
         weights, two = [math.comb(n, k) for k in range(n + 1)], 2
     acc = MPoly.zero(h_a[0].vars)
-    ik = GR_ONE
     for k, weight in enumerate(weights):
         # scaling the factor with fewer terms takes fewer coefficient products
         # than scaling their product; the sum is the same exact value
-        a, b, c = h_a[n - k], h_b[k], CoefExpr.of(weight) * ik
+        a, b, c = h_a[n - k], h_b[k], CoefExpr.of(weight) * _I_POWERS[k % 4]
         acc = acc + (a.scale(c) * b if len(a.terms) <= len(b.terms) else a * b.scale(c))
-        ik = ik * GR_I
     return acc.scale(CoefExpr.of(two**n).inverse())
 
 

@@ -236,7 +236,7 @@ class MPoly:
         out: dict[tuple[int, ...], CoefExpr] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 p = ca * cb
                 v = out.get(e)
                 if v is None:

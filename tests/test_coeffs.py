@@ -56,6 +56,18 @@ class TestGaussianRational:
         assert a.conjugate() == GaussianRational(2, -3)
         assert (a * a.conjugate()).is_real()
 
+    def test_polynomial_operands_take_their_reflected_method(self):
+        g = GaussianRational(1, 1)
+        assert g * LP_ONE == LP_ONE * g == LaurentPoly.const(g)
+        assert g + LP_ONE == LP_ONE + g == LaurentPoly.const(GaussianRational(2, 1))
+        assert g - LP_ONE == LP_ONE.__rsub__(g) == LaurentPoly.const(GaussianRational(0, 1))
+        assert g * CE_ONE == CE_ONE * g == CoefExpr.of(g)
+        assert g / ONE_PLUS_Q == CoefExpr.of(g) / ONE_PLUS_Q
+        with pytest.raises(TypeError):
+            GaussianRational(1) * "x"
+        with pytest.raises(TypeError):
+            GaussianRational(1) + "x"
+
     def test_power(self):
         a = GaussianRational(Fraction(1, 2), -3)
         want = GaussianRational(1)
@@ -571,12 +583,87 @@ class TestIntegerKernel:
         assert pa.at_one() == _dict_eval(a, 1)
 
 
+@st.composite
+def _one_slot_pair(draw):
+    """Two one-term coefficient dicts, at one exponent or at two, real or
+    complex over unequal denominators.  The second may be minus the first
+    (a sum that cancels), its conjugate (a product whose imaginary part
+    cancels) or the first with its real part negated (a sum left purely
+    imaginary); products of free draws often share a factor the gcd cuts."""
+    part = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    re, im = part, draw(st.sampled_from((st.just(0), part)))
+    coef = st.builds(GaussianRational, re, im).filter(bool)
+    ea = draw(st.integers(-3, 3))
+    eb = draw(st.sampled_from((ea, draw(st.integers(-3, 3)))))
+    ca = draw(coef)
+    cb = draw(st.sampled_from((draw(coef), -ca, ca.conjugate(),
+                               GaussianRational(-ca.re, ca.im + 1))).filter(bool))
+    return {ea: ca}, {eb: cb}
+
+
+class TestOneSlotKernel:
+    """Products and sums of one-slot operands take the direct formula; the
+    dict kernel is their oracle, and every result is in canonical form."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_one_slot_pair())
+    def test_matches_dict_kernel(self, pair):
+        a, b = pair
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        assert len(pa.re) == 1 == len(pb.re)
+        results = {
+            "mul": (pa * pb, _dict_mul(a, b)),
+            "rmul": (pb * pa, _dict_mul(a, b)),
+            "add": (pa + pb, _dict_add(a, b)),
+            "radd": (pb + pa, _dict_add(a, b)),
+            "sub": (pa - pb, _dict_add(a, _dict_neg(b))),
+            "cancel": (pa - pa, {}),
+        }
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert got.coeffs == want, name
+            assert got == LaurentPoly(want), name
+
+    def test_cut_and_cancel_examples(self):
+        half, third = lp({2: Fraction(1, 2)}), lp({2: Fraction(1, 3)})
+        assert (half + half, half + third) == (lp({2: 1}), lp({2: Fraction(5, 6)}))
+        assert lp({1: Fraction(2, 3)}) * lp({-1: Fraction(3, 4)}) == lp({0: Fraction(1, 2)})
+        z = lp({0: GaussianRational(1, 1)})
+        assert z * z.conjugate_i() == lp({0: 2}) and (z * z.conjugate_i()).im is None
+        assert z + lp({0: GaussianRational(-1, 1)}) == lp({0: GaussianRational(0, 2)})
+        assert z + (-z) is coeffs.LP_ZERO
+
+
+class TestCoefExprOverOne:
+    """CoefExpr products and sums whose denominators are both LP_ONE against
+    the general construction: cross-multiplication through __init__."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(_one_slot_pair(), _kernel_pair()))
+    def test_matches_general_construction(self, pair):
+        a, b = map(_dict_clean, pair)
+        x, y = CoefExpr(LaurentPoly(a)), CoefExpr(LaurentPoly(b))
+        product, total = x * y, x + y
+        general_product = CoefExpr(x.num * y.num, x.den * y.den)
+        general_total = CoefExpr(x.num * y.den + y.num * x.den, x.den * y.den)
+        for got, general, want in ((product, general_product, _dict_mul(a, b)),
+                                   (total, general_total, _dict_add(a, b))):
+            assert got.den is LP_ONE and general.den is LP_ONE
+            assert got.num == general.num and got == general
+            assert got.num.coeffs == want
+            _assert_canonical(got.num)
+        if a and b:  # a sum that cancels is CE_ZERO itself
+            assert (total is CE_ZERO) == (not _dict_add(a, b))
+            assert x + (-x) is CE_ZERO and x - x is CE_ZERO
+
+
 def test_kernel_operations_build_no_rationals(monkeypatch):
     """Add, sub, neg, mul (Kronecker and one-term), scale and shift work on the
     integer vectors alone: no Fraction or GaussianRational is constructed."""
     a = lp({-2: GaussianRational(Fraction(1, 3), 2), 0: Fraction(-5, 7), 3: 4})
     b = lp({0: Fraction(2, 9), 2: GaussianRational(0, Fraction(1, 5)), 4: 1})
     mono = lp({3: GaussianRational(Fraction(-2, 3), 1)})
+    mono2 = lp({3: Fraction(3, 4)})
     scalars = (3, Fraction(-4, 15), GaussianRational(Fraction(1, 2), Fraction(-1, 3)))
     built = []
 
@@ -597,9 +684,11 @@ def test_kernel_operations_build_no_rationals(monkeypatch):
     monkeypatch.setattr(coeffs, "_gr", counting(coeffs._gr))
     results = [a + b, a - b, -a, a * b, b * a, a * mono, mono * b, a.shift(5)]
     results += [a.scale(c) for c in scalars]
+    results += [mono * mono2, mono + mono2]
     monkeypatch.undo()
     assert built == []
     assert results[3] == _schoolbook_mul(a, b) and results[5] == _schoolbook_mul(a, mono)
+    assert results[-2:] == [_schoolbook_mul(mono, mono2), lp(_dict_add(mono.coeffs, mono2.coeffs))]
 
 
 @pytest.mark.parametrize(
