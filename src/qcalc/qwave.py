@@ -25,8 +25,10 @@ The residual, qwave_operator, is one pass of the polys term-mapping kernel.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 from .coeffs import CoefExpr, QCalcError, UnsupportedOrderError
 from .polys import MPoly, _brief, _map_var, _q_derivative_op, coef_to_complex, q_binomial_expand
@@ -285,6 +287,44 @@ def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
     return WaveSolution(body, speed, exact, "named-series")
 
 
+class _Rows:
+    """The rows of one sample_grid call, x-major: the two axes and one
+    (values, flags) block per x row, flags None when every point of the row
+    is valid.  It reads like the list of (x, t, value, valid) tuples it holds:
+    len, iteration, indexing (negative too) and == with a list."""
+
+    __slots__ = ("xs", "ts", "blocks")
+
+    def __init__(self, xs: list, ts: list, blocks: list):
+        self.xs, self.ts, self.blocks = xs, ts, blocks
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ts)
+
+    def __iter__(self):
+        ts = self.ts
+        for x, (values, flags) in zip(self.xs, self.blocks):
+            yield from zip(repeat(x), ts, values, repeat(True) if flags is None else flags)
+
+    def __getitem__(self, index):
+        size = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("sample row index out of range")
+        row, k = divmod(i, len(self.ts))
+        values, flags = self.blocks[row]
+        return self.xs[row], self.ts[k], values[k], True if flags is None else flags[k]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     """Evaluate a wave body on a float grid, x-major then t.
 
@@ -297,6 +337,9 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     outside the stated validity of the truncation.  Bodies without an order
     are valid everywhere.
 
+    The rows are held as one float list of values per x row, with a list of
+    flags only for a row that has an invalid point; the sequence returned
+    has len, x-major iteration, indexing and == with a list of row tuples.
     The sums are taken by Horner's rule, first in x for each power of t,
     then in t.  Each x row first bounds its tail by the Horner of the tail
     coefficients at the largest |t| of the grid; when that bound is within
@@ -307,7 +350,8 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     Raises ValueError when the grid has more than MAX_GRID_POINTS rows, when
     q is not finite and positive or c is not finite, or when the tables would
     exceed _MAX_TABLE_CELLS cells, and OverflowError when a coefficient at q,
-    a power of c, a value or a tail is not finite.
+    a power of c, a value or a tail is not finite; a value or tail names the
+    first such point, x-major.
     """
     size = len(x_grid) * len(t_grid)
     if size > MAX_GRID_POINTS:
@@ -352,12 +396,20 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         value_rows[b][a] += v.real
         if top is not None and a + b >= top:
             tail_rows[b][a] += abs(v)
-    # Horner runs highest power first, so each table is read back to front
-    x_pairs = [list(zip(reversed(vr), reversed(tr))) for vr, tr in zip(value_rows, tail_rows)]
-    t_points = [(t, abs(t)) for t in map(float, t_grid)]
+    # Horner runs highest power first, so each table is read back to front.
+    # Every entry is +0.0 plus rounded sums, never -0.0, so a leading (0.0,
+    # 0.0) pair keeps value and tail at +0.0 at a finite x and is dropped; the
+    # last pair stays, so a non-finite x still makes the row nan.
+    x_pairs = []
+    for vr, tr in zip(value_rows, tail_rows):
+        pairs = list(zip(reversed(vr), reversed(tr)))
+        lead = next((i for i, (v, w) in enumerate(pairs) if v or w), width - 1)
+        x_pairs.append(pairs[lead:])
+    xs, ts = list(map(float, x_grid)), list(map(float, t_grid))
+    t_points = [(t, abs(t)) for t in ts]
     t_max = max((at for _, at in t_points), default=0.0)
-    rows = []
-    for x in map(float, x_grid):
+    blocks = []
+    for x in xs:
         ax = abs(x)
         t_pairs = []
         for pairs in reversed(x_pairs):
@@ -373,18 +425,28 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         bound = 0.0
         for _, w in t_pairs:
             bound = bound * t_max + w
-        certified = bound <= _TAIL_TOLERANCE
-        t_values = [v for v, _ in t_pairs]
-        for t, at in t_points:
-            value = tail = 0.0
-            if certified:
+        if bound <= _TAIL_TOLERANCE:
+            t_values = [v for v, _ in t_pairs]
+            values = []
+            for t in ts:
+                value = 0.0
                 for v in t_values:
                     value = value * t + v
-            else:
-                for v, w in t_pairs:
-                    value = value * t + v
-                    tail = tail * at + w
+                values.append(value)
+            if not all(map(math.isfinite, values)):
+                k = next(k for k, value in enumerate(values) if not math.isfinite(value))
+                raise OverflowError(f"wave value at x={x!r}, t={ts[k]!r} is out of float range")
+            blocks.append((values, None))
+            continue
+        values, flags = [], []
+        for t, at in t_points:
+            value = tail = 0.0
+            for v, w in t_pairs:
+                value = value * t + v
+                tail = tail * at + w
             if not (math.isfinite(value) and math.isfinite(tail)):
                 raise OverflowError(f"wave value at x={x!r}, t={t!r} is out of float range")
-            rows.append((x, t, value, certified or tail <= _TAIL_TOLERANCE * max(1.0, abs(value))))
-    return rows
+            values.append(value)
+            flags.append(tail <= _TAIL_TOLERANCE * max(1.0, abs(value)))
+        blocks.append((values, flags))
+    return _Rows(xs, ts, blocks)

@@ -26,18 +26,18 @@ share few distinct denominators, so each distinct denominator is converted
 once per document in both directions: the writer encodes it once (one
 shared list object in the dicts), and mpoly_from_json reads every copy of a
 denominator list to one shared LaurentPoly (_den_from_list).  Sample rows
-go out in chunks of about _CSV_CHUNK lines per write.
+are formatted one x row per call and go out _CSV_CHUNK lines per write.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import copysign, gcd, lcm
 
 from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms, _top
 from .polys import MPoly, _brief
-from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order
+from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order, _Rows
 
 __all__ = [
     "SerializationError",
@@ -405,27 +405,62 @@ _CSV_CHUNK = 1024
 
 def write_sample_csv(rows, stream) -> None:
     """Emit the sampling contract: header x,t,u,valid, 17 significant digits
-    and valid as 1/0, rows already ordered x-major, about _CSV_CHUNK lines
-    per write.
+    and valid as 1/0, rows already ordered x-major, _CSV_CHUNK lines per
+    write (the header counted) but the last.
 
-    A grid repeats each coordinate across many rows, so the text of each
-    distinct x and t is made once.  Zeros are formatted every time, because
-    0.0 and -0.0 are one dict key but print as "0" and "-0".
+    The rows go out one run of one x at a time: each run, or each slice of
+    it that fills the current chunk, is one %-formatting call over a
+    template of the run's x text and its t texts.  The rows of sample_grid
+    are such runs already, one per x row, and each t text is made once per
+    grid.  Other rows are first grouped into runs of equal x, 0.0 and -0.0
+    apart, and the text of each distinct t is made once; zeros are formatted
+    every time, because 0.0 and -0.0 are one dict key but print as "0" and
+    "-0".
     """
     write = stream.write
-    text: dict = {}
-    lines = ["x,t,u,valid\n"]
-    append = lines.append
+    chunk, lines = ["x,t,u,valid\n"], 1
+    for head, cells, values, flags in _grid_runs(rows) if isinstance(rows, _Rows) else _runs(rows):
+        start, end = 0, len(values)
+        while start < end:
+            stop = min(end, start + _CSV_CHUNK - lines)
+            args = values[start:stop]
+            if flags is not None:
+                args = [None] * (2 * (stop - start))
+                args[::2], args[1::2] = values[start:stop], flags[start:stop]
+            chunk.append((head + head.join(cells[start:stop])) % tuple(args))
+            lines += stop - start
+            start = stop
+            if lines == _CSV_CHUNK:
+                write("".join(chunk))
+                chunk.clear()
+                lines = 0
+    if chunk:
+        write("".join(chunk))
+
+
+def _grid_runs(rows):
+    """(x text, line templates, values, flags or None) per x row of sample_grid."""
+    t_texts = [format(t, ".17g") for t in rows.ts]
+    valid = [text + ",%.17g,1\n" for text in t_texts]
+    flagged = [text + ",%.17g,%d\n" for text in t_texts]
+    for x, (values, flags) in zip(rows.xs, rows.blocks):
+        yield format(x, ".17g") + ",", valid if flags is None else flagged, values, flags
+
+
+def _runs(rows):
+    """(x text, line templates, values, flags) per run of rows of one x."""
+    cells: dict = {}
+    run = None
     for x, t, u, valid in rows:
-        xs = text.get(x)
-        if xs is None or not x:
-            xs = text[x] = f"{x:.17g},"
-        ts = text.get(t)
-        if ts is None or not t:
-            ts = text[t] = f"{t:.17g},"
-        append(f"{xs}{ts}{u:.17g},{'1' if valid else '0'}\n")
-        if len(lines) == _CSV_CHUNK:
-            write("".join(lines))
-            lines.clear()
-    if lines:
-        write("".join(lines))
+        if run is None or x != run_x or (not x and copysign(1.0, x) != copysign(1.0, run_x)):
+            if run is not None:
+                yield run
+            run_x, run = x, (format(x, ".17g") + ",", [], [], [])
+        cell = cells.get(t)
+        if cell is None or not t:
+            cell = cells[t] = format(t, ".17g") + ",%.17g,%d\n"
+        run[1].append(cell)
+        run[2].append(u)
+        run[3].append(1 if valid else 0)
+    if run is not None:
+        yield run

@@ -1,6 +1,7 @@
 """q-wave module tests: substitution, operators, the IVP solver, sampling."""
 
 import ast
+import functools
 import math
 import os
 import random
@@ -567,6 +568,14 @@ def _sample_grid_two_horner(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     """sample_grid's earlier kernel, the bit-exact reference: each
     coefficient converted on its own, and separate Horner passes for the value
     and the tail at every x and every point."""
+    return [
+        (x, t, value, tail <= 1e-6 * max(1.0, abs(value)))
+        for x, t, value, tail in _two_horner_points(u, q_value, c_value, x_grid, t_grid)
+    ]
+
+
+def _two_horner_points(u: WaveSolution, q_value, c_value, x_grid, t_grid):
+    """(x, t, value, tail) at every point, x-major, by the two-Horner kernel."""
     q_value, c_value = float(q_value), float(c_value)
     body = u.body
     top = None if u.order is None else u.order - 1
@@ -588,9 +597,7 @@ def _sample_grid_two_horner(u: WaveSolution, q_value, c_value, x_grid, t_grid):
         in_t = [_horner(row, x) for row in value_rows]
         tail_in_t = [_horner(row, abs(x)) for row in tail_rows]
         for t in map(float, t_grid):
-            value = _horner(in_t, t)
-            tail = _horner(tail_in_t, abs(t))
-            rows.append((x, t, value, tail <= 1e-6 * max(1.0, abs(value))))
+            rows.append((x, t, _horner(in_t, t), _horner(tail_in_t, abs(t))))
     return rows
 
 
@@ -605,6 +612,52 @@ _coordinate = st.floats(-1.5, 1.5)
 # terms before abs would lose; at x = -1 the tail must still use |x|.
 _CANCELLING = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): -1}), SYMBOLIC_SPEED, 2, "direct-binomial")
 _SIGNED = WaveSolution(MPoly(XTC, {(1, 1, 0): 1, (1, 1, 1): 1}), SYMBOLIC_SPEED, 2, "direct-binomial")
+
+
+# The top band of this order-4 body, x^3 and x t^2 / 2, vanishes on the rows
+# x = 0.0 and -0.0, which are certified; the other rows take the pair loop
+# and mix flags.
+_MIXED = WaveSolution(
+    MPoly(("x", "t"), {(0, 0): 1, (3, 0): 1, (1, 2): Fraction(-1, 2)}), CE_ONE, 4, "direct-binomial"
+)
+_MIXED_XS, _MIXED_TS = [-0.5, -0.0, 0.005, 0.0], [-1.0, 0.0, 0.5]
+# Rows at |x| <= 1e-3 are certified (band x^10); t^8 - x t^8 is below the
+# band, so it overflows near |t| = 1e39 on those rows, at x = 1 it cancels,
+# and at x = 10 it is -9 t^8 and overflows first.
+_OVERFLOWING = WaveSolution(
+    MPoly(("x", "t"), {(0, 8): 1, (1, 8): -1, (10, 0): 1}), CE_ONE, 11, "direct-binomial"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_cos_sin_wave(order: int) -> WaveSolution:
+    return _cos_sin_wave(order)
+
+
+@st.composite
+def _grid_waves(draw):
+    """Bodies whose t-rows start with zero x-coefficients: even in x, one
+    term, the zero body, or the order-8 cos/sin solve."""
+    shape = draw(st.sampled_from(["even-x", "one-term", "zero", "cos-sin"]))
+    if shape == "cos-sin":
+        return _cached_cos_sin_wave(8)
+    if shape == "zero":
+        terms = {}
+    elif shape == "one-term":
+        terms = {draw(st.tuples(st.integers(0, 6), st.integers(0, 6))): draw(_sample_coef)}
+    else:
+        degrees = st.tuples(st.integers(0, 3).map(lambda k: 2 * k), st.integers(0, 4))
+        terms = draw(st.dictionaries(degrees, _sample_coef, max_size=6))
+    order = draw(st.none() | st.integers(0, 9))
+    return WaveSolution(MPoly(("x", "t"), terms), CE_ONE, order, "direct-binomial")
+
+
+_grid_axis = st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0), max_size=4)
+
+
+def _bits(rows) -> list:
+    """Each row as the reprs of its fields: -0.0 apart from 0.0, True from 1."""
+    return [tuple(map(repr, row)) for row in rows]
 
 
 class TestSampleGrid:
@@ -755,6 +808,68 @@ class TestSampleGrid:
         rows_num = sample_grid(ws_num, 2.0, 123.0, [0.3, 1.7], [0.4])
         for a, b in zip(rows_sym, rows_num):
             assert abs(a[2] - b[2]) < 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_grid_waves(), st.floats(0.25, 4.0), _grid_axis, _grid_axis)
+    @example(_cached_cos_sin_wave(8), 0.5, [-4.0, -0.0, 0.0, 0.5, 4.0], [-0.0, 0.25, 1.0])
+    @example(_MIXED, 0.5, _MIXED_XS, _MIXED_TS)
+    @example(_MIXED, 0.5, [0.25], [-0.0])
+    @example(_MIXED, 0.5, [0.25, -0.0], [])
+    @example(WaveSolution(MPoly(("x", "t"), {}), CE_ONE, 3, "dalembert"), 0.5, [-1.0], [2.0])
+    def test_grid_shapes_bit_identical_to_the_two_horner_kernel(self, wave, q, xs, ts):
+        rows = sample_grid(wave, q, 1.0, xs, ts)
+        assert _bits(rows) == _bits(_sample_grid_two_horner(wave, q, 1.0, xs, ts))
+
+    def test_rows_read_like_a_list_of_row_tuples(self):
+        rows = sample_grid(_MIXED, 0.5, 1.0, _MIXED_XS, _MIXED_TS)
+        expected = _sample_grid_two_horner(_MIXED, 0.5, 1.0, _MIXED_XS, _MIXED_TS)
+        assert {r[3] for r in expected} == {True, False}
+        assert len(rows) == len(expected) == 12
+        assert _bits(iter(rows)) == _bits(expected)
+        assert _bits(rows[i] for i in range(-12, 12)) == _bits(expected + expected)
+        for index in (12, -13):
+            with pytest.raises(IndexError):
+                rows[index]
+        assert rows == expected and expected == rows
+        assert rows != expected[:-1] and expected[:-1] != rows
+        assert rows != expected[::-1] and expected[::-1] != rows
+        assert rows == sample_grid(_MIXED, 0.5, 1.0, _MIXED_XS, _MIXED_TS)
+
+    def test_certified_row_names_its_first_non_finite_point(self):
+        # a polynomial body certifies every row; x t^2 leaves the float range
+        # at t = 1e155 on the row x = 1 and stays in it on the row x = 1e-10
+        ws = WaveSolution(MPoly(("x", "t"), {(1, 2): 1}), CE_ONE, None, "direct-binomial")
+        xs, ts = [1e-10, 1.0], [0.0, 1e154, 1e155, -1e156, 1e153]
+        message = r"^wave value at x=1\.0, t=1e\+155 is out of float range$"
+        with pytest.raises(OverflowError, match=message):
+            sample_grid(ws, 0.5, 1.0, xs, ts)
+
+    @pytest.mark.parametrize("terms", [{}, {(0, 0): 1}, {(2, 1): 3}])
+    @pytest.mark.parametrize(
+        "xs, ts", [([1.0, math.inf], [0.5]), ([-math.inf], [0.5]), ([0.5], [0.0, math.nan])]
+    )
+    def test_non_finite_coordinate_raises(self, terms, xs, ts):
+        ws = WaveSolution(MPoly(("x", "t"), terms), CE_ONE, None, "direct-binomial")
+        with pytest.raises(OverflowError, match=f"x={xs[-1]!r}, t={ts[-1]!r} is out of float range"):
+            sample_grid(ws, 0.5, 1.0, xs, ts)
+
+    @pytest.mark.parametrize(
+        "xs, ts, first",
+        [
+            ([1e-3, 10.0, 1e-3], [0.0, 3e38], (10.0, 3e38)),
+            ([1.0, 1e-3], [0.0, 1e38, 1e39], (1e-3, 1e39)),
+            ([1.0, -1e-3, 10.0], [1e39, -0.0, 3e38], (-1e-3, 1e39)),
+        ],
+    )
+    def test_mixed_grid_raises_at_the_first_point_of_the_per_point_loop(self, xs, ts, first):
+        points = _two_horner_points(_OVERFLOWING, 0.5, 1.0, xs, ts)
+        bad = [(x, t) for x, t, value, tail in points
+               if not (math.isfinite(value) and math.isfinite(tail))]
+        assert bad[0] == first
+        x, t = first
+        with pytest.raises(OverflowError) as raised:
+            sample_grid(_OVERFLOWING, 0.5, 1.0, xs, ts)
+        assert str(raised.value) == f"wave value at x={x!r}, t={t!r} is out of float range"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcalc import cli, serialize
-from qcalc.coeffs import CE_Q, CoefExpr, GaussianRational, LaurentPoly, LP_ONE
+from qcalc.coeffs import CE_ONE, CE_Q, CoefExpr, GaussianRational, LaurentPoly, LP_ONE
 from qcalc.polys import MPoly, q_binomial_power
 from qcalc.qcore import q_exp_series, q_int, q_trig_series
 from qcalc.qwave import (
@@ -23,6 +23,7 @@ from qcalc.qwave import (
     dalembert_solve,
     named_source,
     q_binomial_substitute,
+    sample_grid,
 )
 from qcalc.serialize import (
     _CSV_CHUNK,
@@ -823,6 +824,24 @@ def _grid_rows(n: int) -> list:
 _CHUNK_EDGES = [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
 
 
+# The top band of this order-4 body, x^3 and x t^2 / 2, vanishes on the rows
+# x = 0.0 and -0.0, which are all valid; the other rows mix flags.
+_GRID_WAVE = WaveSolution(
+    MPoly(("x", "t"), {(0, 0): 1, (3, 0): 1, (1, 2): Fraction(-1, 2)}), CE_ONE, 4, "direct-binomial"
+)
+
+
+def _sampled_grid(n_x: int, n_t: int):
+    """sample_grid rows over an n_x x n_t grid, zeros of both signs on each axis."""
+    xs = [(-0.0, 0.0)[k % 2] if k % 5 == 0 else (k - n_x / 2) * 0.004 for k in range(n_x)]
+    ts = [(0.0, -0.0)[k % 2] if k % 7 == 0 else (k - n_t / 3) * 0.01 for k in range(n_t)]
+    return sample_grid(_GRID_WAVE, 0.5, 1.0, xs, ts)
+
+
+# (n_x, n_t) with n_x * n_t at each of _CHUNK_EDGES, then a t axis longer than a chunk
+_GRID_SHAPES = [(3, 0), (1, 1), (3, 341), (32, 32), (25, 41), (7, 293), (3, _CSV_CHUNK + 500)]
+
+
 class _CountingStream:
     """A stream that keeps the number of lines of each write."""
 
@@ -875,6 +894,25 @@ class TestVerdictAndCsv:
     def test_csv_writes_bounded_chunks(self, n):
         stream = _CountingStream()
         write_sample_csv(_grid_rows(n), stream)
+        assert sum(stream.writes) == n + 1
+        assert max(stream.writes) <= _CSV_CHUNK
+        assert len(stream.writes) <= n // _CSV_CHUNK + 1
+
+    @pytest.mark.parametrize("n_x, n_t", _GRID_SHAPES)
+    def test_csv_of_sample_grid_rows_matches_the_per_row_writer(self, n_x, n_t):
+        rows = _sampled_grid(n_x, n_t)
+        got, expected = io.StringIO(), io.StringIO()
+        write_sample_csv(rows, got)
+        _write_sample_csv_per_row(list(rows), expected)
+        assert got.getvalue() == expected.getvalue()
+        if n_x * n_t > 100:
+            assert {row[3] for row in rows} == {True, False}
+
+    @pytest.mark.parametrize("n_x, n_t", _GRID_SHAPES)
+    def test_csv_of_sample_grid_rows_writes_bounded_chunks(self, n_x, n_t):
+        n = n_x * n_t
+        stream = _CountingStream()
+        write_sample_csv(_sampled_grid(n_x, n_t), stream)
         assert sum(stream.writes) == n + 1
         assert max(stream.writes) <= _CSV_CHUNK
         assert len(stream.writes) <= n // _CSV_CHUNK + 1
