@@ -41,12 +41,10 @@ from .polys import (
     MPoly,
     d_operator,
     dbar_operator,
-    jackson_integral_numeric,
     q_binomial_expand,
     q_binomial_power,
     q_binomial_weights,
     q_laplacian,
-    q_power_product,
 )
 from .hermite import (
     hermite_classical,

@@ -866,9 +866,6 @@ class CoefExpr:
         """Apply s -> 1/s to numerator and denominator (realises q -> 1/q)."""
         return CoefExpr(self.num.invert_s(), self.den.invert_s())
 
-    def stretch(self, k: int) -> CoefExpr:
-        return CoefExpr(self.num.stretch(k), self.den.stretch(k))
-
     def conjugate_i(self) -> CoefExpr:
         return CoefExpr(self.num.conjugate_i(), self.den.conjugate_i())
 

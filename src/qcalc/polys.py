@@ -7,13 +7,12 @@ x**n -> [n]_q x**(n-1), which agrees with the difference quotient
 
 One term-mapping kernel, _map_var, applies a sum of one-variable operators,
 each sending var**n to sum_k w_k var**(n-k) b**k with b a one-term
-polynomial.  MPoly.substitute (and eval_univariate through it),
-MPoly.q_derivative, MPoly.jackson_antiderivative and q_binomial_expand
-(behind q_binomial_power and the wave substitution in qwave) are calls with
-one operator; the holomorphic-pair operators on (z, w), the q-Laplacian
-family and qwave.qwave_operator are calls with two.  The repeated product
-q_power_product stays as the independent cross-check of the expansion.
-Also here: the truncated numeric Jackson integral.
+polynomial.  MPoly.substitute, MPoly.q_derivative,
+MPoly.jackson_antiderivative and q_binomial_expand (behind q_binomial_power
+and the wave substitution in qwave) are calls with one operator; the
+holomorphic-pair operators on (z, w), the q-Laplacian family and
+qwave.qwave_operator are calls with two.  The Jackson integral enters the
+solver only in exact form, as the antiderivative.
 """
 
 from __future__ import annotations
@@ -44,11 +43,9 @@ __all__ = [
     "q_binomial_weights",
     "q_binomial_expand",
     "q_binomial_power",
-    "q_power_product",
     "dbar_operator",
     "d_operator",
     "q_laplacian",
-    "jackson_integral_numeric",
 ]
 
 
@@ -338,12 +335,6 @@ class MPoly:
             replacement = MPoly.const(self.vars, replacement)
         return _map_var(self, [(name, replacement, lambda n: ((n, LP_ONE),))])
 
-    def eval_univariate(self, value) -> CoefExpr:
-        """Evaluate a one-variable polynomial at a CoefExpr point."""
-        if len(self.vars) != 1:
-            raise ValueError("eval_univariate needs a univariate polynomial")
-        return self.substitute(self.vars[0], value).coefficient((0,))
-
     def q_derivative(self, name: str, direction: str = "q") -> MPoly:
         """Monomial-rule q-derivative in one variable.
 
@@ -387,16 +378,6 @@ class MPoly:
             c = self.terms[e]
             parts.append(f"[{c!r}]{('*' + mono) if mono else ''}")
         return " + ".join(parts)
-
-
-def q_power_product(a: MPoly, b: MPoly, n: int) -> MPoly:
-    """The ordered product (a + b)(a + qb)(a + q^2 b)...(a + q^(n-1) b)."""
-    if n < 0:
-        raise UnsupportedOrderError("q-binomial powers need n >= 0")
-    out = MPoly.const(a.vars, 1)
-    for k in range(n):
-        out = out * (a + b.scale(LaurentPoly.term(2 * k)))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -515,39 +496,3 @@ def q_laplacian(p: MPoly, level: int = 0) -> MPoly:
     ww = _q_derivative_op(p.vars, "w", "1/q", 2, scale=LaurentPoly.term(2 * level))
     return _map_var(p, [_q_derivative_op(p.vars, "z", "q", 2), ww])
 
-
-def jackson_integral_numeric(g, a, b, q_value, terms: int):
-    """Truncated Jackson integral of g from a to b with J = terms summands.
-
-    Returns (value, tail_bound) where value is
-    (1-q) b sum_{j<J} q^j g(q^j b) - (1-q) a sum_{j<J} q^j g(q^j a)
-    and tail_bound = (|a| + |b|) q^J max|g| over the residual interval
-    [-q^J max(|a|,|b|), q^J max(|a|,|b|)], with max|g| estimated on a dense
-    grid.  Exact input types (Fraction) are preserved in the value.
-    """
-    if not 0 < q_value < 1:
-        raise ValueError("the Jackson sum requires 0 < q < 1")
-    if terms < 0:
-        raise ValueError("the number of terms must be >= 0")
-    one_minus_q = 1 - q_value
-
-    def endpoint(p):
-        total = 0
-        qj = q_value**0
-        for _ in range(terms):
-            total += qj * g(qj * p)
-            qj *= q_value
-        return one_minus_q * p * total
-
-    value = endpoint(b) - endpoint(a)
-    reach = (q_value**terms) * max(abs(a), abs(b))
-    grid_max = 0.0
-    if reach:
-        steps = 128
-        for i in range(steps + 1):
-            xi = reach * (Fraction(2 * i, steps) - 1)
-            grid_max = max(grid_max, abs(float(g(xi))))
-    else:
-        grid_max = abs(float(g(0 * q_value)))
-    bound = float((abs(a) + abs(b)) * q_value**terms) * grid_max
-    return value, bound

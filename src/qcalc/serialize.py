@@ -31,6 +31,7 @@ are formatted one x row per call and go out _CSV_CHUNK lines per write.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import copysign, gcd, lcm
@@ -132,19 +133,8 @@ def _wire_rational(value) -> tuple[int, int]:
     return num, den
 
 
-def _laurent_to_list(p: LaurentPoly) -> list:
-    den = p.den
-    out = []
-    for e, a, b in p.int_terms():
-        item = {"s": e, "re": _ratio_to_str(a, den)}
-        if b:
-            item["im"] = _ratio_to_str(b, den)
-        out.append(item)
-    return out
-
-
 def _laurent_text(p: LaurentPoly) -> str:
-    """The compact JSON text of _laurent_to_list(p), made from the integer vectors."""
+    """The compact JSON text of p's wire list, made from the integer vectors."""
     den = p.den
     items = [f'{{"s":{e},"re":"{_ratio_to_str(a, den)}"'
              + (f',"im":"{_ratio_to_str(b, den)}"}}' if b else "}") for e, a, b in p.int_terms()]
@@ -217,8 +207,8 @@ def coef_to_json(c: CoefExpr, dens: dict | None = None) -> dict:
     key = c.den.key()
     den = dens.get(key)
     if den is None:
-        den = dens[key] = _laurent_to_list(c.den)
-    return {"num": _laurent_to_list(c.num), "den": den}
+        den = dens[key] = json.loads(_laurent_text(c.den))
+    return {"num": json.loads(_laurent_text(c.num)), "den": den}
 
 
 def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:

@@ -25,12 +25,10 @@ from qcalc.polys import (
     coef_to_complex,
     d_operator,
     dbar_operator,
-    jackson_integral_numeric,
     q_binomial_expand,
     q_binomial_power,
     q_binomial_weights,
     q_laplacian,
-    q_power_product,
 )
 from qcalc.qcore import q_factorial, q_int, q_int_reciprocal
 from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
@@ -56,6 +54,16 @@ def substitute_by_powers(p, name, replacement):
             powers[d] = replacement**d
         rest = e[:i] + (0,) + e[i + 1 :]
         out = out + powers[d] * MPoly(p.vars, {rest: c})
+    return out
+
+
+def q_power_product(a: MPoly, b: MPoly, n: int) -> MPoly:
+    """The ordered product (a + b)(a + qb)(a + q^2 b)...(a + q^(n-1) b)."""
+    if n < 0:
+        raise UnsupportedOrderError("q-binomial powers need n >= 0")
+    out = MPoly.const(a.vars, 1)
+    for k in range(n):
+        out = out * (a + b.scale(LaurentPoly.term(2 * k)))
     return out
 
 
@@ -107,9 +115,9 @@ def jackson_by_terms(p, name):
 
 
 def eval_by_terms(p, value):
-    """The earlier MPoly.eval_univariate: sum of c * value**d in degree order."""
+    """A one-variable polynomial at a point: sum of c * value**d in degree order."""
     if len(p.vars) != 1:
-        raise ValueError("eval_univariate needs a univariate polynomial")
+        raise ValueError("needs a univariate polynomial")
     value = CoefExpr.of(value)
     total = CE_ZERO
     for (d,), c in sorted(p.terms.items()):
@@ -272,7 +280,7 @@ class TestQDerivative:
                 q0 += 1
 
             def value(poly, point):
-                return poly.eval_univariate(CoefExpr.of(point)).eval_q(q0)
+                return eval_by_terms(poly, point).eval_q(q0)
 
             lhs = value(p.q_derivative("x"), a)
             rhs = (value(p, q0 * a) - value(p, a)) / GaussianRational((q0 - 1) * a)
@@ -503,8 +511,8 @@ def _same_outcome(got, want):
 
 
 class TestOperatorsAgainstTermLoops:
-    """q_derivative, jackson_antiderivative and eval_univariate run through the
-    term-mapping kernel; the loops they replaced are the oracles."""
+    """q_derivative and jackson_antiderivative run through the term-mapping
+    kernel; the loops they replaced are the oracles."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_polys(), st.sampled_from(["x", "t", "c", "y"]), st.sampled_from(["q", "1/q"]))
@@ -520,17 +528,6 @@ class TestOperatorsAgainstTermLoops:
     @given(_polys(), st.sampled_from(["x", "t", "c", "y"]))
     def test_jackson_antiderivative(self, p, name):
         _same_outcome(lambda: p.jackson_antiderivative(name), lambda: jackson_by_terms(p, name))
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(_polys(("x",)), _coef | st.integers(-3, 3))
-    @example(MPoly.zero(("x",)), 5)
-    @example(MPoly(("x",), {(0,): 4}), 0)
-    def test_eval_univariate(self, p, value):
-        assert p.eval_univariate(value) == eval_by_terms(p, value)
-
-    def test_eval_univariate_needs_one_variable(self):
-        with pytest.raises(ValueError, match="needs a univariate polynomial"):
-            MPoly(("x", "t"), {(1, 0): 1}).eval_univariate(2)
 
 
 def _composed_laplacian(p, level):
@@ -649,52 +646,6 @@ class TestCoefToComplex:
         c = CoefExpr(q_factorial(20), q_factorial(19))
         for q in (100.0, 0.01):
             assert coef_to_complex(c, q) == pytest.approx((q**20 - 1) / (q - 1), rel=1e-12)
-
-
-class TestJacksonIntegralNumeric:
-    def test_constant_converges_to_one(self):
-        value, bound = jackson_integral_numeric(lambda x: 1.0, 0.0, 1.0, 0.5, 30)
-        assert abs(value - 1.0) <= 1e-8
-        assert bound >= 0
-
-    def test_linear_integrand(self):
-        value, _ = jackson_integral_numeric(lambda x: x, 0.0, 1.0, 0.5, 60)
-        assert abs(value - 2.0 / 3.0) <= 1e-12
-
-    def test_equal_endpoints(self):
-        value, _ = jackson_integral_numeric(lambda x: x * x, 0.75, 0.75, 0.5, 10)
-        assert value == 0
-
-    def test_invalid_q(self):
-        for bad in (0, 1, 1.5, -0.5):
-            with pytest.raises(ValueError):
-                jackson_integral_numeric(lambda x: 1.0, 0.0, 1.0, bad, 5)
-
-    def test_truncation_respects_reported_bound(self):
-        """Exact-rational truncated sums stay within the reported tail bound
-        of the exact antiderivative difference."""
-        rng = random.Random(23)
-        for q0 in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            for _ in range(6):
-                coeffs = {
-                    (d,): Fraction(rng.randint(-5, 5))
-                    for d in range(rng.randint(1, 6))
-                }
-                p = xpoly(coeffs)
-                anti = p.jackson_antiderivative("x")
-
-                def g(x):
-                    return p.eval_univariate(CoefExpr.of(Fraction(x))).eval_q(q0).re
-
-                a = Fraction(rng.randint(-3, 3))
-                b = Fraction(rng.randint(-3, 3))
-                for terms in (8, 16, 32):
-                    value, bound = jackson_integral_numeric(g, a, b, q0, terms)
-                    exact = (
-                        anti.eval_univariate(CoefExpr.of(b)).eval_q(q0).re
-                        - anti.eval_univariate(CoefExpr.of(a)).eval_q(q0).re
-                    )
-                    assert abs(float(value - exact)) <= bound + 1e-15
 
 
 @pytest.mark.parametrize(
