@@ -3,7 +3,8 @@ q-wave IVP, and sample solutions to CSV.
 
 Exit codes: 0 success / all identities verified, 1 an identity check found a
 counterexample (or the solver's self-check refused a solution), 2 usage or
-input error (also a verify bound flag that the chosen identity does not take).
+input error (also a verify bound flag that the chosen identity does not take)
+or a run that ran out of memory or recursion depth.
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 Every JSON document is written as one line of compact JSON.
 
@@ -324,6 +325,12 @@ def main(argv=None) -> int:
         return EXIT_VIOLATED
     except (QCalcError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: maximum recursion depth exceeded", file=sys.stderr)
         return EXIT_USAGE
 
 

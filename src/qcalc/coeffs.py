@@ -14,21 +14,26 @@ Three layers, all immutable and exact (no floating point ever enters a value):
   is folded into the numerator on construction, so most values in practice
   are plain Laurent polynomials with den == 1.
 
-LaurentPoly is stored as integers: a lowest exponent lo, one content
-denominator den and integer vectors re (and im, None when every coefficient
-is real), coefficient k being (re[k] + im[k]*i) / den.  The form is
-canonical (den > 0 shares no factor with the entries, both ends nonzero), so
-zero tests, equality and denominator sharing compare ints and lists.  Add,
-negate, scale, shift and stretch are list operations on ints.  Products are
-formed by Kronecker substitution: each vector is packed into one int at
-s = 2**(8*size), one big-int product is taken (up to four when both operands
-are complex), and the coefficients are read back as balanced digits; when
-every exponent of both operands has one parity, only every other slot is
-packed.  A slot is size whole bytes (1, 2, 4, 8, or more when wider), so a
-vector goes to and from its int through bytes in linear time: the slots
-hold two's-complement digits, and one sign bias B (0x80 at the top byte of
-every slot) turns them into the balanced sum, (y ^ B) - B, and back,
-(x + B) ^ B.  A one-term operand is a shift plus an integer scale instead,
+LaurentPoly is stored as integers: a lowest exponent lo, an exponent step
+of 1 or 2, one content denominator den and integer vectors re (and im, None
+when every coefficient is real), coefficient k being (re[k] + im[k]*i) / den
+at exponent lo + step*k.  A value of two or more slots whose exponents all
+share lo's parity -- every polynomial in q = s**2, so nearly every value the
+engine builds -- is step 2 and stores only those slots; any other value is
+step 1.  The form is canonical (den > 0 shares no factor with the entries,
+both ends nonzero, the step as above), so zero tests, equality and
+denominator sharing compare ints and lists.  Add, negate, scale, shift and
+stretch are list operations on ints; two operands of one step and one parity
+combine their stored vectors as they are, and a mixed operation spreads the
+step-2 side out once.  Products are formed by Kronecker substitution: each
+vector is packed into one int at s**step = 2**(8*size), one big-int product
+is taken (up to four when both operands are complex), and the coefficients
+are read back as balanced digits.  A slot is size whole bytes (1, 2, 4, 8,
+or more when wider), so a vector goes to and from its int through bytes in
+linear time: the slots hold two's-complement digits, and one sign bias B
+(0x80 at the top byte of every slot, built once per shape) turns them into
+the balanced sum, (y ^ B) - B, and back, (x + B) ^ B.  A one-term operand
+is a shift plus an integer scale instead,
 and two one-term operands take the direct formula: one Gaussian-integer
 product over the product of the denominators, as do a sum or difference of
 two one-term operands at one exponent over the common denominator; one gcd
@@ -41,7 +46,7 @@ view, as_monomial and exact evaluation.
 
 The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials, their ratios and Gaussian binomial coefficients
-are LaurentPoly values (exponents even), each table one public function
+are step-2 LaurentPoly values (exponents even), each table one public function
 under functools.lru_cache, the package's one cache idiom, caching only the
 entries asked for.  Past q_int, each table is one call of _q_products, a
 product of factors (1 - q**a) / (1 - q**b) by two-term steps on one int
@@ -246,21 +251,26 @@ GR_I = _gr(_F0, _F1)
 
 class LaurentPoly:
     """Laurent polynomial in s: coefficient k is (re[k] + im[k]*i) / den at
-    exponent lo + k.
+    exponent lo + step*k.
 
-    Canonical, so equality is a comparison of the four slots: den > 0, the gcd
-    of den and every entry is 1, the entries at both ends are nonzero, im is
-    None when every coefficient is real, and zero is (0, 1, [], None).  The
-    lists are never mutated once stored; results may share them.
+    Canonical, so equality is a comparison of the five slots: den > 0, the
+    gcd of den and every entry is 1, the entries at both ends are nonzero, im
+    is None when every coefficient is real, step is 2 exactly when there are
+    two or more slots and every exponent has lo's parity (the slots between
+    them, all zero, are not stored), and zero is (0, 1, [], None) at step 1.
+    The lists are never mutated once stored; results may share them.  The
+    public view (coeffs, int_terms, span, min_exp, max_exp) is keyed by the
+    exponent of s whatever the step.
 
     Products and sums take the operand shape's path: two one-slot operands
     are one Gaussian-integer product (or, at one exponent, one sum) cut by
     one gcd; a one-slot operand times a wider one is a shift and an integer
-    scale; anything wider is a Kronecker product or a padded vector sum.
-    Every path returns the canonical form.
+    scale; anything wider is a Kronecker product or a padded vector sum, on
+    the stored vectors when both sides are step 2 (a one-slot side counts as
+    step 2 in a sum at its parity).  Every path returns the canonical form.
     """
 
-    __slots__ = ("lo", "den", "re", "im")
+    __slots__ = ("lo", "den", "re", "im", "step")
 
     def __init__(self, coeffs=None):
         terms = {}
@@ -269,7 +279,7 @@ class LaurentPoly:
             if cr or ci:
                 terms[index(e)] = cr, ci, cd
         p = _from_int_terms(terms)
-        self.lo, self.den, self.re, self.im = p.lo, p.den, p.re, p.im
+        self.lo, self.den, self.re, self.im, self.step = p.lo, p.den, p.re, p.im, p.step
 
     @classmethod
     def const(cls, value) -> LaurentPoly:
@@ -293,16 +303,16 @@ class LaurentPoly:
     def int_terms(self):
         """(exponent, re, im) of every nonzero coefficient (re + im*i) / den,
         lowest exponent first, with integer re and im."""
-        im = self.im or repeat(0)
-        return [(self.lo + k, v, w) for k, (v, w) in enumerate(zip(self.re, im)) if v or w]
+        lo, step, im = self.lo, self.step, self.im or repeat(0)
+        return [(lo + step * k, v, w) for k, (v, w) in enumerate(zip(self.re, im)) if v or w]
 
     def is_zero(self) -> bool:
         return not self.re
 
     def key(self) -> tuple:
-        """A hashable key of the value, for per-pass memos: the four slots,
+        """A hashable key of the value, for per-pass memos: the five slots,
         which identify it because the form is canonical."""
-        return self.lo, self.den, tuple(self.re), self.im and tuple(self.im)
+        return self.lo, self.den, self.step, tuple(self.re), self.im and tuple(self.im)
 
     def as_monomial(self):
         """Return (exponent, coefficient) if this is a single term, else None."""
@@ -317,11 +327,11 @@ class LaurentPoly:
         return self.lo
 
     def max_exp(self) -> int:
-        return self.min_exp() + len(self.re) - 1
+        return self.min_exp() + (len(self.re) - 1) * self.step
 
     def span(self) -> int:
         """Degree span max_exp - min_exp (0 for the zero polynomial)."""
-        return max(len(self.re) - 1, 0)
+        return max(len(self.re) - 1, 0) * self.step
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -348,34 +358,35 @@ class LaurentPoly:
 
     def __neg__(self):
         im = self.im
-        return _new(self.lo, self.den, [-v for v in self.re], im and [-v for v in im])
+        return _new(self.lo, self.den, [-v for v in self.re], im and [-v for v in im], self.step)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
         a, b = self, other
-        if not a.re or not b.re:
+        ar, br = a.re, b.re
+        if not ar or not br:
             return LP_ZERO
-        if len(a.re) == 1 == len(b.re):
+        na, nb = len(ar), len(br)
+        if na == 1 == nb:
             # one Gaussian-integer product over a.den * b.den; it is nonzero
-            xr, xi = a.re[0], a.im[0] if a.im else 0
-            yr, yi = b.re[0], b.im[0] if b.im else 0
+            xr, xi = ar[0], a.im[0] if a.im else 0
+            yr, yi = br[0], b.im[0] if b.im else 0
             return _cut(a.lo + b.lo, a.den * b.den, xr * yr - xi * yi, xr * yi + xi * yr)
-        if len(a.re) == 1 or len(b.re) == 1:
-            mono, rest = (a, b) if len(a.re) == 1 else (b, a)
+        if na == 1 or nb == 1:
+            mono, rest = (a, b) if na == 1 else (b, a)
             ci = mono.im[0] if mono.im else 0
-            return rest._times(mono.re[0], ci, mono.den).shift(mono.lo)
-        # Kronecker substitution: each integer vector is packed into one int
-        # at s = 2**(8*size), multiplied once and read back slot by slot.
-        # When both operands use one exponent parity, only every other slot
-        # is packed and the product is spread back out.
-        ar, ai, br, bi = a.re, a.im, b.re, b.im
-        stride = 1
-        if not any(ar[1::2]) and not any(br[1::2]) and not (ai and any(ai[1::2])) \
-                and not (bi and any(bi[1::2])):
-            stride = 2
-            ar, br = ar[::2], br[::2]
-            ai, bi = ai and ai[::2], bi and bi[::2]
+            return rest._times(mono.re[0], ci, mono.den, mono.lo)
+        # Kronecker substitution: each stored vector is packed into one int
+        # at s**step = 2**(8*size), multiplied once and read back slot by
+        # slot.  A step-2 operand times a step-1 one is spread out first.
+        ai, bi, step = a.im, b.im, a.step
+        if step != b.step:
+            if step == 2:
+                ar, ai = _spread(ar), ai and _spread(ai)
+            else:
+                br, bi = _spread(br), bi and _spread(bi)
+            step = 1
         bound = min(len(ar), len(br)) * _top(ar, ai) * _top(br, bi)  # largest |slot|
         if ai and bi:
             bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
@@ -387,10 +398,7 @@ class LaurentPoly:
         packed_im = ia * rb + ra * ib
         re = _unpack(ra * rb - ia * ib, n, size)
         im = _unpack(packed_im, n, size) if packed_im else None
-        if stride == 2:
-            re = _spread(re)
-            im = im and _spread(im)
-        return _canonical(a.lo + b.lo, a.den * b.den, re, im)
+        return _canonical(a.lo + b.lo, a.den * b.den, re, im, step)
 
     __rmul__ = __mul__
 
@@ -400,22 +408,23 @@ class LaurentPoly:
             return LP_ZERO
         return self._times(cr, ci, cd)
 
-    def _times(self, cr: int, ci: int, cd: int) -> LaurentPoly:
-        """self * (cr + ci*i) / cd for integers, (cr, ci) != (0, 0), cd != 0."""
+    def _times(self, cr: int, ci: int, cd: int, k: int = 0) -> LaurentPoly:
+        """self * (cr + ci*i) / cd * s**k for integers, (cr, ci) != (0, 0),
+        cd != 0."""
         if cd < 0:
             cr, ci, cd = -cr, -ci, -cd
         if not ci and cr == cd:
-            return self
+            return self.shift(k)
         re, im = self.re, self.im
         if ci or cr != 1:
             re, im = _times_ints(re, im, cr, ci)
-        return _canonical(self.lo, self.den * cd, re, im)
+        return _canonical(self.lo + k, self.den * cd, re, im, self.step)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by s**k (add k to every exponent)."""
         if k == 0 or not self.re:
             return self
-        return _new(self.lo + k, self.den, self.re, self.im)
+        return _new(self.lo + k, self.den, self.re, self.im, self.step)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -434,12 +443,15 @@ class LaurentPoly:
             raise ValueError("stretch factor must be nonzero")
         if k == 1 or not self.re:
             return self
-        lo, re, im = self.lo, self.re, self.im
+        lo, re, im, step = self.lo, self.re, self.im, self.step
         if k < 0:
-            lo, re, im, k = -(lo + len(re) - 1), re[::-1], im and im[::-1], -k
-        if k > 1:
-            lo, re, im = lo * k, _spread(re, k), im and _spread(im, k)
-        return _new(lo, self.den, re, im)
+            lo, re, im, k = -self.max_exp(), re[::-1], im and im[::-1], -k
+        if k > 1 and len(re) > 1:
+            # stored slots lie gap = step*k apart: step 2 when gap is even
+            gap = step * k
+            step = 2 - gap % 2
+            re, im = _spread(re, gap // step), im and _spread(im, gap // step)
+        return _new(lo * k, self.den, re, im, step)
 
     def invert_s(self) -> LaurentPoly:
         return self.stretch(-1)
@@ -449,17 +461,20 @@ class LaurentPoly:
         s = as_gaussian(s_value)
         if not s:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at s = 0")
-        return _horner(self.lo, self.den, self.re, self.im, s)
+        lo = self.lo
+        if self.step == 1:
+            return _horner(lo, self.den, self.re, self.im, s)
+        # s**lo * sum c_k q**k at q = s**2, with s**lo = q**(lo // 2) * s**(lo % 2)
+        value = _horner(lo >> 1, self.den, self.re, self.im, s * s)
+        return value * s if lo & 1 else value
 
     def eval_q(self, q_value) -> GaussianRational:
         """Exact evaluation with q = s**2 given; requires even exponents only."""
         q = as_gaussian(q_value)
-        lo, re, im = self.lo, self.re, self.im
-        odd = 1 - (lo & 1)  # the first slot at an odd exponent
-        if any(re[odd::2]) or (im and any(im[odd::2])):
+        # canonical: a step-1 value of two or more slots has an odd exponent
+        if self.lo & 1 or (self.step == 1 and len(self.re) > 1):
             raise NeedsSquareRootError("odd power of s present; supply a square root of q")
-        even = lo & 1
-        return _horner((lo + even) // 2, self.den, re[even::2], im and im[even::2], q)
+        return _horner(self.lo >> 1, self.den, self.re, self.im, q)
 
     def at_one(self) -> GaussianRational:
         """The q -> 1 limit: substitute s = 1 (sum of all coefficients)."""
@@ -471,11 +486,12 @@ class LaurentPoly:
             raise ZeroDenominatorError("division by the zero polynomial")
         if not self.re:
             return LP_ZERO
-        na, nb = len(self.re), len(other.re)
+        ar, ai, br, bi, step = _aligned(self, other)
+        na, nb = len(ar), len(br)
         if na < nb:
             return None
-        rr, ri = list(self.re), list(self.im or [0] * na)
-        br, bi = other.re, other.im or [0] * nb
+        rr, ri = list(ar), list(ai or [0] * na)
+        bi = bi or [0] * nb
         lead, li = br[-1], bi[-1]
         if li:  # times the conjugate of the divisor's lead, which turns real
             rr, ri = _times_ints(rr, ri, lead, -li)
@@ -498,18 +514,18 @@ class LaurentPoly:
             ri[k:top] = [v - qr * w - qi * u for v, u, w in zip(ri[k:top], br, bi)]
         if any(rr[: nb - 1]) or any(ri[: nb - 1]):
             return None
-        quotient = _canonical(self.lo - other.lo, self.den * lift, quo_r, quo_i)
+        quotient = _canonical(self.lo - other.lo, self.den * lift, quo_r, quo_i, step)
         return quotient._times(other.den, 0, 1)
 
     def conjugate_i(self) -> LaurentPoly:
         """Conjugate every coefficient (i -> -i); the identity on real values."""
         if self.im is None:
             return self
-        return _new(self.lo, self.den, self.re, [-v for v in self.im])
+        return _new(self.lo, self.den, self.re, [-v for v in self.im], self.step)
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return (self.lo == other.lo and self.den == other.den
+            return (self.lo == other.lo and self.den == other.den and self.step == other.step
                     and self.re == other.re and self.im == other.im)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == LaurentPoly.const(other)
@@ -532,15 +548,18 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _new(lo: int, den: int, re: list[int], im: list[int] | None) -> LaurentPoly:
+def _new(lo: int, den: int, re: list[int], im: list[int] | None, step: int = 1) -> LaurentPoly:
     out = LaurentPoly.__new__(LaurentPoly)
-    out.lo, out.den, out.re, out.im = lo, den, re, im
+    out.lo, out.den, out.re, out.im, out.step = lo, den, re, im, step
     return out
 
 
-def _canonical(lo: int, den: int, re: list[int], im: list[int] | None) -> LaurentPoly:
-    """LaurentPoly of (re + im*i) / den at exponents lo.., den > 0, brought to
-    canonical form: an all-zero im dropped, zero ends trimmed, content cut."""
+def _canonical(lo: int, den: int, re: list[int], im: list[int] | None,
+               step: int = 1) -> LaurentPoly:
+    """LaurentPoly of (re + im*i) / den at exponents lo, lo + step, ..,
+    den > 0, brought to canonical form: an all-zero im dropped, zero ends
+    trimmed, a step-1 vector whose odd slots are all zero kept at step 2, a
+    single slot kept at step 1, content cut."""
     if im is not None and not any(im):
         im = None
     if not (re[0] or im and im[0]) or not (re[-1] or im and im[-1]):
@@ -552,14 +571,18 @@ def _canonical(lo: int, den: int, re: list[int], im: list[int] | None) -> Lauren
             return LP_ZERO
         while not live[j - 1]:
             j -= 1
-        lo, re, im = lo + i, re[i:j], im and im[i:j]
+        lo, re, im = lo + i * step, re[i:j], im and im[i:j]
+    if len(re) == 1:
+        step = 1
+    elif step == 1 and not any(re[1::2]) and not (im and any(im[1::2])):
+        re, im, step = re[::2], im and im[::2], 2
     if den != 1:
         g = gcd(den, *re, *(im or ()))
         if g != 1:
             den //= g
             re = [v // g for v in re]
             im = im and [v // g for v in im]
-    return _new(lo, den, re, im)
+    return _new(lo, den, re, im, step)
 
 
 def _cut(lo: int, den: int, re: int, im: int) -> LaurentPoly:
@@ -573,26 +596,44 @@ def _cut(lo: int, den: int, re: int, im: int) -> LaurentPoly:
 
 def _from_int_terms(terms: dict[int, tuple[int, int, int]]) -> LaurentPoly:
     """LaurentPoly of {exponent: (re, im, den)}, each coefficient (re + im*i) / den
-    with den > 0: one lcm of the denominators, then one slot per exponent."""
+    with den > 0: one lcm of the denominators, then one slot per exponent of
+    lo's parity when all of them have it, else one per exponent."""
     if not terms:
         return LP_ZERO
     lo = min(terms)
+    step = 1 if any((e - lo) & 1 for e in terms) else 2
     den = lcm(*{cd for _, _, cd in terms.values()})
-    re = [0] * (max(terms) - lo + 1)
+    re = [0] * ((max(terms) - lo) // step + 1)
     im = list(re)
     for e, (cr, ci, cd) in terms.items():
         f = den // cd
-        re[e - lo], im[e - lo] = cr * f, ci * f
-    return _canonical(lo, den, re, im)
+        k = (e - lo) // step
+        re[k], im[k] = cr * f, ci * f
+    return _canonical(lo, den, re, im, step)
 
 
 def _horner(lo: int, den: int, re: list[int], im: list[int] | None, x) -> GaussianRational:
     """sum of (re[k] + im[k]*i) / den * x**(lo + k) over k, exactly, for a
     GaussianRational x: Horner's rule over Gaussian integers on the
-    numerator of x, with the powers of its denominator carried alongside."""
+    numerator of x, with the powers of its denominator carried alongside.
+    A real value at a real point is one Horner over the integers, its power
+    x**lo folded into the one Fraction."""
     if not re:
         return GR_ZERO
     xr, xi, xd = _ints(x)
+    if im is None and not xi:
+        acc, scale = 0, 1
+        for v in reversed(re):
+            acc = acc * xr + v * scale
+            scale *= xd
+        scale = scale // xd * den
+        if lo > 0:
+            acc, scale = acc * xr**lo, scale * xd**lo
+        elif lo < 0:
+            if not xr:
+                raise ZeroDenominatorError("inverse of zero")
+            acc, scale = acc * xd**-lo, scale * xr**-lo
+        return _gr(Fraction(acc, scale), _F0)
     accr = acci = 0
     scale = 1  # xd**j at the j-th slot from the top
     for v, w in zip(reversed(re), reversed(im) if im else repeat(0)):
@@ -602,21 +643,36 @@ def _horner(lo: int, den: int, re: list[int], im: list[int] | None, x) -> Gaussi
     return _gr(Fraction(accr, scale), Fraction(acci, scale)) * x**lo
 
 
+def _aligned(a: LaurentPoly, b: LaurentPoly):
+    """(ar, ai, br, bi, step): the vectors of a and b at one step.  Step 2,
+    the stored vectors as they are, when each operand is step 2 or one slot
+    and their exponents share one parity; else step 1, a step-2 side spread."""
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    if (a.step == 2 or len(ar) == 1) and (b.step == 2 or len(br) == 1) \
+            and not (a.lo - b.lo) & 1:
+        return ar, ai, br, bi, 2
+    if a.step == 2:
+        ar, ai = _spread(ar), ai and _spread(ai)
+    if b.step == 2:
+        br, bi = _spread(br), bi and _spread(bi)
+    return ar, ai, br, bi, 1
+
+
 def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
     """a op b for op add or sub, both operands nonzero: align the vectors on
-    one denominator and one exponent range, then one map per part; two
-    single slots at one exponent are one sum over the common denominator."""
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
-    if len(ar) == 1 == len(br) and a.lo == b.lo:
+    one denominator, one step and one exponent range, then one map per part;
+    two single slots at one exponent are one sum over the common denominator."""
+    if len(a.re) == 1 == len(b.re) and a.lo == b.lo:
         da, db = a.den, b.den
-        xr, xi = ar[0], ai[0] if ai else 0
-        yr, yi = br[0], bi[0] if bi else 0
+        xr, xi = a.re[0], a.im[0] if a.im else 0
+        yr, yi = b.re[0], b.im[0] if b.im else 0
         if da != db:
             xr, xi, yr, yi, da = xr * db, xi * db, yr * da, yi * da, da * db
         re, im = op(xr, yr), op(xi, yi)
         if not (re or im):
             return LP_ZERO
         return _cut(a.lo, da, re, im)
+    ar, ai, br, bi, step = _aligned(a, b)
     den = a.den
     if b.den != den:
         den = lcm(den, b.den)
@@ -626,13 +682,13 @@ def _combine(a: LaurentPoly, b: LaurentPoly, op) -> LaurentPoly:
         if fb != 1:
             br, bi = _times_ints(br, bi, fb, 0)
     lo = min(a.lo, b.lo)
-    size = max(a.lo + len(ar), b.lo + len(br)) - lo
-    pa, pb = a.lo - lo, b.lo - lo
+    pa, pb = (a.lo - lo) // step, (b.lo - lo) // step
+    size = max(pa + len(ar), pb + len(br))
     re = list(map(op, _pad(ar, pa, size), _pad(br, pb, size)))
     im = None
     if ai or bi:
         im = list(map(op, _pad(ai or [0] * len(ar), pa, size), _pad(bi or [0] * len(br), pb, size)))
-    return _canonical(lo, den, re, im)
+    return _canonical(lo, den, re, im, step)
 
 
 def _pad(vec: list[int], before: int, size: int) -> list[int]:
@@ -696,10 +752,13 @@ def _slot_size(width: int) -> int:
     return size
 
 
+@lru_cache(maxsize=256)
 def _sign_bias(n: int, size: int) -> int:
     """B: 0x80 in the top byte of each of n slots of size bytes.  XOR with B
     flips each slot's sign bit, so a two's-complement digit v reads as the
-    unsigned v + 2**(8*size-1), and back."""
+    unsigned v + 2**(8*size-1), and back.  A product asks for three (its two
+    operands' and its result's); the last 256 shapes are kept, so a
+    repeated shape builds none and a deep run holds a few hundred at most."""
     return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
 
 
@@ -775,10 +834,9 @@ class CoefExpr:
                 # 1 / (s**lo * (r + i*j) / d) = s**-lo * d * (r - i*j) / (r*r + j*j)
                 r, j, d = den.re[0], den.im[0] if den.im else 0, den.den
                 if j:
-                    num = num._times(d * r, -d * j, r * r + j * j)
+                    num = num._times(d * r, -d * j, r * r + j * j, -den.lo)
                 else:
-                    num = num._times(d, 0, r)
-                num = num.shift(-den.lo)
+                    num = num._times(d, 0, r, -den.lo)
                 den = LP_ONE
         self.num = num
         self.den = den
@@ -937,7 +995,8 @@ def _q_products(tops, bottoms) -> LaurentPoly:
     """prod(1 - q**a) / prod(1 - q**b) over zip(tops, bottoms), a, b >= 1, each
     partial product a polynomial in q, on one int list: times 1 - q**a is a
     shifted subtraction, over 1 - q**b is c[j] = p[j] + c[j - b], whose top b
-    entries are the remainder (ArithmeticError unless they are zero)."""
+    entries are the remainder (ArithmeticError unless they are zero).  The
+    list in q is the step-2 value's stored vector as it stands."""
     c = [1]
     for a, b in zip(tops, bottoms):
         p = c + [0] * a
@@ -947,7 +1006,7 @@ def _q_products(tops, bottoms) -> LaurentPoly:
         if any(p[-b:]):
             raise ArithmeticError(f"1 - q**{b} leaves a remainder")
         c = p[:-b]
-    return _canonical(0, 1, _spread(c), None)
+    return _canonical(0, 1, c, None, 2)
 
 
 @lru_cache(maxsize=None)

@@ -384,6 +384,8 @@ class MPoly:
 def q_binomial_weights(n: int) -> tuple[LaurentPoly, ...]:
     """Weights gauss(n, k) * q^(k(k-1)/2), k = 0..n, of the closed form
     (a + b)(a + qb)...(a + q^(n-1) b) = sum_k weight_k a^(n-k) b^k."""
+    if n < 0:
+        raise UnsupportedOrderError("q-binomial weights need n >= 0")
     return tuple(gauss_binomial(n, k).shift(k * (k - 1)) for k in range(n + 1))
 
 

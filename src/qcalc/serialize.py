@@ -141,9 +141,10 @@ def _laurent_text(p: LaurentPoly) -> str:
     return f"[{','.join(items)}]"
 
 
-# LaurentPoly keeps a slot for every exponent from the lowest to the highest,
-# so a wire polynomial may span at most this many exponents per term; the
-# engine writes about two per term (even exponents).
+# LaurentPoly keeps a slot for every exponent from the lowest to the highest
+# (every other one when all share one parity), so a wire polynomial may span
+# at most this many exponents per term; the engine writes about two per term
+# (even exponents).
 _SPAN_PER_TERM = 256
 
 

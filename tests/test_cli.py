@@ -966,6 +966,42 @@ class TestNothingWrittenOnFailure:
         assert capsys.readouterr().out == ""
 
 
+class TestResourceErrors:
+    """Running out of memory or recursion depth is a usage-class failure:
+    exit 2 with one stderr line, never exit 1 (the code of a failed
+    identity) with a traceback, and no --output file."""
+
+    @pytest.mark.parametrize("where", ["stdout", "new-path"])
+    @pytest.mark.parametrize(
+        "error, line",
+        [(MemoryError, "error: out of memory\n"),
+         (RecursionError, "error: maximum recursion depth exceeded\n")],
+        ids=["memory", "recursion"],
+    )
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "xi"],
+        ["solve", "--f", "0,0,1", "--g", "0", "--c", "1"],
+        ["sample", "--in", "wave.json", "--q", "0.5", "--x", "0:1:1", "--t", "0:1:1"],
+        ["hermite", "--n", "2"],
+        ["expand", "--binomial", "x+ct", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_two_with_one_line(self, capsys, tmp_path, monkeypatch, argv, error, line,
+                                     where):
+        def runs_out(args):
+            raise error()
+
+        monkeypatch.setitem(cli._COMMANDS, argv[0], runs_out)
+        folder = tmp_path / "out"
+        folder.mkdir()
+        if where == "new-path":
+            argv = [*argv, "--output", str(folder / "result")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", line)
+        assert "Traceback" not in captured.err
+        assert list(folder.iterdir()) == []
+
+
 class TestNoExceptionAfterTheFirstWrite:
     """run() watches the stream each emit is handed (_watched_main), so every
     CLI test that goes through it, the sample error paths and the wire digit

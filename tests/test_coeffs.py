@@ -482,7 +482,7 @@ class TestKroneckerPacking:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_kronecker_operand(), _kronecker_operand())
     def test_products_match_the_shift_loops(self, a, b):
-        # the stride-2 parity path and complex operands included
+        # step-2 operands, mixed steps and complex operands included
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(coeffs, "_pack", lambda vec, size: _horner_pack(vec, 8 * size))
             mp.setattr(coeffs, "_unpack", lambda x, n, size: _shift_unpack(x, n, 8 * size))
@@ -492,16 +492,24 @@ class TestKroneckerPacking:
 
 
 def _assert_canonical(p: LaurentPoly):
-    """The stored form: (0, 1, [], None) for zero; else den > 0, no common
-    factor of den and the entries, nonzero ends, im None exactly when real."""
+    """The stored form: (0, 1, [], None) at step 1 for zero; else den > 0, no
+    common factor of den and the entries, nonzero ends, im None exactly when
+    real, and step 2 exactly when two or more slots all share lo's parity:
+    a step-1 value of two or more slots has a nonzero odd slot."""
     if p.is_zero():
-        assert (p.lo, p.den, p.re, p.im) == (0, 1, [], None)
+        assert (p.lo, p.den, p.step, p.re, p.im) == (0, 1, 1, [], None)
         return
     entries = p.re + (p.im or [])
     assert p.den > 0 and math.gcd(p.den, *entries) == 1
     assert p.im is None or (len(p.im) == len(p.re) and any(p.im))
     for k in (0, -1):
         assert p.re[k] or (p.im and p.im[k])
+    if len(p.re) == 1:
+        assert p.step == 1
+    elif p.step == 1:  # some exponent lo + k, k odd, is present
+        assert any(p.re[1::2]) or (p.im and any(p.im[1::2]))
+    else:
+        assert p.step == 2
 
 
 _small_part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -581,6 +589,152 @@ class TestIntegerKernel:
         assert pa.eval_s(x) == _dict_eval(a, x)
         assert pa.stretch(2).eval_q(x) == _dict_eval(a, x)
         assert pa.at_one() == _dict_eval(a, 1)
+
+
+@st.composite
+def _stepped_dict(draw):
+    """{exponent: nonzero GaussianRational} of one shape: one slot, two or
+    more slots at lo's parity (stored at step 2), or two or more with an
+    exponent of the other parity too (step 1); lo odd, even or negative,
+    small or 30-bit parts, real or complex."""
+    shape = draw(st.sampled_from(("one-slot", "step-1", "step-2")))
+    lo = draw(st.integers(-7, 7))
+    part = draw(st.sampled_from((_small_part, _part30)))
+    im = draw(st.sampled_from((st.just(0), part)))
+    coef = st.builds(GaussianRational, part, im).filter(bool)
+    if shape == "one-slot":
+        return {lo: draw(coef)}
+    step = 2 if shape == "step-2" else 1
+    offsets = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    out = {lo: draw(coef)}
+    out.update({lo + step * k: draw(coef) for k in offsets})
+    if shape == "step-1":  # an exponent of the other parity, for sure
+        out[lo + 2 * draw(st.integers(0, 4)) + 1] = draw(coef)
+    return out
+
+
+@st.composite
+def _stepped_pair(draw):
+    """Two stepped dicts; the second may cancel some of the first's terms,
+    or exactly those off lo's parity, so a step-1 sum can come out step 2."""
+    a, b = draw(_stepped_dict()), draw(_stepped_dict())
+    mode = draw(st.sampled_from(("free", "cancel-some", "cancel-other-parity")))
+    if mode == "cancel-some":
+        cancel = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = {**b, **{e: -c for (e, c), k in zip(a.items(), cancel) if k}}
+    elif mode == "cancel-other-parity":
+        lo = min(a)
+        b = {e: c for e, c in b.items() if (e - lo) % 2 == 0}
+        b.update({e: -c for e, c in a.items() if (e - lo) % 2})
+    return a, _dict_clean(b)
+
+
+class TestMixedStep:
+    """Step-1, step-2 and one-slot operands in every pairing against the
+    dict kernel; every result is checked to be canonical, its step included,
+    and to equal (and key like) the same value built from its coefficients."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_stepped_pair(), _scalar, st.integers(-5, 5), st.sampled_from((-3, -2, -1, 2, 3)))
+    def test_matches_dict_kernel(self, pair, value, k, stretch):
+        a, b = pair
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        results = {
+            "add": (pa + pb, _dict_add(a, b)),
+            "radd": (pb + pa, _dict_add(a, b)),
+            "sub": (pa - pb, _dict_add(a, _dict_neg(b))),
+            "rsub": (pb - pa, _dict_add(b, _dict_neg(a))),
+            "neg": (-pa, _dict_neg(a)),
+            "mul": (pa * pb, _dict_mul(a, b)),
+            "rmul": (pb * pa, _dict_mul(a, b)),
+            "scale": (pa.scale(value), _dict_scale(a, as_gaussian(value))),
+            "shift": (pa.shift(k), {e + k: c for e, c in a.items()}),
+            "stretch": (pa.stretch(stretch), _dict_stretch(a, stretch)),
+            "invert_s": (pa.invert_s(), _dict_stretch(a, -1)),
+            "conjugate_i": (pa.conjugate_i(), {e: c.conjugate() for e, c in a.items()}),
+        }
+        if b:
+            for name, dividend in (("divexact", pa * pb), ("divexact-free", pa)):
+                want = _dict_divexact(dividend.coeffs, b)
+                quotient = dividend.divexact(pb)
+                assert (quotient is None) == (want is None), name
+                if want is not None:
+                    results[name] = (quotient, _dict_clean(want))
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert got.coeffs == want, name
+            rebuilt = LaurentPoly(want)
+            assert got == rebuilt and got.key() == rebuilt.key(), name
+            assert got.span() == (max(want) - min(want) if want else 0), name
+        assert (pa == pb) == (a == b) == (pa.key() == pb.key())
+        assert (pa + pb) - pb == pa and ((pa + pb) - pb).key() == pa.key()
+
+
+def _fraction_power(xr: Fraction, xi: Fraction, e: int) -> tuple[Fraction, Fraction]:
+    """(xr + xi*i)**e as two Fractions, by repeated products; e < 0 inverts."""
+    if e < 0:
+        n = xr * xr + xi * xi
+        xr, xi, e = xr / n, -xi / n, -e
+    pr, pi = Fraction(1), Fraction(0)
+    for _ in range(e):
+        pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+    return pr, pi
+
+
+def _fraction_sum(terms: dict, x: GaussianRational, halve: bool = False) -> GaussianRational:
+    """sum of c * x**e (x**(e/2) when halve) over terms, in Fractions alone."""
+    total_r = total_i = Fraction(0)
+    for e, c in terms.items():
+        pr, pi = _fraction_power(x.re, x.im, e // 2 if halve else e)
+        total_r += c.re * pr - c.im * pi
+        total_i += c.re * pi + c.im * pr
+    return GaussianRational(total_r, total_i)
+
+
+_point = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+    st.builds(GaussianRational, st.fractions(min_value=-2, max_value=2, max_denominator=5),
+              st.fractions(min_value=-2, max_value=2, max_denominator=5)).filter(bool),
+)
+
+
+class TestExactEvaluation:
+    """eval_s, eval_q and CoefExpr.eval_q against a Fraction sum over the
+    coefficients, for step-1, step-2 and one-slot values at real and
+    Gaussian-rational points."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_stepped_dict(), _point)
+    def test_matches_the_fraction_sum(self, a, x):
+        p, x = LaurentPoly(a), as_gaussian(x)
+        at_s = _fraction_sum(a, x)
+        assert p.eval_s(x) == at_s and CoefExpr(p).eval_q(x * x, s_value=x) == at_s
+        if any(e % 2 for e in a):  # and only then, a square root of q is needed
+            with pytest.raises(NeedsSquareRootError):
+                p.eval_q(x)
+            with pytest.raises(NeedsSquareRootError):
+                CoefExpr(p).eval_q(x)
+        else:
+            at_q = _fraction_sum(a, x, halve=True)
+            assert p.eval_q(x) == at_q and CoefExpr(p).eval_q(x) == at_q
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_stepped_dict(), _point)
+    def test_pole_at_a_root_of_the_denominator(self, a, x):
+        p, x = LaurentPoly(a), as_gaussian(x)
+        s_den = LaurentPoly({0: -x, 1: 1})  # s - x
+        q_den = LaurentPoly({0: -x * x, 2: 1})  # q - x**2
+        with pytest.raises(PoleError):
+            CoefExpr(p, s_den).eval_q(x * x, s_value=x)
+        with pytest.raises(PoleError):
+            CoefExpr(p, q_den).eval_q(x * x, s_value=x)
+        if not any(e % 2 for e in a):
+            with pytest.raises(PoleError):
+                CoefExpr(p, q_den).eval_q(x * x)
+        # away from both roots, the quotient of the two sums
+        away = next(y for y in (x + 1, x + 2, x + 3) if y and y * y != x * x)
+        want = _fraction_sum(a, away) / (away * away - x * x)
+        assert CoefExpr(p, q_den).eval_q(away * away, s_value=away) == want
 
 
 @st.composite

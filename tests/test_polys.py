@@ -384,6 +384,13 @@ class TestQBinomialPower:
         with pytest.raises(UnsupportedOrderError):
             q_binomial_power("z", GR_I, "w", -1)
 
+    def test_negative_weight_index_rejected(self):
+        # as gauss_binomial, q_factorial and q_binomial_power refuse theirs
+        for n in (-1, -5):
+            with pytest.raises(UnsupportedOrderError, match="q-binomial weights need n >= 0"):
+                q_binomial_weights(n)
+        assert q_binomial_weights(0) == (LaurentPoly.const(1),)
+
 
 class TestPairOperators:
     def test_dbar_examples(self):

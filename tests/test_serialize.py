@@ -213,8 +213,8 @@ class TestIntegerReader:
             for item in items
         }
         got, expected = _laurent_from_list(items), LaurentPoly(values)
-        assert (got.lo, got.den, got.re, got.im) == (
-            expected.lo, expected.den, expected.re, expected.im
+        assert (got.lo, got.den, got.step, got.re, got.im) == (
+            expected.lo, expected.den, expected.step, expected.re, expected.im
         )
         # and read back through the GaussianRational view, apart from the fill
         assert got.coeffs == {e: v for e, v in values.items() if v}
