@@ -3,8 +3,9 @@ q-wave IVP, and sample solutions to CSV.
 
 Exit codes: 0 success / all identities verified, 1 an identity check found a
 counterexample (or the solver's self-check refused a solution), 2 usage or
-input error (also a verify bound flag that the chosen identity does not take)
-or a run that ran out of memory or recursion depth.
+input error (also a verify bound flag that the chosen identity does not take,
+and a size flag past its ceiling, MAX_SOLVE_ORDER and the others below) or a
+run that ran out of memory or recursion depth.
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 Every JSON document is written as one line of compact JSON.
 
@@ -56,6 +57,17 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
+
+# Ceilings of the size flags, as qwave.MAX_GRID_POINTS is for sample's grid:
+# a value past one is refused with exit 2 before any arithmetic.  Each is
+# set from a cost curve measured at legal sizes (README, "Size ceilings"):
+# the top legal value runs in 8 to 20 s and under 350 MB, and the cost grows
+# as about the fourth to sixth power of the size.
+MAX_SOLVE_ORDER = 100
+MAX_VERIFY_ORDER = 60
+MAX_VERIFY_N_MAX = 32
+MAX_HERMITE_N = 200
+MAX_EXPAND_N = 240
 
 # the one identity whose verifier takes q samples, so the one --seed applies to
 _SEEDED_IDENTITY = "exp-product"
@@ -194,10 +206,19 @@ def _initial_part(coeffs_text, named, which, c, order):
     return named_source(named, order)
 
 
+def _at_most(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise SerializationError(f"{flag} {value} is more than {ceiling}")
+
+
 def _cmd_verify(args):
-    for flag, bound in (("--order", args.order), ("--n-max", args.n_max)):
-        if bound is not None and bound < 0:
+    for flag, bound, ceiling in (("--order", args.order, MAX_VERIFY_ORDER),
+                                 ("--n-max", args.n_max, MAX_VERIFY_N_MAX)):
+        if bound is None:
+            continue
+        if bound < 0:
             raise SerializationError(f"{flag} must be >= 0")
+        _at_most(flag, bound, ceiling)
     if args.identity != "all":
         # each identity takes one bound; --identity all takes both
         kind = IDENTITY_CHECKS[args.identity][1]
@@ -236,6 +257,7 @@ def _cmd_verify(args):
 def _cmd_solve(args):
     if args.order < 0:
         raise SerializationError("--order must be >= 0")
+    _at_most("--order", args.order, MAX_SOLVE_ORDER)
     c = rational_from_str(args.c)
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)
@@ -262,6 +284,7 @@ def _cmd_sample(args):
 def _cmd_hermite(args):
     if args.n < 0:
         raise SerializationError("degree must be >= 0")
+    _at_most("--n", args.n, MAX_HERMITE_N)
     build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
     return EXIT_OK, _json_emit(streamed_doc(build[args.kind](args.n)))
 
@@ -269,6 +292,7 @@ def _cmd_hermite(args):
 def _cmd_expand(args):
     if args.n < 0:
         raise SerializationError("power must be >= 0")
+    _at_most("--n", args.n, MAX_EXPAND_N)
     if args.binomial in ("z+iw", "z-iw"):
         coef = GR_I if args.binomial == "z+iw" else -GR_I
         poly = q_binomial_power("z", coef, "w", args.n)

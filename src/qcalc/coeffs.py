@@ -37,10 +37,11 @@ is a shift plus an integer scale instead,
 and two one-term operands take the direct formula: one Gaussian-integer
 product over the product of the denominators, as do a sum or difference of
 two one-term operands at one exponent over the common denominator; one gcd
-then cuts the content, so results are canonical on every path.  CoefExpr
-products and sums whose denominators are both 1 take the numerators'
-product or sum as the result, with no cross-multiplication.  Exact
-division is schoolbook over the integers.  GaussianRational values
+then cuts the content, so results are canonical on every path.  The value
+1 is always the one object LP_ONE, and a product with it returns the other
+operand.  CoefExpr products and sums whose denominators are both 1 take the
+numerators' product or sum as the result, with no cross-multiplication.
+Exact division is schoolbook over the integers.  GaussianRational values
 appear only at the edges: the dict constructor, const and term, the coeffs
 view, as_monomial and exact evaluation.
 
@@ -267,19 +268,28 @@ class LaurentPoly:
     one gcd; a one-slot operand times a wider one is a shift and an integer
     scale; anything wider is a Kronecker product or a padded vector sum, on
     the stored vectors when both sides are step 2 (a one-slot side counts as
-    step 2 in a sum at its parity).  Every path returns the canonical form.
+    step 2 in a sum at its parity).  Every path returns the canonical form,
+    and every path to the value 1 (the constructors, const and term, a sum,
+    a product, a shift, a quotient, the wire reader) returns the one object
+    LP_ONE, so a product with a side that is LP_ONE returns the other side
+    with no multiply.
     """
 
     __slots__ = ("lo", "den", "re", "im", "step")
 
-    def __init__(self, coeffs=None):
+    def __new__(cls, coeffs=None):
         terms = {}
         for e, c in (coeffs or {}).items():
             cr, ci, cd = _ints(c)
             if cr or ci:
                 terms[index(e)] = cr, ci, cd
-        p = _from_int_terms(terms)
-        self.lo, self.den, self.re, self.im, self.step = p.lo, p.den, p.re, p.im, p.step
+        return _from_int_terms(terms)
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the coefficients, so 0 and 1 come back
+        # as LP_ZERO and LP_ONE; by default they would call __new__ with no
+        # argument and overwrite the shared LP_ZERO it returns
+        return LaurentPoly, (self.coeffs,)
 
     @classmethod
     def const(cls, value) -> LaurentPoly:
@@ -358,11 +368,17 @@ class LaurentPoly:
 
     def __neg__(self):
         im = self.im
+        if len(self.re) == 1:
+            return _mono(self.lo, self.den, -self.re[0], -im[0] if im else 0)
         return _new(self.lo, self.den, [-v for v in self.re], im and [-v for v in im], self.step)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
+        if self is LP_ONE:
+            return other
+        if other is LP_ONE:
+            return self
         a, b = self, other
         ar, br = a.re, b.re
         if not ar or not br:
@@ -424,6 +440,8 @@ class LaurentPoly:
         """Multiply by s**k (add k to every exponent)."""
         if k == 0 or not self.re:
             return self
+        if len(self.re) == 1:
+            return _mono(self.lo + k, self.den, self.re[0], self.im[0] if self.im else 0)
         return _new(self.lo + k, self.den, self.re, self.im, self.step)
 
     def __pow__(self, n: int):
@@ -441,8 +459,8 @@ class LaurentPoly:
         """Substitute s -> s**k (k nonzero); k = -1 is the involution q -> 1/q."""
         if k == 0:
             raise ValueError("stretch factor must be nonzero")
-        if k == 1 or not self.re:
-            return self
+        if k == 1 or not self.re or (len(self.re) == 1 and not self.lo):
+            return self  # a constant is fixed
         lo, re, im, step = self.lo, self.re, self.im, self.step
         if k < 0:
             lo, re, im, k = -self.max_exp(), re[::-1], im and im[::-1], -k
@@ -549,7 +567,7 @@ class LaurentPoly:
 
 
 def _new(lo: int, den: int, re: list[int], im: list[int] | None, step: int = 1) -> LaurentPoly:
-    out = LaurentPoly.__new__(LaurentPoly)
+    out = object.__new__(LaurentPoly)
     out.lo, out.den, out.re, out.im, out.step = lo, den, re, im, step
     return out
 
@@ -559,7 +577,7 @@ def _canonical(lo: int, den: int, re: list[int], im: list[int] | None,
     """LaurentPoly of (re + im*i) / den at exponents lo, lo + step, ..,
     den > 0, brought to canonical form: an all-zero im dropped, zero ends
     trimmed, a step-1 vector whose odd slots are all zero kept at step 2, a
-    single slot kept at step 1, content cut."""
+    single slot made by _cut, content cut."""
     if im is not None and not any(im):
         im = None
     if not (re[0] or im and im[0]) or not (re[-1] or im and im[-1]):
@@ -573,8 +591,8 @@ def _canonical(lo: int, den: int, re: list[int], im: list[int] | None,
             j -= 1
         lo, re, im = lo + i * step, re[i:j], im and im[i:j]
     if len(re) == 1:
-        step = 1
-    elif step == 1 and not any(re[1::2]) and not (im and any(im[1::2])):
+        return _cut(lo, den, re[0], im[0] if im else 0)
+    if step == 1 and not any(re[1::2]) and not (im and any(im[1::2])):
         re, im, step = re[::2], im and im[::2], 2
     if den != 1:
         g = gcd(den, *re, *(im or ()))
@@ -591,6 +609,15 @@ def _cut(lo: int, den: int, re: int, im: int) -> LaurentPoly:
     g = gcd(den, re, im)
     if g != 1:
         den, re, im = den // g, re // g, im // g
+    return _mono(lo, den, re, im)
+
+
+def _mono(lo: int, den: int, re: int, im: int) -> LaurentPoly:
+    """The one-slot LaurentPoly (re + im*i) / den * s**lo of a canonical
+    den, re and im: LP_ONE when that is the value 1, so every route to 1
+    returns the one object that products and scales skip by identity."""
+    if re == den and not (lo or im):
+        return LP_ONE
     return _new(lo, den, [re], [im] if im else None)
 
 
@@ -802,7 +829,7 @@ def power(base, n: int, one):
 
 
 LP_ZERO = _new(0, 1, [], None)
-LP_ONE = _new(0, 1, [1], None)
+LP_ONE = _new(0, 1, [1], None)  # the one object of the value 1; see _mono
 LP_S = _new(1, 1, [1], None)
 LP_Q = _new(2, 1, [1], None)
 
@@ -817,7 +844,9 @@ class CoefExpr:
     A product or sum of two values whose denominators are both LP_ONE is the
     numerators' product or sum over LP_ONE, built without __init__'s checks
     (a sum that cancels is CE_ZERO); any other denominator goes through the
-    cross-multiplication.  The numerator is a canonical LaurentPoly either way.
+    cross-multiplication.  A product with a side that is LP_ONE over LP_ONE,
+    the value 1, is the other operand itself.  The numerator is a canonical
+    LaurentPoly either way.
     """
 
     __slots__ = ("num", "den")
@@ -886,6 +915,10 @@ class CoefExpr:
     def __mul__(self, other):
         if not isinstance(other, CoefExpr):
             other = CoefExpr.of(other)
+        if self.num is LP_ONE and self.den is LP_ONE:
+            return other
+        if other.num is LP_ONE and other.den is LP_ONE:
+            return self
         if not self.num.re or not other.num.re:
             return CE_ZERO
         if self.den is LP_ONE and other.den is LP_ONE:

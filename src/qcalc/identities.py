@@ -12,7 +12,11 @@ first failure, and the runner times it, labels its range and records the
 outcome; it also registers the routine's default bound in DEFAULT_BOUNDS.
 The four Hermite-expansion identities (the classical binomial, the xi forms,
 the q-binomial and the traveling wave) build their right sides through one
-pair sum, _pair_sum, in the q family or its classical limit.
+pair sum, _pair_sum, in the q family or its classical limit: every pair's
+coefficient products go straight into one term dict, with no MPoly made per
+pair, and each form's own scale joins the final two^-n in one pass.  The
+double-q-analytic check builds each (z + i w)_q^n once, and reuses it at the
+next n as the lowered power.
 
 Series identities are checked coefficient-by-coefficient with sums brought
 over the common denominator [n]_q! using the cached Gaussian-binomial and
@@ -26,6 +30,7 @@ import math
 import time
 from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from .coeffs import (
     CoefExpr,
@@ -145,21 +150,40 @@ def _hermite_at(a: MPoly, b: MPoly, n_max: int, q: bool):
 _I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)  # i**k is _I_POWERS[k % 4]
 
 
-def _pair_sum(n: int, h_a: list, h_b: list, q: bool) -> MPoly:
-    """two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b) from the lists of _hermite_at.
-    q family: w_k = [n k]_q q^(k(k-1)/2), two = [2]_q.  Classical family:
-    w_k = C(n, k), two = 2."""
+def _pair_sum(n: int, h_a: list, h_b: list, q: bool, scale=1) -> MPoly:
+    """scale two^-n sum_k w_k i^k H_{n-k}(a) H'_k(b) from the lists of
+    _hermite_at.  q family: w_k = [n k]_q q^(k(k-1)/2), two = [2]_q.
+    Classical family: w_k = C(n, k), two = 2.
+
+    Every pair's products go into one dict: each coefficient of the factor
+    with fewer terms, times w_k i^k (fewer coefficient products than
+    weighting the pair's product), times each coefficient of the other; a
+    monomial leaves the dict as soon as its coefficients cancel.  The scale
+    and two^-n are one multiply per term at the end."""
     if q:
         weights, two = q_binomial_weights(n), q_int(2)
     else:
         weights, two = [math.comb(n, k) for k in range(n + 1)], 2
-    acc = MPoly.zero(h_a[0].vars)
+    out: dict[tuple[int, ...], CoefExpr] = {}
     for k, weight in enumerate(weights):
-        # scaling the factor with fewer terms takes fewer coefficient products
-        # than scaling their product; the sum is the same exact value
-        a, b, c = h_a[n - k], h_b[k], CoefExpr.of(weight) * _I_POWERS[k % 4]
-        acc = acc + (a.scale(c) * b if len(a.terms) <= len(b.terms) else a * b.scale(c))
-    return acc.scale(CoefExpr.of(two**n).inverse())
+        a, b = h_a[n - k].terms, h_b[k].terms
+        if len(a) > len(b):
+            a, b = b, a
+        c = CoefExpr.of(weight) * _I_POWERS[k % 4]
+        for ea, ca in a.items():
+            ca = ca * c
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                v = ca * cb
+                prev = out.get(e)
+                if prev is not None:
+                    v = prev + v
+                if v.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = v
+    c = CoefExpr.of(scale) / two**n
+    return MPoly._raw(h_a[0].vars, {e: v * c for e, v in out.items()})
 
 
 @_verifier("hermite-binomial", "n_max", 12)
@@ -202,7 +226,7 @@ def verify_xi_identity(n_max: int):
             (main, GR_I**n),
         )
         for (name, var, h_a, h_b), (scale, rhs) in zip(forms, sides):
-            res = _pair_sum(n, h_a, h_b, q=False).scale(scale)
+            res = _pair_sum(n, h_a, h_b, q=False, scale=scale)
             res = res - MPoly.monomial((var,), (n,), rhs)
             if not res.is_zero():
                 yield res, f"{name} fails at n={n}"
@@ -275,16 +299,16 @@ def verify_exp_factorization(order: int):
 def verify_double_q_analytic(n_max: int):
     """The pair operator annihilates every (z + i w)_q^n and its conjugate
     lowers the power with factor [n]_q."""
+    lower = q_binomial_power("z", GR_I, "w", 0)  # (z + i w)_q^(n-1), built once
     for n in range(1, n_max + 1):
         p = q_binomial_power("z", GR_I, "w", n)
         res = dbar_operator(p)
         if not res.is_zero():
             yield res, f"annihilation fails at n={n}"
-        lowered = d_operator(p)
-        expected = q_binomial_power("z", GR_I, "w", n - 1).scale(q_int(n))
-        res = lowered - expected
+        res = d_operator(p) - lower.scale(q_int(n))
         if not res.is_zero():
             yield res, f"conjugate relation fails at n={n}"
+        lower = p
 
 
 def _exp_sum(weights: list, images: list) -> MPoly:

@@ -253,6 +253,8 @@ class MPoly:
         c = CoefExpr.of(value)
         if c.is_zero():
             return MPoly._raw(self.vars, {})
+        if c.num is LP_ONE and c.den is LP_ONE:
+            return self
         return MPoly._raw(self.vars, {e: v * c for e, v in self.terms.items()})
 
     def __truediv__(self, other):
@@ -418,7 +420,8 @@ def _map_var(p: MPoly, ops) -> MPoly:
     Each term of p goes through every operator into one sum, which a monomial
     leaves as soon as its coefficients cancel, so cancelling parts of the
     result are never held at once.  The powers b**k are built once per
-    operator.  When b's coefficient is 1 each output term costs one multiply.
+    operator.  When b's coefficient is 1 each output term costs one multiply,
+    and none when its weight is LP_ONE.
     """
     zero = (0,) * len(p.vars)
     prepared = []
@@ -440,7 +443,9 @@ def _map_var(p: MPoly, ops) -> MPoly:
                     powers.append((tuple(map(add, shift, step)), c * b_coef))
                 shift, c = powers[k]
                 key = tuple(map(add, e, shift))
-                v = coef * w if unit else coef * w * c
+                v = coef if w is LP_ONE else coef * w
+                if not unit:
+                    v = v * c
                 prev = out.get(key)
                 if prev is not None:
                     v = prev + v

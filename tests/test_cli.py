@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc import cli, serialize
+from qcalc import cli, coeffs, serialize
 from qcalc.cli import main
 from qcalc.coeffs import CE_Q, GR_I, CoefExpr
 from qcalc.hermite import hermite_classical, q_hermite, q_hermite_dual
@@ -1000,6 +1000,37 @@ class TestResourceErrors:
         assert (code, captured.out, captured.err) == (2, "", line)
         assert "Traceback" not in captured.err
         assert list(folder.iterdir()) == []
+
+
+class TestSizeCeilings:
+    """A size flag one past its ceiling exits 2 with one stderr line before
+    any arithmetic: the kernels every q-polynomial is built through raise
+    if they are called."""
+
+    @pytest.mark.parametrize("argv, flag, ceiling", [
+        (["verify", "--identity", "all", "--order"], "--order", cli.MAX_VERIFY_ORDER),
+        (["verify", "--identity", "xi", "--n-max"], "--n-max", cli.MAX_VERIFY_N_MAX),
+        (["solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "2", "--order"],
+         "--order", cli.MAX_SOLVE_ORDER),
+        (["hermite", "--kind", "classical", "--n"], "--n", cli.MAX_HERMITE_N),
+        (["expand", "--binomial", "z+iw", "--n"], "--n", cli.MAX_EXPAND_N),
+    ], ids=["verify-order", "verify-n-max", "solve-order", "hermite-n", "expand-n"])
+    def test_one_past_the_ceiling_exits_two(self, capsys, monkeypatch, argv, flag, ceiling):
+        def kernel(*args):
+            raise AssertionError("arithmetic ran before the ceiling check")
+
+        for name in ("_canonical", "_cut", "_q_products"):
+            monkeypatch.setattr(coeffs, name, kernel)
+        code, out, err = run(capsys, *argv, str(ceiling + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {ceiling + 1} is more than {ceiling}\n"
+
+    def test_the_sizes_in_use_stay_legal(self):
+        # CI's deep verify and memory steps, the benchmark and the README
+        # tables run these sizes
+        assert cli.MAX_SOLVE_ORDER >= 60
+        assert cli.MAX_VERIFY_N_MAX >= 28 and cli.MAX_VERIFY_ORDER >= 24
+        assert cli.MAX_HERMITE_N >= 100 and cli.MAX_EXPAND_N >= 120
 
 
 class TestNoExceptionAfterTheFirstWrite:

@@ -1,6 +1,8 @@
 """Foundation tests: Gaussian rationals, Laurent polynomials, fraction field."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from qcalc.coeffs import (
     ZeroDenominatorError,
     as_gaussian,
 )
+from qcalc.polys import MPoly
 from qcalc.qcore import q_int
+from qcalc.serialize import coef_from_json
 
 
 def lp(d):
@@ -495,10 +499,13 @@ def _assert_canonical(p: LaurentPoly):
     """The stored form: (0, 1, [], None) at step 1 for zero; else den > 0, no
     common factor of den and the entries, nonzero ends, im None exactly when
     real, and step 2 exactly when two or more slots all share lo's parity:
-    a step-1 value of two or more slots has a nonzero odd slot."""
+    a step-1 value of two or more slots has a nonzero odd slot.  The value 1
+    is LP_ONE itself."""
     if p.is_zero():
         assert (p.lo, p.den, p.step, p.re, p.im) == (0, 1, 1, [], None)
         return
+    if (p.lo, p.den, p.re, p.im) == (0, 1, [1], None):
+        assert p is LP_ONE
     entries = p.re + (p.im or [])
     assert p.den > 0 and math.gcd(p.den, *entries) == 1
     assert p.im is None or (len(p.im) == len(p.re) and any(p.im))
@@ -809,6 +816,60 @@ class TestCoefExprOverOne:
         if a and b:  # a sum that cancels is CE_ZERO itself
             assert (total is CE_ZERO) == (not _dict_add(a, b))
             assert x + (-x) is CE_ZERO and x - x is CE_ZERO
+
+
+class TestInternedOne:
+    """Every route that lands on the value 1 returns the one object LP_ONE,
+    and a product or a scale by a side that is the one hands back the other
+    operand itself."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_stepped_dict(), st.builds(GaussianRational, _small_part, _small_part).filter(bool),
+           st.integers(-7, 7))
+    def test_routes_to_one(self, d, c, k):
+        p, inv = LaurentPoly(d), c.inverse()
+        mono = LaurentPoly.term(k, c)
+        cr, ci, cd = coeffs._ints(inv)
+        wire = {"num": [{"s": 0, "re": f"{cd}/{cd}"}], "den": [{"s": 0, "re": "1"}]}
+        routes = {
+            "const": LaurentPoly.const(c * inv),
+            "term": LaurentPoly.term(0, Fraction(5, 5)),
+            "dict": LaurentPoly({0: 1}),
+            "dict-of-c": LaurentPoly({0: c * inv, 2 * k + 1: 0}),
+            "wire": coef_from_json(wire).num,
+            "sum-to-one": (p + 1) - p,
+            "cancel-to-one": (p + LP_ONE) + (-p),
+            "divexact": p.divexact(p),
+            "times-reciprocal": mono._times(cr, ci, cd, -k),
+            "product": mono * LaurentPoly.term(-k, inv),
+            "shift": LaurentPoly.term(k).shift(-k),
+            "neg": -LaurentPoly.const(-1),
+            "stretch": LP_ONE.stretch(-3),
+            "monomial-fraction": CoefExpr(mono, mono).num,
+            "q_int": q_int(1),
+            "q_factorial": coeffs.q_factorial(abs(k) % 2),
+            "factorial_ratio": coeffs.factorial_ratio(k + 7, k + 7),
+            "gauss_binomial": coeffs.gauss_binomial(k + 7, 0),
+        }
+        for name, got in routes.items():
+            assert got is LP_ONE, name
+        assert LP_ONE * p is p and p * LP_ONE is p
+        x = CoefExpr(p, q_int(3))
+        for other in (x, CoefExpr(p)):
+            assert CE_ONE * other is other and other * CE_ONE is other
+            assert other * CoefExpr(LaurentPoly.const(c * inv)) is other
+        poly = MPoly(("x", "y"), {(1, 0): x, (0, 2): CoefExpr(p)})
+        assert poly.scale(1) == poly and poly.scale(CE_ONE) is poly
+        assert poly.scale(CoefExpr(q_int(2), q_int(2))) == poly
+
+    def test_copies_rebuild_the_constants(self):
+        # a copy goes through the constructor, not through a blank instance
+        # from __new__, which is the shared LP_ZERO
+        for p in (LP_ONE, coeffs.LP_ZERO, LP_S, lp({1: 2, 3: Fraction(5, 7)}), lp({0: 1, 1: 1})):
+            for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert again == p and again.step == p.step
+        assert copy.copy(LP_ONE) is LP_ONE and pickle.loads(pickle.dumps(LP_ONE)) is LP_ONE
+        assert coeffs.LP_ZERO.re == [] and coeffs.LP_ZERO.is_zero()
 
 
 def test_kernel_operations_build_no_rationals(monkeypatch):

@@ -1,6 +1,7 @@
 """Verdict machinery and identity verifications at module-test ranges.
 (The acceptance suite re-runs them at the full ranges.)"""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from qcalc.identities import (
     verify_traveling_hermite_expansion,
     verify_xi_identity,
 )
-from qcalc.polys import MPoly, q_binomial_power
+from qcalc.polys import MPoly, q_binomial_power, q_binomial_weights
 from qcalc.qcore import gauss_binomial, q_factorial, q_int
 from qcalc.coeffs import LaurentPoly
 from qcalc.qwave import q_binomial_substitute
@@ -180,6 +181,65 @@ def test_exp_factorization_degree_two_by_hand():
 
 def test_double_q_analytic_small():
     assert verify_double_q_analytic(4).ok
+
+
+def test_double_q_analytic_builds_each_power_once(monkeypatch):
+    built = []
+
+    def counted(a, coef, b, n):
+        built.append(n)
+        return q_binomial_power(a, coef, b, n)
+
+    monkeypatch.setattr(identities, "q_binomial_power", counted)
+    assert verify_double_q_analytic(5).ok
+    assert built == list(range(6))
+
+
+def _composed_pair_sum(n, h_a, h_b, q, scale=1):
+    """The pair sum by whole-polynomial operations: per k the factor with
+    fewer terms scaled by w_k i^k times the other, MPoly sums, then the
+    two^-n scale and the form's own scale, each a pass of its own."""
+    if q:
+        weights, two = q_binomial_weights(n), q_int(2)
+    else:
+        weights, two = [math.comb(n, k) for k in range(n + 1)], 2
+    acc = MPoly.zero(h_a[0].vars)
+    for k, weight in enumerate(weights):
+        a, b, c = h_a[n - k], h_b[k], CoefExpr.of(weight) * GR_I**k
+        acc = acc + (a.scale(c) * b if len(a.terms) <= len(b.terms) else a * b.scale(c))
+    return acc.scale(CoefExpr.of(two**n).inverse()).scale(scale)
+
+
+def _hermite_lists(n_max):
+    """(name, family, [H_m(a)], [H'_m(b)], scale of the pair sum at n) for
+    every Hermite list pair a verifier hands _pair_sum."""
+    vs, half = ("z", "w"), Fraction(1, 2)
+    z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
+    minus_ict = MPoly.monomial(("x", "t", "c"), (0, 1, 1), -GR_I)
+    pairs = [("z/w", False, z, w, lambda n: 1), ("q z/w", True, z, w, lambda n: 1),
+             ("x/-ict", True, MPoly.var(("x", "t", "c"), "x"), minus_ict, lambda n: 1)]
+    for name, var, a, b, scale in (
+        ("main form", "xi", GR_I * half, half, lambda n: (-GR_I) ** n),
+        ("z-form", "z", 1, -GR_I, lambda n: Fraction(1, 2**n)),
+        ("iy-form", "y", -half, GR_I * half, lambda n: (-GR_I) ** n),
+    ):
+        pairs.append((name, False, *(MPoly.monomial((var,), (1,), c) for c in (a, b)), scale))
+    return [(name, q, *identities._hermite_at(a, b, n_max, q), scale)
+            for name, q, a, b, scale in pairs]
+
+
+def test_pair_sum_matches_the_composed_route():
+    for name, q, h_a, h_b, scale in _hermite_lists(10):
+        for n in range(11):
+            got = identities._pair_sum(n, h_a, h_b, q, scale(n))
+            want = _composed_pair_sum(n, h_a, h_b, q, scale(n))
+            assert got == want, (name, n)
+            assert got.vars == h_a[0].vars
+            assert not any(c.is_zero() for c in got.terms.values()), (name, n)
+            if name == "z/w":
+                # (z + i w)^n: the lower degrees of every H_{n-k} H_k cancel
+                assert {sum(e) for e in got.terms} == {n}
+                assert n < 2 or min(map(sum, h_a[n].terms)) < n
 
 
 def _doubled_at(fn, bad):
