@@ -4,18 +4,20 @@ q-wave IVP, and sample solutions to CSV.
 Exit codes: 0 success / all identities verified, 1 an identity check found a
 counterexample (or the solver's self-check refused a solution), 2 usage or
 input error (also a verify bound flag that the chosen identity does not take,
-and a size flag past its ceiling, MAX_SOLVE_ORDER and the others below) or a
-run that ran out of memory or recursion depth.
+a size flag past its ceiling, MAX_SOLVE_ORDER and the others below, and a
+--f or --g list of more than MAX_SOLVE_ORDER + 1 coefficients) or a run that
+ran out of memory or recursion depth.
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
-Every JSON document is written as one line of compact JSON.
+Every JSON document is written as one line of compact JSON: a polynomial or
+wave document as the pieces of serialize.doc_text, the text of one term
+made per write, and the verdicts as one json.dumps of their documents.
 
 Each command takes the parsed args and returns (exit_code, emit): it parses,
 checks and computes its whole result before it returns, the wire digit bound
-included, and emit(out) encodes that decided value and writes it one
-polynomial term at a time.  Past the first byte nothing can raise but
-MemoryError or the write's own OSError.  So a failing command
-writes nothing, and --output PATH is opened only once there is a result to
-write.
+included, and emit(out) writes the text of that decided value.  Past the
+first byte nothing can raise but MemoryError or the write's own OSError.
+So a failing command writes nothing, and --output PATH is opened only once
+there is a result to write.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .qwave import (
 )
 from .serialize import (
     SerializationError,
+    doc_text,
     rational_from_str,
-    streamed_doc,
     verdict_to_json,
     wave_from_json,
     write_sample_csv,
@@ -124,38 +126,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _compact(value) -> str:
-    """json.dumps(value) as one compact line, through this module's json
-    attribute on each call, so a wrapper of it sees every encode but the
-    term texts serialize formats itself."""
-    return json.dumps(value, separators=(",", ":"))
-
-
-def _json_emit(doc):
-    """emit(out) for a JSON document: writes its compact text and a newline,
-    the "terms" of a serialize.streamed_doc one write a term, each made as it
-    is written, and each other key one write through _compact.  The document
-    comes decided: making its text raises nothing but MemoryError
-    (streamed_doc has checked the digit bound)."""
+def _json_emit(pieces):
+    """emit(out) for the text of a JSON document: writes each piece, made as
+    it is written, and a newline.  The pieces come decided: making them
+    raises nothing but MemoryError (doc_text has checked the digit bound)."""
 
     def emit(out):
-        terms = doc.get("terms") if isinstance(doc, dict) else None
-        if not hasattr(terms, "text"):
-            out.write(_compact(doc) + "\n")
-            return
-        sep = "{"
-        for key, value in doc.items():
-            if key != "terms":
-                out.write(f"{sep}{_compact(key)}:{_compact(value)}")
-            else:
-                out.write(f'{sep}"terms":[')
-                comma = ""
-                for text in terms.text():
-                    out.write(comma + text)
-                    comma = ","
-                out.write("]")
-            sep = ","
-        out.write("}\n")
+        for piece in pieces:
+            out.write(piece)
+        out.write("\n")
 
     return emit
 
@@ -251,20 +230,25 @@ def _cmd_verify(args):
         verdicts.append(fn(bound, q_samples) if ident == _SEEDED_IDENTITY else fn(bound))
     docs = [verdict_to_json(v) for v in verdicts]
     code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_VIOLATED
-    return code, _json_emit(docs if args.identity == "all" else docs[0])
+    text = json.dumps(docs if args.identity == "all" else docs[0], separators=(",", ":"))
+    return code, _json_emit([text])
 
 
 def _cmd_solve(args):
     if args.order < 0:
         raise SerializationError("--order must be >= 0")
     _at_most("--order", args.order, MAX_SOLVE_ORDER)
+    # a list of order + 1 coefficients costs what --order does
+    for flag, text in (("--f", args.f), ("--g", args.g)):
+        if text is not None:
+            _at_most(f"{flag} coefficients", text.count(",") + 1, MAX_SOLVE_ORDER + 1)
     c = rational_from_str(args.c)
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)
     orders = [o for o in (f_order, g_order) if o is not None]
     data = InitialData(f, g, min(orders) if orders else None)
     solution = dalembert_solve(data, c)
-    return EXIT_OK, _json_emit(streamed_doc(solution))
+    return EXIT_OK, _json_emit(doc_text(solution))
 
 
 def _cmd_sample(args):
@@ -286,7 +270,7 @@ def _cmd_hermite(args):
         raise SerializationError("degree must be >= 0")
     _at_most("--n", args.n, MAX_HERMITE_N)
     build = {"q": q_hermite, "classical": hermite_classical, "inverse-q": q_hermite_dual}
-    return EXIT_OK, _json_emit(streamed_doc(build[args.kind](args.n)))
+    return EXIT_OK, _json_emit(doc_text(build[args.kind](args.n)))
 
 
 def _cmd_expand(args):
@@ -301,7 +285,7 @@ def _cmd_expand(args):
         poly = q_binomial_substitute(
             MPoly.monomial(("x",), (args.n,), 1), sign, SYMBOLIC_SPEED
         )
-    return EXIT_OK, _json_emit(streamed_doc(poly))
+    return EXIT_OK, _json_emit(doc_text(poly))
 
 
 _COMMANDS = {

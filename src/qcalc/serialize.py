@@ -17,16 +17,20 @@ indented and with "im": "0" on every term, read to the same values.
 
 No wire integer has more than WIRE_DIGITS decimal digits: the writer refuses
 a value past that bound and the reader refuses such a string before it
-converts it, on every Python version.  streamed_doc, the one builder of a
-polynomial or wave document, checks the bound over the whole body and then
-hands out the terms as they are read: as term dicts, which mpoly_to_json and
-wave_to_json list, or as each term's compact JSON text, formatted straight
-from the integer vectors, which the CLI writes.  A polynomial's coefficients
+converts it, on every Python version.  doc_text is the one encoder of a
+polynomial or wave document: it checks the bound over the whole body when
+it is called, then makes the document's compact JSON text in pieces, each
+term's formatted straight from the integer vectors as it is read, so the
+CLI writes a document without holding it whole.  mpoly_to_json and
+wave_to_json (and so series_to_json) are json.loads of that text, and
+coef_to_json of a coefficient's text made the same way; the tests hold the
+text to a document they assemble term by term from each Laurent
+polynomial's GaussianRational view.  A polynomial's coefficients
 share few distinct denominators, so each distinct denominator is converted
-once per document in both directions: the writer encodes it once (one
-shared list object in the dicts), and mpoly_from_json reads every copy of a
-denominator list to one shared LaurentPoly (_den_from_list).  Sample rows
-are formatted one x row per call and go out _CSV_CHUNK lines per write.
+once per document in both directions: the writer formats its text once, and
+mpoly_from_json reads every copy of a denominator list to one shared
+LaurentPoly (_den_from_list).  write_sample_csv writes the rows of
+sample_grid one x row per formatting call and _CSV_CHUNK lines per write.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import copysign, gcd, lcm
+from math import gcd, lcm
 
 from .coeffs import LP_ONE, CoefExpr, LaurentPoly, QCalcError, _from_int_terms, _top
 from .polys import MPoly, _brief
-from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order, _Rows
+from .qwave import SYMBOLIC_SPEED, WaveSolution, _check_order
 
 __all__ = [
     "SerializationError",
@@ -50,7 +54,7 @@ __all__ = [
     "mpoly_from_json",
     "series_to_json",
     "series_from_json",
-    "streamed_doc",
+    "doc_text",
     "wave_to_json",
     "wave_from_json",
     "verdict_to_json",
@@ -200,16 +204,13 @@ def _den_from_list(items, dens: dict) -> LaurentPoly:
     return den
 
 
-def coef_to_json(c: CoefExpr, dens: dict | None = None) -> dict:
-    """The wire form of c; dens maps each denominator's key to its wire list,
-    so a document that passes one dict writes each distinct denominator once."""
-    if dens is None:
-        dens = {}
-    key = c.den.key()
-    den = dens.get(key)
-    if den is None:
-        den = dens[key] = json.loads(_laurent_text(c.den))
-    return {"num": json.loads(_laurent_text(c.num)), "den": den}
+def _coef_text(c: CoefExpr) -> str:
+    return f'{{"num":{_laurent_text(c.num)},"den":{_laurent_text(c.den)}}}'
+
+
+def coef_to_json(c: CoefExpr) -> dict:
+    """The wire form of c."""
+    return json.loads(_coef_text(c))
 
 
 def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:
@@ -224,31 +225,6 @@ def coef_from_json(doc, dens: dict | None = None) -> CoefExpr:
     return CoefExpr(_laurent_from_list(doc["num"]), den)
 
 
-class _Terms:
-    """The terms of a polynomial sorted by degree, made as they are read.
-    Iterated, they are the wire term dicts, those with one denominator
-    sharing one list object; text() gives the compact JSON text of each,
-    formatted from the integer vectors, each distinct denominator's once."""
-
-    def __init__(self, body: MPoly):
-        self.body = body
-
-    def __iter__(self):
-        dens: dict = {}
-        for e, c in sorted(self.body.terms.items()):
-            yield {"deg": list(e), "coef": coef_to_json(c, dens)}
-
-    def text(self):
-        dens: dict = {}
-        for e, c in sorted(self.body.terms.items()):
-            key = c.den.key()
-            den = dens.get(key)
-            if den is None:
-                den = dens[key] = _laurent_text(c.den)
-            num = _laurent_text(c.num)
-            yield f'{{"deg":[{",".join(map(str, e))}],"coef":{{"num":{num},"den":{den}}}}}'
-
-
 def _check_wire_digits(p: MPoly) -> None:
     """Raise what encoding p's terms would raise past the wire digit bound,
     before any is encoded: a Laurent polynomial with no integer past
@@ -259,26 +235,39 @@ def _check_wire_digits(p: MPoly) -> None:
                 _laurent_text(part)
 
 
-def streamed_doc(value: MPoly | WaveSolution) -> dict:
-    """The document of a polynomial or a wave, "terms" a _Terms.  The digit
-    bound is checked over the whole body first, so making the terms raises
-    no SerializationError."""
+def doc_text(value: MPoly | WaveSolution):
+    """The compact JSON text of the document of a polynomial or a wave, as
+    an iterator of pieces: the head, one piece per term in degree order,
+    each made as it is read, and the tail.  The digit bound is checked over
+    the whole body and the speed when this is called, so making the pieces
+    raises no SerializationError."""
     body = value.body if isinstance(value, WaveSolution) else value
     _check_wire_digits(body)
-    doc = {"vars": list(body.vars), "terms": _Terms(body)}
+    head = f'{{"vars":{json.dumps(list(body.vars), separators=(",", ":"))},"terms":['
+    tail = "]}"
     if body is not value:
-        doc.update(c=_speed_to_json(value.c), order=value.order, provenance=value.provenance)
-    return doc
+        tail = (f'],"c":{_speed_text(value.c)},"order":{json.dumps(value.order)},'
+                f'"provenance":{json.dumps(value.provenance)}}}')
+    return _doc_pieces(head, body, tail)
 
 
-def _listed(value: MPoly | WaveSolution) -> dict:
-    doc = streamed_doc(value)
-    doc["terms"] = list(doc["terms"])
-    return doc
+def _doc_pieces(head: str, body: MPoly, tail: str):
+    yield head
+    dens: dict = {}  # each distinct denominator's text, made at its first term
+    comma = ""
+    for e, c in sorted(body.terms.items()):
+        key = c.den.key()
+        den = dens.get(key)
+        if den is None:
+            den = dens[key] = _laurent_text(c.den)
+        num = _laurent_text(c.num)
+        yield f'{comma}{{"deg":[{",".join(map(str, e))}],"coef":{{"num":{num},"den":{den}}}}}'
+        comma = ","
+    yield tail
 
 
 def mpoly_to_json(p: MPoly) -> dict:
-    return _listed(p)
+    return json.loads("".join(doc_text(p)))
 
 
 def mpoly_from_json(doc) -> MPoly:
@@ -333,19 +322,19 @@ def series_from_json(doc) -> tuple[MPoly, int]:
     return body.truncate_total_degree(order), order
 
 
-def _speed_to_json(c):
+def _speed_text(c) -> str:
     """"c", the wire rational of a real constant over LP_ONE, else a coefficient object."""
     if isinstance(c, str):
-        return c
+        return json.dumps(c)
     c = CoefExpr.of(c)
     mono = c.num.as_monomial()
     if c.den is LP_ONE and mono and mono[0] == 0 and mono[1].is_real():
-        return rational_to_str(mono[1].re)
-    return coef_to_json(c)
+        return f'"{rational_to_str(mono[1].re)}"'
+    return _coef_text(c)
 
 
 def _speed_from_json(value):
-    """Inverse of _speed_to_json; any other value is refused in one line."""
+    """Inverse of _speed_text; any other value is refused in one line."""
     try:
         if isinstance(value, dict):
             return coef_from_json(value)
@@ -357,7 +346,7 @@ def _speed_from_json(value):
 
 
 def wave_to_json(w: WaveSolution) -> dict:
-    return _listed(w)
+    return json.loads("".join(doc_text(w)))
 
 
 def wave_from_json(doc) -> WaveSolution:
@@ -395,22 +384,17 @@ _CSV_CHUNK = 1024
 
 
 def write_sample_csv(rows, stream) -> None:
-    """Emit the sampling contract: header x,t,u,valid, 17 significant digits
-    and valid as 1/0, rows already ordered x-major, _CSV_CHUNK lines per
-    write (the header counted) but the last.
+    """Emit the sampling contract for the rows sample_grid returns: header
+    x,t,u,valid, 17 significant digits and valid as 1/0, x-major,
+    _CSV_CHUNK lines per write (the header counted) but the last.
 
-    The rows go out one run of one x at a time: each run, or each slice of
-    it that fills the current chunk, is one %-formatting call over a
-    template of the run's x text and its t texts.  The rows of sample_grid
-    are such runs already, one per x row, and each t text is made once per
-    grid.  Other rows are first grouped into runs of equal x, 0.0 and -0.0
-    apart, and the text of each distinct t is made once; zeros are formatted
-    every time, because 0.0 and -0.0 are one dict key but print as "0" and
-    "-0".
+    Each x row, or each slice of it that fills the current chunk, is one
+    %-formatting call over a template of the row's x text and its t texts;
+    each t text is made once per grid.
     """
     write = stream.write
     chunk, lines = ["x,t,u,valid\n"], 1
-    for head, cells, values, flags in _grid_runs(rows) if isinstance(rows, _Rows) else _runs(rows):
+    for head, cells, values, flags in _grid_runs(rows):
         start, end = 0, len(values)
         while start < end:
             stop = min(end, start + _CSV_CHUNK - lines)
@@ -436,22 +420,3 @@ def _grid_runs(rows):
     flagged = [text + ",%.17g,%d\n" for text in t_texts]
     for x, (values, flags) in zip(rows.xs, rows.blocks):
         yield format(x, ".17g") + ",", valid if flags is None else flagged, values, flags
-
-
-def _runs(rows):
-    """(x text, line templates, values, flags) per run of rows of one x."""
-    cells: dict = {}
-    run = None
-    for x, t, u, valid in rows:
-        if run is None or x != run_x or (not x and copysign(1.0, x) != copysign(1.0, run_x)):
-            if run is not None:
-                yield run
-            run_x, run = x, (format(x, ".17g") + ",", [], [], [])
-        cell = cells.get(t)
-        if cell is None or not t:
-            cell = cells[t] = format(t, ".17g") + ",%.17g,%d\n"
-        run[1].append(cell)
-        run[2].append(u)
-        run[3].append(1 if valid else 0)
-    if run is not None:
-        yield run

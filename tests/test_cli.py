@@ -30,12 +30,13 @@ from qcalc.qwave import (
     q_binomial_substitute,
 )
 from qcalc.serialize import (
+    coef_from_json,
+    doc_text,
     mpoly_from_json,
-    mpoly_to_json,
-    streamed_doc,
     wave_from_json,
     wave_to_json,
 )
+from test_serialize import _reference_doc
 
 
 class _WatchedStream:
@@ -171,14 +172,27 @@ class TestVerify:
     def test_violated_identity_exits_one(self, capsys, monkeypatch):
         from qcalc.identities import Verdict
 
-        def broken(n_max):
-            return Verdict("q-laplacian", f"n<={n_max}", status="failed",
-                           detail="forced failure for exit-code contract")
+        # a failed verdict writes its residual, a polynomial or a coefficient,
+        # in the wire form, and has no residual key when it has none
+        residuals = [
+            (None, None),
+            (q_binomial_power("z", GR_I, "w", 3), mpoly_from_json),
+            (CoefExpr(q_int(3), q_int(2)) * CE_Q, coef_from_json),
+        ]
+        for residual, read in residuals:
+            def broken(n_max):
+                return Verdict("q-laplacian", f"n<={n_max}", status="failed",
+                               detail="forced failure for exit-code contract", residual=residual)
 
-        monkeypatch.setitem(cli.IDENTITY_CHECKS, "q-laplacian", (broken, "n_max"))
-        code, out, _ = run(capsys, "verify", "--identity", "q-laplacian")
-        assert code == 1
-        assert json.loads(out)["status"] == "failed"
+            monkeypatch.setitem(cli.IDENTITY_CHECKS, "q-laplacian", (broken, "n_max"))
+            code, out, _ = run(capsys, "verify", "--identity", "q-laplacian")
+            assert code == 1
+            doc = json.loads(out)
+            assert doc["status"] == "failed"
+            if residual is None:
+                assert "residual" not in doc
+            else:
+                assert read(doc["residual"]) == residual
 
     def test_negative_bounds_exit_two(self, capsys):
         for flag, ident in (("--order", "exp-product"), ("--n-max", "xi")):
@@ -1025,6 +1039,20 @@ class TestSizeCeilings:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} {ceiling + 1} is more than {ceiling}\n"
 
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_a_coefficient_list_one_past_the_ceiling_exits_two(self, capsys, monkeypatch, which):
+        def kernel(*args):
+            raise AssertionError("a rational was parsed or arithmetic ran before the ceiling check")
+
+        for name in ("_canonical", "_cut", "_q_products"):
+            monkeypatch.setattr(coeffs, name, kernel)
+        monkeypatch.setattr(cli, "rational_from_str", kernel)
+        size = cli.MAX_SOLVE_ORDER + 1
+        lists = {"f": "1", "g": "0", which: ",".join(["1"] * (size + 1))}
+        code, out, err = run(capsys, "solve", "--f", lists["f"], "--g", lists["g"], "--c", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: --{which} coefficients {size + 1} is more than {size}\n"
+
     def test_the_sizes_in_use_stay_legal(self):
         # CI's deep verify and memory steps, the benchmark and the README
         # tables run these sizes
@@ -1080,24 +1108,25 @@ def _one_shot(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _rendered(doc) -> str:
+def _rendered(value) -> str:
     out = io.StringIO()
-    cli._json_emit(doc)(out)
+    cli._json_emit(doc_text(value))(out)
     return out.getvalue()
 
 
 class TestRenderedJson:
-    """_json_emit writes a streamed_doc document term by term, each term's
-    text formatted by serialize with each distinct denominator encoded once,
-    and any other document in one piece; the text is the one-shot dump's."""
+    """_json_emit writes the pieces of serialize.doc_text, each term's text
+    formatted with each distinct denominator encoded once; the text is the
+    one-shot dump of the document the test assembles term by term
+    (test_serialize._reference_doc)."""
 
     @pytest.mark.parametrize("speed", [Fraction(3, 5), SYMBOLIC_SPEED, CoefExpr.of(q_int(2))])
     def test_cos_sin_wave_order_20(self, speed):
         (f, order), (g, _) = named_source("cos_q", 20), named_source("sin_q", 20)
         wave = dalembert_solve(InitialData(f, g, order), speed)
-        doc = wave_to_json(wave)
-        assert _rendered(doc) == _rendered(streamed_doc(wave)) == _one_shot(doc)
-        assert isinstance(doc["c"], dict) == isinstance(speed, CoefExpr)
+        text = _rendered(wave)
+        assert text == _one_shot(_reference_doc(wave))
+        assert isinstance(json.loads(text)["c"], dict) == isinstance(speed, CoefExpr)
 
     def test_rational_data_and_zero_polynomial(self):
         data = InitialData(
@@ -1105,20 +1134,18 @@ class TestRenderedJson:
             poly_from_coefficients([Fraction(3, 4), Fraction(1, 9)]),
         )
         zero = dalembert_solve(InitialData(MPoly.const(("x",), 0), MPoly.const(("x",), 0)), 1)
-        for doc in (wave_to_json(dalembert_solve(data, Fraction(7, 3))), wave_to_json(zero),
-                    mpoly_to_json(MPoly(("x", "t"), {}))):
-            assert _rendered(doc) == _one_shot(doc)
-        assert wave_to_json(zero)["terms"] == []
         for value in (dalembert_solve(data, Fraction(7, 3)), zero, MPoly(("x", "t"), {})):
-            to_json = wave_to_json if isinstance(value, WaveSolution) else mpoly_to_json
-            assert _rendered(streamed_doc(value)) == _one_shot(to_json(value))
+            assert _rendered(value) == _one_shot(_reference_doc(value))
+        assert json.loads(_rendered(zero))["terms"] == []
 
     def test_equal_denominators_in_distinct_lists(self):
         doc = _shared_den_doc([dict(item) for item in _SHARED_DEN])
         assert doc["terms"][1]["coef"]["den"] is not _SHARED_DEN
-        assert _rendered(doc) == _one_shot(doc)
-        doc["terms"][1]["coef"]["den"] = [{"s": 0, "re": "1"}]
-        assert _rendered(doc) == _one_shot(doc)
+        for _ in range(2):
+            wave = wave_from_json(doc)
+            assert _rendered(wave) == _one_shot(_reference_doc(wave))
+            assert json.loads(_rendered(wave))["terms"] == doc["terms"]
+            doc["terms"][1]["coef"]["den"] = [{"s": 0, "re": "1"}]
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7", "--order", "20"),
@@ -1133,26 +1160,19 @@ class TestRenderedJson:
         assert out == _one_shot(json.loads(out))
 
     def test_each_distinct_denominator_is_encoded_once(self, monkeypatch):
-        # every Laurent polynomial of a streamed document's terms is encoded
-        # by serialize._laurent_text, looked up at call time
+        # every Laurent polynomial of a document's terms is encoded by
+        # serialize._laurent_text, looked up at call time
         calls = []
         laurent_text = serialize._laurent_text
         monkeypatch.setattr(serialize, "_laurent_text", lambda p: calls.append(p) or laurent_text(p))
         wave = _cos_sin_wave()
-        doc = wave_to_json(wave)
-        assert _rendered(doc) == _one_shot(doc)
         coefs = [c for _, c in sorted(wave.body.terms.items())]
         distinct = {c.den.key() for c in coefs}
         assert len(distinct) < len(coefs)
-        # the terms are made while they are written
-        made = []
-        term_texts = serialize._Terms.text
-        monkeypatch.setattr(serialize._Terms, "text", lambda terms: (
-            made.append(text) or text for text in term_texts(terms)))
-        calls.clear()
-        assert _rendered(streamed_doc(wave)) == _one_shot(doc)
-        made_dens = {json.dumps(json.loads(text)["coef"]["den"]) for text in made}
-        assert len(made) == len(coefs) and len(made_dens) == len(distinct)
+        text = _rendered(wave)
+        assert text == _one_shot(_reference_doc(wave))
+        made_dens = {json.dumps(term["coef"]["den"]) for term in json.loads(text)["terms"]}
+        assert len(made_dens) == len(distinct)
         # one encode per numerator, and one per distinct denominator, at its first term
         expected, seen = [], set()
         for c in coefs:
@@ -1175,14 +1195,14 @@ def _expanded(binomial, n):
 
 
 class TestStreamedJson:
-    """solve, hermite and expand hand emit the exact value; emit makes each
-    term as it writes it to the stream."""
+    """solve, hermite and expand hand emit the exact value; emit writes each
+    piece of the document's text as it is made."""
 
     def test_first_chunk_is_written_before_the_last_term_is_made(self, monkeypatch):
         made = []
-        term_texts = serialize._Terms.text
-        monkeypatch.setattr(serialize._Terms, "text", lambda terms: (
-            made.append(text) or text for text in term_texts(terms)))
+        doc_pieces = serialize._doc_pieces
+        monkeypatch.setattr(serialize, "_doc_pieces", lambda *args: (
+            made.append(piece) or piece for piece in doc_pieces(*args)))
         made_at_write = []
 
         class Stream(io.StringIO):
@@ -1195,19 +1215,19 @@ class TestStreamedJson:
         argv = ["solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7"]
         assert main([*argv, "--order", "20"]) == 0
         wave = _cos_sin_wave(20)
-        assert len(made) == len(wave.body.terms)
-        assert made_at_write[0] < len(made)
-        # the first term is written once it is made: the vars and "terms" pieces come before it
-        assert made_at_write[2] == 1
-        assert made_at_write == sorted(made_at_write) and len(made_at_write) > 10
-        assert out.getvalue() == _one_shot(wave_to_json(wave))
+        # the head, one piece per term, and the tail
+        assert len(made) == len(wave.body.terms) + 2 > 10
+        # each piece is written once it is made, before the next is made,
+        # and the newline last
+        assert made_at_write == [*range(1, len(made) + 1), len(made)]
+        assert out.getvalue() == _one_shot(_reference_doc(wave))
 
     @pytest.mark.parametrize("argv, build", [
         (("solve", "--f-named", "cos_q", "--g-named", "sin_q", "--c", "5/7", "--order", "20"),
-         lambda: wave_to_json(_cos_sin_wave(20))),
-        *((("hermite", "--n", "20", "--kind", kind), lambda kind=kind: mpoly_to_json(
+         lambda: _reference_doc(_cos_sin_wave(20))),
+        *((("hermite", "--n", "20", "--kind", kind), lambda kind=kind: _reference_doc(
             _HERMITE[kind](20))) for kind in _HERMITE),
-        *((("expand", "--binomial", b, "--n", "20"), lambda b=b: mpoly_to_json(
+        *((("expand", "--binomial", b, "--n", "20"), lambda b=b: _reference_doc(
             _expanded(b, 20))) for b in ("z+iw", "z-iw", "x+ct", "x-ct")),
     ])
     # the buffer of the stream emit writes to: the stream, not emit, groups
@@ -1239,8 +1259,6 @@ class TestStreamedJson:
         assert run(capsys, *argv)[:2] == (0, "")
         stdout.flush()
         assert sink.getvalue() == expected.encode()
-        # one write per term, per other key, and for "]" and "}\n"
-        doc = json.loads(expected)
-        assert len(writes) == len(doc["terms"]) + len(doc) + 2
+        # one write per term, and one each for the head, the tail and "\n"
+        assert len(writes) == len(json.loads(expected)["terms"]) + 3
         assert "".join(writes) == expected
-

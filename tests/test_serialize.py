@@ -3,7 +3,6 @@
 import copy
 import io
 import json
-import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +19,7 @@ from qcalc.qwave import (
     SYMBOLIC_SPEED,
     InitialData,
     WaveSolution,
+    _Rows,
     dalembert_solve,
     named_source,
     q_binomial_substitute,
@@ -364,12 +364,11 @@ class TestWireDigitBound:
         wave = WaveSolution(poly.with_vars(("x", "t")), Fraction(1, 2), None, "dalembert")
         for value, to_json in ((poly, mpoly_to_json), (wave, wave_to_json)):
             if big < 10**WIRE_DIGITS:
-                doc = serialize.streamed_doc(value)
-                doc["terms"] = list(doc["terms"])
-                assert doc == to_json(value)
+                assert "".join(serialize.doc_text(value)) == _compact(_reference_doc(value))
             else:
+                # refused when called, before the first piece is made
                 with pytest.raises(SerializationError) as streamed:
-                    serialize.streamed_doc(value)
+                    serialize.doc_text(value)
                 with pytest.raises(SerializationError) as listed:
                     to_json(value)
                 assert str(streamed.value) == str(listed.value) == (
@@ -387,11 +386,7 @@ class TestMPoly:
             ],
         }
         assert json.dumps(doc) == json.dumps(alone)
-        ids: dict = {}
-        for term in doc["terms"]:
-            ids.setdefault(json.dumps(term["coef"]["den"]), set()).add(id(term["coef"]["den"]))
-        assert len(ids) == 11
-        assert all(len(same) == 1 for same in ids.values())
+        assert len({json.dumps(term["coef"]["den"]) for term in doc["terms"]}) == 11
 
     def test_roundtrip(self):
         p = q_binomial_power("z", GR_I, "w", 3)
@@ -569,6 +564,30 @@ def _laurent_list_by_fraction(p: LaurentPoly) -> list:
     return out
 
 
+def _reference_coef(c: CoefExpr) -> dict:
+    return {"num": _laurent_list_by_fraction(c.num), "den": _laurent_list_by_fraction(c.den)}
+
+
+def _reference_doc(value) -> dict:
+    """The wire document of a polynomial or a wave, assembled term by term
+    from _laurent_list_by_fraction: the reference serialize.doc_text's text
+    is held to (the dict builders are read from that text, so they cannot
+    be it)."""
+    body = value.body if isinstance(value, WaveSolution) else value
+    doc = {"vars": list(body.vars), "terms": [
+        {"deg": list(e), "coef": _reference_coef(c)} for e, c in sorted(body.terms.items())
+    ]}
+    if body is value:
+        return doc
+    c = value.c
+    if not isinstance(c, str):
+        c = CoefExpr.of(c)
+        num = c.num.coeffs
+        real_constant = c.den == LP_ONE and list(num) == [0] and not num[0].im
+        c = str(num[0].re) if real_constant else _reference_coef(c)
+    return doc | {"c": c, "order": value.order, "provenance": value.provenance}
+
+
 @st.composite
 def _laurent_polys(draw):
     """Laurent polynomials with imaginary parts, negative and odd exponents,
@@ -597,9 +616,13 @@ class TestLaurentText:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_waves())
+    @example(WaveSolution(MPoly(("x", "t"), {}), CoefExpr.of(2), None, "dalembert"))
     def test_term_texts_equal_the_dump_of_the_term_dicts(self, wave):
-        terms = serialize._Terms(wave.body)
-        assert list(terms.text()) == [_compact(term) for term in terms]
+        # waves of every speed form, their bodies, and the zero polynomial
+        for value in (wave, wave.body):
+            pieces = list(serialize.doc_text(value))
+            assert len(pieces) == len(wave.body.terms) + 2
+            assert "".join(pieces) == _compact(_reference_doc(value))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("offset", [-1, 1])
@@ -615,8 +638,8 @@ class TestLaurentText:
         out = io.StringIO()
         if offset < 0:
             assert serialize._laurent_text(p) == _compact(_laurent_list_by_fraction(p))
-            cli._json_emit(serialize.streamed_doc(poly))(out)
-            assert out.getvalue() == _compact(mpoly_to_json(poly)) + "\n"
+            cli._json_emit(serialize.doc_text(poly))(out)
+            assert out.getvalue() == _compact(_reference_doc(poly)) + "\n"
             return
         with pytest.raises(SerializationError) as text:
             serialize._laurent_text(p)
@@ -624,7 +647,7 @@ class TestLaurentText:
             coef_to_json(CoefExpr(p))
         # refused before the document's first byte
         with pytest.raises(SerializationError) as streamed:
-            cli._json_emit(serialize.streamed_doc(poly))(out)
+            cli._json_emit(serialize.doc_text(poly))(out)
         assert out.getvalue() == ""
         assert str(text.value) == str(listed.value) == str(streamed.value) == (
             f"a rational to write has {_PAST_THE_BOUND}")
@@ -798,26 +821,21 @@ _csv_float = st.sampled_from(
 
 
 @st.composite
-def _csv_rows(draw):
-    """x-major grid rows, so coordinates repeat, or rows drawn one by one."""
-    if draw(st.booleans()):
-        xs = draw(st.lists(_csv_float, min_size=1, max_size=4))
-        ts = draw(st.lists(_csv_float, min_size=1, max_size=4))
-        points = [(x, t) for x in xs for t in ts]
-    else:
-        points = draw(st.lists(st.tuples(_csv_float, _csv_float), max_size=12))
-    return [(x, t, draw(_csv_float), draw(st.booleans())) for x, t in points]
+def _csv_grids(draw):
+    """sample_grid's rows drawn whole: both axes and every value from
+    _csv_float, and each x row's flags None (every point valid) or drawn."""
+    xs = draw(st.lists(_csv_float, max_size=4))
+    ts = draw(st.lists(_csv_float, max_size=4))
+    cells = {"min_size": len(ts), "max_size": len(ts)}
+    flags = st.none() | st.lists(st.booleans(), **cells)
+    blocks = [(draw(st.lists(_csv_float, **cells)), draw(flags)) for _ in xs]
+    return _Rows(xs, ts, blocks)
 
 
-def _grid_rows(n: int) -> list:
-    """n x-major rows over a 7-point t grid, zeros of both signs among the
-    coordinates and values."""
-    ts = [0.0, -0.0, 0.1, 1 / 3, 2.5, -1e-300, 7.0]
-    return [
-        (k // 7 * 0.01 - 1, ts[k % 7], math.sin(k) * 1e3 ** (k % 5 - 2) if k % 11 else -0.0,
-         k % 3 != 0)
-        for k in range(n)
-    ]
+# both signs of zero on both axes and among the values
+_ZERO_GRID = _Rows([0.5, 0.0, -0.0], [0.0, -0.0], [
+    ([1.2345678901234567, -0.0], None), ([1.0, -0.0], [True, False]), ([0.0, -0.0], None),
+])
 
 
 _CHUNK_EDGES = [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
@@ -861,14 +879,15 @@ class TestVerdictAndCsv:
 
     def test_csv_contract(self):
         buf = io.StringIO()
-        write_sample_csv([(0.5, 0.0, 1.2345678901234567, True)], buf)
+        write_sample_csv(_ZERO_GRID, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,t,u,valid"
         assert lines[1].startswith("0.5,0,1.2345678901234567")
         assert lines[1].endswith(",1")
+        assert len(lines) == 1 + len(_ZERO_GRID)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_csv_rows())
+    @given(_csv_grids())
     def test_csv_matches_the_per_row_writer(self, rows):
         got, expected = io.StringIO(), io.StringIO()
         write_sample_csv(rows, got)
@@ -876,14 +895,18 @@ class TestVerdictAndCsv:
         assert got.getvalue() == expected.getvalue()
 
     def test_csv_keeps_the_sign_of_zero(self):
-        rows = [(0.0, -0.0, 1.0, True), (-0.0, 0.0, -0.0, False), (0.0, -0.0, 0.0, True)]
         buf = io.StringIO()
-        write_sample_csv(rows, buf)
-        assert buf.getvalue() == "x,t,u,valid\n0,-0,1,1\n-0,0,-0,0\n0,-0,0,1\n"
+        write_sample_csv(_ZERO_GRID, buf)
+        assert buf.getvalue() == (
+            "x,t,u,valid\n0.5,0,1.2345678901234567,1\n0.5,-0,-0,1\n"
+            "0,0,1,1\n0,-0,-0,0\n-0,0,0,1\n-0,-0,-0,1\n"
+        )
 
+    # n x rows of one t each: every run is one line, so the chunk edges fall
+    # between runs, where _GRID_SHAPES puts them inside long runs too
     @pytest.mark.parametrize("n", _CHUNK_EDGES)
     def test_csv_matches_the_per_row_writer_across_chunks(self, n):
-        rows = _grid_rows(n)
+        rows = _sampled_grid(n, 1)
         got, expected = io.StringIO(), io.StringIO()
         write_sample_csv(rows, got)
         _write_sample_csv_per_row(rows, expected)
@@ -892,7 +915,7 @@ class TestVerdictAndCsv:
     @pytest.mark.parametrize("n", _CHUNK_EDGES)
     def test_csv_writes_bounded_chunks(self, n):
         stream = _CountingStream()
-        write_sample_csv(_grid_rows(n), stream)
+        write_sample_csv(_sampled_grid(n, 1), stream)
         assert sum(stream.writes) == n + 1
         assert max(stream.writes) <= _CSV_CHUNK
         assert len(stream.writes) <= n // _CSV_CHUNK + 1
