@@ -32,8 +32,11 @@ are read back as balanced digits.  A slot is size whole bytes (1, 2, 4, 8,
 or more when wider), so a vector goes to and from its int through bytes in
 linear time: the slots hold two's-complement digits, and one sign bias B
 (0x80 at the top byte of every slot, built once per shape) turns them into
-the balanced sum, (y ^ B) - B, and back, (x + B) ^ B.  A one-term operand
-is a shift plus an integer scale instead,
+the balanced sum, (y ^ B) - B, and back, (x + B) ^ B.  Each value keeps
+its largest absolute entry (top), measured at its first wide product, for
+the slot bound of the next; equality, keys, the coeffs view, copies and
+pickles ignore it.  A one-term operand is a shift plus an integer scale
+instead,
 and two one-term operands take the direct formula: one Gaussian-integer
 product over the product of the denominators, as do a sum or difference of
 two one-term operands at one exponent over the common denominator; one gcd
@@ -254,7 +257,8 @@ class LaurentPoly:
     """Laurent polynomial in s: coefficient k is (re[k] + im[k]*i) / den at
     exponent lo + step*k.
 
-    Canonical, so equality is a comparison of the five slots: den > 0, the
+    Canonical, so equality is a comparison of the five value slots (the
+    sixth, top, is __mul__'s memo of the largest entry): den > 0, the
     gcd of den and every entry is 1, the entries at both ends are nonzero, im
     is None when every coefficient is real, step is 2 exactly when there are
     two or more slots and every exponent has lo's parity (the slots between
@@ -275,7 +279,7 @@ class LaurentPoly:
     with no multiply.
     """
 
-    __slots__ = ("lo", "den", "re", "im", "step")
+    __slots__ = ("lo", "den", "re", "im", "step", "top")
 
     def __new__(cls, coeffs=None):
         terms = {}
@@ -320,7 +324,7 @@ class LaurentPoly:
         return not self.re
 
     def key(self) -> tuple:
-        """A hashable key of the value, for per-pass memos: the five slots,
+        """A hashable key of the value, for per-pass memos: the five value slots,
         which identify it because the form is canonical."""
         return self.lo, self.den, self.step, tuple(self.re), self.im and tuple(self.im)
 
@@ -403,7 +407,8 @@ class LaurentPoly:
             else:
                 br, bi = _spread(br), bi and _spread(bi)
             step = 1
-        bound = min(len(ar), len(br)) * _top(ar, ai) * _top(br, bi)  # largest |slot|
+        ta, tb = a.top or _keep_top(a), b.top or _keep_top(b)
+        bound = min(len(ar), len(br)) * ta * tb  # largest |slot|
         if ai and bi:
             bound *= 2  # re_a*re_b - im_a*im_b adds two such sums
         size = _slot_size(bound.bit_length() + 1)  # one sign bit for balanced digits
@@ -568,7 +573,7 @@ class LaurentPoly:
 
 def _new(lo: int, den: int, re: list[int], im: list[int] | None, step: int = 1) -> LaurentPoly:
     out = object.__new__(LaurentPoly)
-    out.lo, out.den, out.re, out.im, out.step = lo, den, re, im, step
+    out.lo, out.den, out.re, out.im, out.step, out.top = lo, den, re, im, step, None
     return out
 
 
@@ -761,6 +766,13 @@ def _top(re: list[int], im: list[int] | None) -> int:
     top = max(max(re), -min(re))
     if im:
         top = max(top, max(im), -min(im))
+    return top
+
+
+def _keep_top(p: LaurentPoly) -> int:
+    """p's largest absolute entry, measured on p's first wide product and
+    kept in p.top for the next."""
+    p.top = top = _top(p.re, p.im)
     return top
 
 

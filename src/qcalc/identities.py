@@ -12,9 +12,11 @@ first failure, and the runner times it, labels its range and records the
 outcome; it also registers the routine's default bound in DEFAULT_BOUNDS.
 The four Hermite-expansion identities (the classical binomial, the xi forms,
 the q-binomial and the traveling wave) build their right sides through one
-pair sum, _pair_sum, in the q family or its classical limit: every pair's
-coefficient products go straight into one term dict, with no MPoly made per
-pair, and each form's own scale joins the final two^-n in one pass.  The
+pair sum, _pair_sum, in the q family or its classical limit, over lists of
+Hermite polynomials each substituted directly at a one-term argument (_at):
+every pair's numerator products go straight into one dict of Laurent sums,
+with no MPoly made per pair, and only the surviving sums become CoefExpr
+values, each form's own scale joining the final two^-n in that pass.  The
 double-q-analytic check builds each (z + i w)_q^n once, and reuses it at the
 next n as the lowered power.
 
@@ -33,6 +35,7 @@ from fractions import Fraction
 from operator import add
 
 from .coeffs import (
+    CE_ONE,
     CoefExpr,
     GR_I,
     GR_ONE,
@@ -129,9 +132,19 @@ def _verifier(identity: str, kind: str, default: int):
 
 
 def _at(h: MPoly, a: MPoly) -> MPoly:
-    """The polynomial h in x alone at the one-term polynomial a, over a's variables."""
-    wide = a.vars if "x" in a.vars else a.vars + ("x",)
-    return h.with_vars(wide).substitute("x", a.with_vars(wide)).with_vars(a.vars)
+    """The polynomial h in x alone at the one-term polynomial ca * m of
+    positive degree, over a's variables: each c_d x^d goes to c_d ca^d m^d,
+    with the powers of ca built once.  Every c_d and ca must be over LP_ONE
+    (ValueError otherwise), so that every coefficient of the result is too,
+    as _pair_sum reads it."""
+    ((ea, ca),) = a.terms.items()
+    if ca.den is not LP_ONE or any(c.den is not LP_ONE for c in h.terms.values()):
+        raise ValueError("a Hermite list needs every coefficient over LP_ONE")
+    powers = [CE_ONE]
+    for _ in range(h.degree_in("x")):
+        powers.append(powers[-1] * ca)
+    return MPoly._raw(a.vars, {tuple(d * e for e in ea): c * powers[d]
+                               for (d,), c in h.terms.items()})
 
 
 def _hermite_at(a: MPoly, b: MPoly, n_max: int, q: bool):
@@ -147,7 +160,7 @@ def _hermite_at(a: MPoly, b: MPoly, n_max: int, q: bool):
             [_at(h_dual(m), b) for m in range(n_max + 1)])
 
 
-_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)  # i**k is _I_POWERS[k % 4]
+_I_POWERS = tuple(LaurentPoly.const(GR_I**k) for k in range(4))  # i**k is _I_POWERS[k % 4]
 
 
 def _pair_sum(n: int, h_a: list, h_b: list, q: bool, scale=1) -> MPoly:
@@ -155,26 +168,27 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool, scale=1) -> MPoly:
     _hermite_at.  q family: w_k = [n k]_q q^(k(k-1)/2), two = [2]_q.
     Classical family: w_k = C(n, k), two = 2.
 
-    Every pair's products go into one dict: each coefficient of the factor
-    with fewer terms, times w_k i^k (fewer coefficient products than
-    weighting the pair's product), times each coefficient of the other; a
-    monomial leaves the dict as soon as its coefficients cancel.  The scale
-    and two^-n are one multiply per term at the end."""
+    Every coefficient of the lists is over LP_ONE, as _at makes them, so
+    the pairs multiply numerators: each one of the factor with fewer terms,
+    times w_k i^k (fewer coefficient products than weighting the pair's
+    product), times each one of the other, into one dict of Laurent sums
+    that a monomial leaves as soon as its sum cancels.  Only the surviving
+    sums become CoefExpr values, each times the scale and two^-n."""
     if q:
         weights, two = q_binomial_weights(n), q_int(2)
     else:
-        weights, two = [math.comb(n, k) for k in range(n + 1)], 2
-    out: dict[tuple[int, ...], CoefExpr] = {}
+        weights, two = [LaurentPoly.const(math.comb(n, k)) for k in range(n + 1)], 2
+    out: dict[tuple[int, ...], LaurentPoly] = {}
     for k, weight in enumerate(weights):
         a, b = h_a[n - k].terms, h_b[k].terms
         if len(a) > len(b):
             a, b = b, a
-        c = CoefExpr.of(weight) * _I_POWERS[k % 4]
+        w = weight * _I_POWERS[k % 4]
         for ea, ca in a.items():
-            ca = ca * c
+            ca = ca.num * w
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
-                v = ca * cb
+                v = ca * cb.num
                 prev = out.get(e)
                 if prev is not None:
                     v = prev + v
@@ -183,7 +197,7 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool, scale=1) -> MPoly:
                 else:
                     out[e] = v
     c = CoefExpr.of(scale) / two**n
-    return MPoly._raw(h_a[0].vars, {e: v * c for e, v in out.items()})
+    return MPoly._raw(h_a[0].vars, {e: CoefExpr(v) * c for e, v in out.items()})
 
 
 @_verifier("hermite-binomial", "n_max", 12)

@@ -495,6 +495,91 @@ class TestKroneckerPacking:
         assert (a * b).coeffs == _dict_mul(a.coeffs, b.coeffs)
 
 
+# slot bytes a partner's largest entry T forces on products with the memo
+# operand: its entries are at most 3 and both sides have at most 8 slots at
+# the product's step, so the bound min(len) * 3 * T (twice that when both are
+# complex) lies in [T, 48 T] with T = 2**(8*size - 2) // 48
+_MEMO_SIZES = (1, 2, 4, 8, 16)
+
+
+@st.composite
+def _memo_run(draw):
+    """(a, [(partner dict, slot size, a on the left)]): a step-2 dict of 2 to
+    5 slots with entries of at most 3, real or complex, and in a drawn order
+    partners that force every slot size of _MEMO_SIZES, each at step 2 and at
+    step 1 (an exponent of the other parity too), real or complex with the
+    largest entry real or imaginary, some of them twice in a row."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    complex_a = draw(st.booleans())
+
+    def entry(top, imaginary):
+        return GaussianRational(rng.randint(-top, top), rng.randint(-top, top) if imaginary else 0)
+
+    lo, slots = rng.randint(-6, 6), rng.randint(2, 5)
+    a = {lo + 2 * k: entry(3, complex_a) for k in range(slots)}
+    a[lo], a[lo + 2 * slots - 2] = GaussianRational(3), GaussianRational(-1, int(complex_a))
+    partners = []
+    for size in _MEMO_SIZES:
+        top = 2 ** (8 * size - 2) // 48
+        for step in (1, 2):
+            lo, slots = rng.randint(-6, 6), rng.randint(2, 4)
+            b = {lo + 2 * k: entry(top, draw(st.booleans())) for k in range(slots)}
+            # the largest entry is real or imaginary
+            b[lo] = GaussianRational(0, top) if draw(st.booleans()) else GaussianRational(top)
+            b[lo + 2 * slots - 2] = GaussianRational(-1)
+            if step == 1:
+                b[lo + 1] = GaussianRational(-top)
+            partners.append((b, size, draw(st.booleans())))
+    order = draw(st.permutations(partners))
+    repeats = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    return a, [p for p, again in zip(order, repeats) for p in (p,) * (1 + again)]
+
+
+class TestKroneckerMemo:
+    """A LaurentPoly keeps its largest absolute entry (top) from its first
+    wide product for the slot bound of the next; no result, equality, key or
+    copy sees it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_memo_run())
+    def test_products_through_every_slot_size(self, run):
+        a, partners = run
+        pa = LaurentPoly(a)
+        assert pa.step == 2 and pa.top is None
+        built, sizes, pack = {}, [], coeffs._pack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coeffs, "_pack", lambda vec, size: sizes.append(size) or pack(vec, size))
+            for b, size, left in partners:
+                pb = built.setdefault(id(b), LaurentPoly(b))
+                del sizes[:]
+                got = pa * pb if left else pb * pa
+                _assert_canonical(got)
+                assert got.coeffs == _dict_mul(a, b)
+                assert set(sizes) == {size}
+                assert pa.top == coeffs._top(pa.re, pa.im) == 3
+                assert pb.top == coeffs._top(pb.re, pb.im)
+        for p in (pa, *built.values(), pa * pa):
+            for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert again == p and p == again and again.key() == p.key()
+                assert again.top is None
+        for one in (LP_ONE, coeffs.LP_ZERO):
+            assert copy.copy(one) is one and pickle.loads(pickle.dumps(one)) is one
+            assert one.top is None
+        assert pa * LP_ONE is pa and (pa - pa) is coeffs.LP_ZERO
+
+    def test_each_operand_is_measured_once(self, monkeypatch):
+        a, b = lp({0: 1, 2: -2, 4: 3}), lp({0: 5, 1: GaussianRational(1, 2), 2: 7})
+        c = lp({2: 1, 4: GaussianRational(0, 9), 6: 1})
+        ab, ac, aa = _schoolbook_mul(a, b), _schoolbook_mul(a, c), _schoolbook_mul(a, a)
+        measured, top = [], coeffs._top
+        monkeypatch.setattr(coeffs, "_top", lambda re, im: measured.append(re) or top(re, im))
+        assert a * b == ab and measured == [a.re, b.re]
+        assert b * a == ab and a * a == aa and len(measured) == 2
+        # a step change spreads a's vector, which keeps a's top
+        assert a * c == ac and c * a == ac and measured[2:] == [c.re]
+        assert (a.top, b.top, c.top) == (3, 7, 9)  # c's largest entry is imaginary
+
+
 def _assert_canonical(p: LaurentPoly):
     """The stored form: (0, 1, [], None) at step 1 for zero; else den > 0, no
     common factor of den and the entries, nonzero ends, im None exactly when

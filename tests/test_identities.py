@@ -242,6 +242,46 @@ def test_pair_sum_matches_the_composed_route():
                 assert n < 2 or min(map(sum, h_a[n].terms)) < n
 
 
+def _composed_at(h, a):
+    """h in x alone at the one-term polynomial a, by whole-polynomial passes:
+    both widened to a's variables plus x, x substituted, then narrowed."""
+    wide = a.vars if "x" in a.vars else a.vars + ("x",)
+    return h.with_vars(wide).substitute("x", a.with_vars(wide)).with_vars(a.vars)
+
+
+def test_hermite_lists_match_the_composed_route(monkeypatch):
+    """Every (a, b) the four Hermite verifiers hand _hermite_at at their
+    default bounds, in both families, against the composed substitution."""
+    calls, original = [], identities._hermite_at
+    monkeypatch.setattr(identities, "_hermite_at", lambda a, b, n_max, q:
+                        calls.append((a, b, n_max)) or original(a, b, n_max, q))
+    for name in ("hermite-binomial", "xi", "q-hermite-binomial", "traveling-hermite"):
+        assert IDENTITY_CHECKS[name][0](DEFAULT_BOUNDS[name]).ok, name
+    monkeypatch.undo()
+    assert len(calls) == 6
+    for a, b, n_max in calls:
+        for q in (False, True):
+            h_a, h_b = identities._hermite_at(a, b, n_max, q)
+            h, h_dual = (q_hermite, q_hermite_dual) if q else (hermite_classical,) * 2
+            assert h_a == [_composed_at(h(m), a) for m in range(n_max + 1)]
+            assert h_b == [_composed_at(h_dual(m, "x") if q else h_dual(m), b)
+                           for m in range(n_max + 1)]
+            assert {p.vars for p in h_a + h_b} == {a.vars}
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_hermite_lists_refuse_a_coefficient_over_a_denominator(side):
+    """_pair_sum multiplies numerators, so the lists it reads must not hold a
+    coefficient over a denominator: _at refuses an argument with one."""
+    vs = ("z", "w")
+    z, w = MPoly.var(vs, "z"), MPoly.var(vs, "w")
+    over = MPoly(vs, {(1, 0) if side == "a" else (0, 1): CoefExpr(LP_ONE, q_int(3))})
+    a, b = (over, w) if side == "a" else (z, over)
+    for q in (False, True):
+        with pytest.raises(ValueError, match="every coefficient over LP_ONE"):
+            identities._hermite_at(a, b, 2, q)
+
+
 def _doubled_at(fn, bad):
     """fn with its value at the first argument bad doubled."""
 
