@@ -4,9 +4,10 @@ q-wave IVP, and sample solutions to CSV.
 Exit codes: 0 success / all identities verified, 1 an identity check found a
 counterexample (or the solver's self-check refused a solution), 2 usage or
 input error (also a verify bound flag that the chosen identity does not take,
-a size flag past its ceiling, MAX_SOLVE_ORDER and the others below, and a
---f or --g list of more than MAX_SOLVE_ORDER + 1 coefficients) or a run that
-ran out of memory or recursion depth.
+a size flag past its ceiling, MAX_SOLVE_ORDER and the others below, a
+--f or --g list of more than MAX_SOLVE_ORDER + 1 coefficients, and a named
+datum of degree past MAX_SOLVE_ORDER) or a run that ran out of memory or
+recursion depth.
 Symbolic q everywhere; a floating-point q is accepted only by `sample`.
 Every JSON document is written as one line of compact JSON: a polynomial or
 wave document as the pieces of serialize.doc_text, the text of one term
@@ -41,6 +42,7 @@ from .qwave import (
     SYMBOLIC_SPEED,
     InitialData,
     PostconditionError,
+    _named_degree,
     dalembert_solve,
     named_source,
     poly_from_coefficients,
@@ -238,10 +240,14 @@ def _cmd_solve(args):
     if args.order < 0:
         raise SerializationError("--order must be >= 0")
     _at_most("--order", args.order, MAX_SOLVE_ORDER)
-    # a list of order + 1 coefficients costs what --order does
-    for flag, text in (("--f", args.f), ("--g", args.g)):
+    # a list of order + 1 coefficients, or a named datum of degree order,
+    # costs what --order does
+    for flag, text, named in (("--f", args.f, args.f_named), ("--g", args.g, args.g_named)):
         if text is not None:
             _at_most(f"{flag} coefficients", text.count(",") + 1, MAX_SOLVE_ORDER + 1)
+        if named is not None:
+            degree = _named_degree(named, args.order)
+            _at_most(f"{flag}-named {named} degree", degree, MAX_SOLVE_ORDER)
     c = rational_from_str(args.c)
     f, f_order = _initial_part(args.f, args.f_named, "f", c, args.order)
     g, g_order = _initial_part(args.g, args.g_named, "g", c, args.order)

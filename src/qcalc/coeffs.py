@@ -42,8 +42,8 @@ product over the product of the denominators, as do a sum or difference of
 two one-term operands at one exponent over the common denominator; one gcd
 then cuts the content, so results are canonical on every path.  The value
 1 is always the one object LP_ONE, and a product with it returns the other
-operand.  CoefExpr products and sums whose denominators are both 1 take the
-numerators' product or sum as the result, with no cross-multiplication.
+operand, so CoefExpr products and sums over the denominator 1 take only
+the numerators' product or sum.
 Exact division is schoolbook over the integers.  GaussianRational values
 appear only at the edges: the dict constructor, const and term, the coeffs
 view, as_monomial and exact evaluation.
@@ -853,12 +853,11 @@ class CoefExpr:
     zero numerator normalises the denominator to 1, so ``num.is_zero()`` is a
     reliable zero test.  Denominators are otherwise left unreduced.
 
-    A product or sum of two values whose denominators are both LP_ONE is the
-    numerators' product or sum over LP_ONE, built without __init__'s checks
-    (a sum that cancels is CE_ZERO); any other denominator goes through the
-    cross-multiplication.  A product with a side that is LP_ONE over LP_ONE,
-    the value 1, is the other operand itself.  The numerator is a canonical
-    LaurentPoly either way.
+    A sum over one denominator adds the numerators over it, any other sum
+    and every product cross-multiply; a sum that cancels is CE_ZERO.  Values
+    over LP_ONE stay over LP_ONE (LP_ONE * LP_ONE is LP_ONE), which __init__
+    takes without its checks.  A product with a side that is LP_ONE over
+    LP_ONE, the value 1, is the other operand itself.
     """
 
     __slots__ = ("num", "den")
@@ -904,14 +903,11 @@ class CoefExpr:
             return other
         if not other.num.re:
             return self
-        if self.den is LP_ONE and other.den is LP_ONE:
-            num = self.num + other.num
-            return _ce(num) if num.re else CE_ZERO
         if self._same_den(other):
-            return CoefExpr(self.num + other.num, self.den)
-        return CoefExpr(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            num, den = self.num + other.num, self.den
+        else:
+            num, den = self.num * other.den + other.num * self.den, self.den * other.den
+        return CoefExpr(num, den) if num.re else CE_ZERO
 
     __radd__ = __add__
 
@@ -933,8 +929,6 @@ class CoefExpr:
             return self
         if not self.num.re or not other.num.re:
             return CE_ZERO
-        if self.den is LP_ONE and other.den is LP_ONE:
-            return _ce(self.num * other.num)
         return CoefExpr(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -1006,14 +1000,6 @@ class CoefExpr:
         if self.den is LP_ONE:
             return f"CoefExpr({self.num!s})"
         return f"CoefExpr(({self.num!s}) / ({self.den!s}))"
-
-
-def _ce(num: LaurentPoly) -> CoefExpr:
-    """CoefExpr(num) over LP_ONE, past __init__'s checks, which a value over
-    LP_ONE passes unchanged."""
-    out = CoefExpr.__new__(CoefExpr)
-    out.num, out.den = num, LP_ONE
-    return out
 
 
 CE_ZERO = CoefExpr(LP_ZERO)

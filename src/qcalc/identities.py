@@ -332,9 +332,9 @@ def _exp_sum(weights: list, images: list) -> MPoly:
 
 
 @_verifier("q-laplacian", "n_max", 8)
-def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
+def verify_q_laplacian_identity(n_max: int):
     """Three statements around the q-Laplacian family:
-    (a) the nested chain annihilates every (z + i w)_q^n;
+    (a) the nested chains of length 1 to 3 annihilate every (z + i w)_q^n;
     (b) the q-exponential of the scaled chain reproduces the binomial termwise;
     (c) the one-variable operator series reproduces the q-Hermite polynomial.
     Both exponentials weigh the j-fold image by (-1)^j / ([j]_q! [2]_q^(2j))."""
@@ -345,9 +345,9 @@ def verify_q_laplacian_identity(n_max: int, chain_max: int = 3):
     for n in range(n_max + 1):
         # chain[j] is the nested chain of length j, levels 0 .. j-1, applied to p
         chain = [q_binomial_power("z", GR_I, "w", n)]
-        for level in range(max(n, chain_max)):
+        for level in range(max(n, 3)):
             chain.append(q_laplacian(chain[-1], level))
-        for m in range(1, chain_max + 1):
+        for m in range(1, 4):
             if not chain[m].is_zero():
                 yield chain[m], f"chain m={m} fails at n={n}"
         res = _exp_sum(weights, chain[: n + 1]) - chain[0]

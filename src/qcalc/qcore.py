@@ -38,10 +38,9 @@ __all__ = [
 def q_exp_series(kind: str, order: int) -> MPoly:
     """Jackson q-exponential series through degree order, as an MPoly in x.
 
-    kind "e" (alias "small-e"): coefficients 1/[n]_q!;
-    kind "E" (alias "big-E"): q**(n(n-1)/2) / [n]_q!.
+    kind "e": coefficients 1/[n]_q!;
+    kind "E": q**(n(n-1)/2) / [n]_q!.
     """
-    kind = {"small-e": "e", "big-E": "E"}.get(kind, kind)
     if kind not in ("e", "E"):
         raise ValueError("q-exponential kind must be 'e' or 'E'")
     if order < 0:

@@ -12,7 +12,9 @@ combines it with Jackson antidifferentiation:
 
 This is the d'Alembert form (f+ + f-)/2 + (G+ - G-)/(2c), since the minus
 expansion is the plus one with t -> -t.  Each power of t comes with the same
-power of the speed, so dividing the odd half by the speed is exact.
+power of the speed, so dividing the odd half by the speed is exact.  The
+solver's kernel pass for each datum takes only the q-binomial weights of the
+half it keeps.
 
 InitialData and WaveSolution check their own fields when built.  The solver
 checks its own output: u(x, 0) must reproduce f, the downward q-derivative
@@ -25,13 +27,13 @@ The residual, qwave_operator, is one pass of the polys term-mapping kernel.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 
 from .coeffs import CoefExpr, QCalcError, UnsupportedOrderError
-from .polys import MPoly, _brief, _map_var, _q_derivative_op, coef_to_complex, q_binomial_expand
+from .polys import (MPoly, _brief, _map_var, _q_derivative_op, coef_to_complex, q_binomial_expand,
+                    q_binomial_weights)
 from .qcore import q_trig_series
 
 __all__ = [
@@ -92,9 +94,9 @@ def _check_order(order, kind: str, error=ValueError) -> int:
     return order
 
 
-def poly_from_coefficients(coeffs, var: str = "x") -> MPoly:
-    """Univariate polynomial from a low-degree-first coefficient sequence."""
-    return MPoly((var,), {(d,): CoefExpr.of(c) for d, c in enumerate(coeffs)})
+def poly_from_coefficients(coeffs) -> MPoly:
+    """Polynomial in x from a low-degree-first coefficient sequence."""
+    return MPoly(("x",), {(d,): CoefExpr.of(c) for d, c in enumerate(coeffs)})
 
 
 class InitialData(namedtuple("InitialData", "f g order")):
@@ -215,26 +217,27 @@ def dalembert_solve(data: InitialData, c) -> WaveSolution:
     """Solve the q-wave initial-value problem in closed form.
 
     u = even_t(f(x+ct)_q) + odd_t(G(x+ct)_q) / c, G the Jackson antiderivative
-    of g, one expansion per datum (see the module docstring).  The output is
-    checked against all three defining conditions before it is returned.
+    of g (see the module docstring): one kernel pass per datum, which builds
+    only the t-degrees of the half it keeps.  The output is checked against
+    all three defining conditions before it is returned.
     """
     speed = _as_speed(c)
     # c is a variable of the body when the speed or either datum has it
     with_c = _is_symbolic(speed) or "c" in data.f.vars + data.g.vars
-    xc = ("x", "c") if with_c else ("x",)
-    even = _t_parity(q_binomial_substitute(data.f.with_vars(xc), "+", speed), 0)
-    big_g = data.g.with_vars(xc).jackson_antiderivative("x")
-    odd = _t_parity(q_binomial_substitute(big_g, "+", speed), 1)
-    u = even + odd / speed_poly(odd.vars, speed)
+    variables = _XTC if with_c else _XT
+    speed_term = speed_poly(variables, speed)
+    ct = MPoly.var(variables, "t") * speed_term
+
+    def half(p: MPoly, parity: int) -> MPoly:
+        # the terms of p(x + ct)_q whose t-degree has the given parity
+        op = ("x", ct, lambda n: zip(range(parity, n + 1, 2), q_binomial_weights(n)[parity::2]))
+        return _map_var(p.with_vars(variables), [op])
+
+    big_g = data.g.with_vars(variables).jackson_antiderivative("x")
+    u = half(data.f, 0) + half(big_g, 1) / speed_term
     ws = WaveSolution(u, speed, data.order, "dalembert")
     _check_solution(ws, data)
     return ws
-
-
-def _t_parity(p: MPoly, parity: int) -> MPoly:
-    """The terms of a body over (x, t[, c]) whose t-degree has the given parity."""
-    terms = p.terms.items()
-    return MPoly._raw(p.vars, {e: v for e, v in terms if e[1] % 2 == parity})
 
 
 def _t_degree(p: MPoly, degree: int) -> MPoly:
@@ -260,8 +263,8 @@ def named_source(name: str, order: int) -> tuple[MPoly, int]:
 
     For cos_q/sin_q the order bounds the x-degree of the series.  For the
     q-Gaussian (classical factorials, term (-1)^n x^(2n)/n!) the order counts
-    series terms, so the source has degree 2*order and is exact through
-    total degree 2*order + 1.
+    series terms, so the source has degree 2*order (_named_degree) and is
+    exact through total degree 2*order + 1.
     """
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
@@ -279,6 +282,12 @@ def named_source(name: str, order: int) -> tuple[MPoly, int]:
     raise ValueError(f"unknown named wave {name!r}")
 
 
+def _named_degree(name: str, order: int) -> int:
+    """A bound on the x-degree of named_source(name, order), decided before
+    it is built: twice the order for the q-Gaussian, the order otherwise."""
+    return 2 * order if name == "q-gaussian" else order
+
+
 def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
     """Ready-made traveling wave: the named source carried along x -+ ct."""
     speed = _as_speed(c)
@@ -290,8 +299,8 @@ def named_wave(name: str, sign: str, c, order: int) -> WaveSolution:
 class _Rows:
     """The rows of one sample_grid call, x-major: the two axes and one
     (values, flags) block per x row, flags None when every point of the row
-    is valid.  It reads like the list of (x, t, value, valid) tuples it holds:
-    len, iteration, indexing (negative too) and == with a list."""
+    is valid.  len is the number of points, and iteration yields the
+    (x, t, value, valid) tuples x-major."""
 
     __slots__ = ("xs", "ts", "blocks")
 
@@ -305,24 +314,6 @@ class _Rows:
         ts = self.ts
         for x, (values, flags) in zip(self.xs, self.blocks):
             yield from zip(repeat(x), ts, values, repeat(True) if flags is None else flags)
-
-    def __getitem__(self, index):
-        size = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError("sample row index out of range")
-        row, k = divmod(i, len(self.ts))
-        values, flags = self.blocks[row]
-        return self.xs[row], self.ts[k], values[k], True if flags is None else flags[k]
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _Rows)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
@@ -338,8 +329,8 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
     are valid everywhere.
 
     The rows are held as one float list of values per x row, with a list of
-    flags only for a row that has an invalid point; the sequence returned
-    has len, x-major iteration, indexing and == with a list of row tuples.
+    flags only for a row that has an invalid point; what is returned has
+    only len and x-major iteration over the row tuples.
     The sums are taken by Horner's rule, first in x for each power of t,
     then in t.  Each x row first bounds its tail by the Horner of the tail
     coefficients at the largest |t| of the grid; when that bound is within

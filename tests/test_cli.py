@@ -1053,6 +1053,27 @@ class TestSizeCeilings:
         assert (code, out) == (2, "")
         assert err == f"error: --{which} coefficients {size + 1} is more than {size}\n"
 
+    @pytest.mark.parametrize("which, argv", [
+        ("f", ["--f-named", "q-gaussian", "--g-named", "sin_q"]),
+        ("f", ["--f-named", "q-gaussian", "--g-named", "q-gaussian"]),
+        ("g", ["--f-named", "cos_q", "--g-named", "q-gaussian"]),
+    ], ids=["f", "both", "g"])
+    def test_a_q_gaussian_past_the_ceiling_exits_two(self, capsys, monkeypatch, which, argv):
+        # its order counts series terms, so its degree is twice --order
+        def kernel(*args):
+            raise AssertionError("arithmetic ran before the ceiling check")
+
+        for name in ("_canonical", "_cut", "_q_products"):
+            monkeypatch.setattr(coeffs, name, kernel)
+        order = cli.MAX_SOLVE_ORDER // 2
+        code, out, err = run(capsys, "solve", *argv, "--c", "2", "--order", str(order + 1))
+        assert (code, out) == (2, "")
+        degree, ceiling = 2 * order + 2, cli.MAX_SOLVE_ORDER
+        assert err == f"error: --{which}-named q-gaussian degree {degree} is more than {ceiling}\n"
+        # one order lower the degree is at the ceiling: the check passes and the solve starts
+        with pytest.raises(AssertionError, match="arithmetic ran"):
+            run(capsys, "solve", *argv, "--c", "2", "--order", str(order))
+
     def test_the_sizes_in_use_stay_legal(self):
         # CI's deep verify and memory steps, the benchmark and the README
         # tables run these sizes

@@ -881,8 +881,9 @@ class TestOneSlotKernel:
 
 
 class TestCoefExprOverOne:
-    """CoefExpr products and sums whose denominators are both LP_ONE against
-    the general construction: cross-multiplication through __init__."""
+    """CoefExpr products and sums whose denominators are both LP_ONE, or one
+    shared denominator, against the general construction: cross-multiplication
+    through __init__."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.one_of(_one_slot_pair(), _kernel_pair()))
@@ -901,6 +902,27 @@ class TestCoefExprOverOne:
         if a and b:  # a sum that cancels is CE_ZERO itself
             assert (total is CE_ZERO) == (not _dict_add(a, b))
             assert x + (-x) is CE_ZERO and x - x is CE_ZERO
+        assert x * CE_ONE is x and CE_ONE * x is x
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(_one_slot_pair(), _kernel_pair()),
+           st.sampled_from([q_int(2), q_int(3), lp({0: 2, 1: GaussianRational(0, 1)}),
+                            lp({-2: 1, 4: Fraction(-1, 3)})]))
+    def test_one_shared_denominator(self, pair, den):
+        a, b = map(_dict_clean, pair)
+        # the second denominator is an equal value, not the same object
+        x, y = CoefExpr(LaurentPoly(a), den), CoefExpr(LaurentPoly(b), copy.copy(den))
+        product, total = x * y, x + y
+        assert product == CoefExpr(x.num * y.num, x.den * y.den)
+        assert total == CoefExpr(x.num * y.den + y.num * x.den, x.den * y.den)
+        if a and b:
+            assert product.num == x.num * y.num and product.den == den * den
+            if _dict_add(a, b):
+                assert total.num == x.num + y.num and total.den is den
+            else:
+                assert total is CE_ZERO
+            assert x + (-x) is CE_ZERO and x - x is CE_ZERO
+        assert x * CE_ONE is x and CE_ONE * x is x
 
 
 class TestInternedOne:

@@ -154,10 +154,6 @@ def test_traveling_expansion_n_one():
     assert verify_traveling_hermite_expansion(1).ok
 
 
-def test_q_laplacian_chain_bound_parameter():
-    assert verify_q_laplacian_identity(4, chain_max=2).ok
-
-
 def test_q_laplacian_chain_built_once_per_degree(monkeypatch):
     """Each degree's chain is one list: the q-Laplacian meets a nonzero
     polynomial once per degree (the binomial power; its image is zero)."""

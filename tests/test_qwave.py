@@ -91,6 +91,29 @@ def _four_substitution_body(data: InitialData, c) -> MPoly:
     return u.with_vars(target) + integral.with_vars(target)
 
 
+def _parity_split_body(data: InitialData, c) -> MPoly:
+    """The solver's earlier route, kept as its oracle: the whole expansions
+    f(x + ct)_q and G(x + ct)_q by q_binomial_substitute, then the even
+    t-degrees of the first plus the odd t-degrees of the second divided by
+    the speed."""
+    with_c = c == SYMBOLIC_SPEED or "c" in data.f.vars + data.g.vars
+    xc = ("x", "c") if with_c else ("x",)
+
+    def t_parity(p: MPoly, parity: int) -> MPoly:
+        return MPoly(p.vars, {e: v for e, v in p.terms.items() if e[1] % 2 == parity})
+
+    even = t_parity(q_binomial_substitute(data.f.with_vars(xc), "+", c), 0)
+    big_g = data.g.with_vars(xc).jackson_antiderivative("x")
+    odd = t_parity(q_binomial_substitute(big_g, "+", c), 1)
+    return even + odd / speed_poly(odd.vars, c)
+
+
+def _stored(p: MPoly) -> tuple:
+    """What a body stores, in order: its variables and each term's exponents,
+    numerator and denominator, so equal means the same wire bytes."""
+    return p.vars, [(e, v.num, v.den) for e, v in p.terms.items()]
+
+
 class TestValueClasses:
     """InitialData and WaveSolution: fields, defaults, equality, repr, immutability."""
 
@@ -343,10 +366,8 @@ class TestDalembert:
         assert qwave_operator(u, Fraction(2)).is_zero()
 
     def test_postcondition_on_the_displacement(self, monkeypatch):
-        def doubled(p, sign, c):
-            return q_binomial_substitute(p, sign, c).scale(2)
-
-        monkeypatch.setattr(qwave, "q_binomial_substitute", doubled)
+        weights = qwave.q_binomial_weights
+        monkeypatch.setattr(qwave, "q_binomial_weights", lambda n: [2 * w for w in weights(n)])
         with pytest.raises(PostconditionError) as caught:
             dalembert_solve(InitialData.from_polys(X2, X2), Fraction(1))
         assert str(caught.value) == "solver postcondition failed: u(x, 0) != f"
@@ -462,6 +483,51 @@ class TestDalembert:
         gaps1 = [q0**k * c - q0 ** (k - 1) * c for k in range(1, 3)]
         gaps2 = [2 * g for g in gaps1]
         assert gaps1 != gaps2  # not a translate: the zero spacing scales
+
+
+@st.composite
+def _ivp_cases(draw):
+    """(f, g, speed): each datum in x, or in x and c, with rational or
+    q-dependent coefficients, at a rational, symbolic or q-dependent speed."""
+    def datum():
+        if draw(st.booleans()):
+            variables, degrees = ("x", "c"), st.tuples(st.integers(0, 7), st.integers(0, 2))
+        else:
+            variables, degrees = ("x",), st.tuples(st.integers(0, 7))
+        return MPoly(variables, draw(st.dictionaries(degrees, _OPERATOR_COEFS, max_size=6)))
+
+    speeds = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    c = draw(speeds | st.sampled_from(_OPERATOR_SPEEDS))
+    return datum(), datum(), c
+
+
+class TestAgainstTheParitySplit:
+    """The solver's one kernel pass per datum against the whole expansions
+    split by t-parity: the same terms, values and order, so the same bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_ivp_cases())
+    # only one datum has c, at a rational and at the symbolic speed
+    @example((MPoly(("x", "c"), {(2, 1): 1, (3, 0): 2}), X2, Fraction(5, 7)))
+    @example((X2, MPoly(("x", "c"), {(1, 1): 3, (4, 2): -1}), Fraction(-2)))
+    @example((X2, MPoly(("x", "c"), {(1, 1): CoefExpr.of(-q_int(2))}), SYMBOLIC_SPEED))
+    @example((MPoly.zero(("x",)), MPoly.zero(("x",)), Fraction(1)))
+    def test_drawn_polynomial_data(self, case):
+        f, g, c = case
+        data = InitialData(f, g)
+        assert _stored(dalembert_solve(data, c).body) == _stored(_parity_split_body(data, c))
+
+    @pytest.mark.parametrize("f_name, g_name, order, c", [
+        ("cos_q", "sin_q", 8, Fraction(5, 7)),
+        ("sin_q", "cos_q", 7, Fraction(-7, 3)),
+        ("q-gaussian", "sin_q", 4, Fraction(3, 4)),
+        ("q-gaussian", "q-gaussian", 3, Fraction(2)),
+        ("cos_q", "q-gaussian", 5, SYMBOLIC_SPEED),
+    ])
+    def test_named_series_data(self, f_name, g_name, order, c):
+        (f, f_exact), (g, g_exact) = (qwave.named_source(name, order) for name in (f_name, g_name))
+        data = InitialData(f, g, min(f_exact, g_exact))
+        assert _stored(dalembert_solve(data, c).body) == _stored(_parity_split_body(data, c))
 
 
 class TestNamedWave:
@@ -696,7 +762,8 @@ class TestSampleGrid:
     def test_table_cell_cap(self, monkeypatch):
         monkeypatch.setattr(qwave, "_MAX_TABLE_CELLS", 100)
         at_cap = WaveSolution(MPoly(("x", "t"), {(9, 9): 1}), CE_ONE, None, "direct-binomial")
-        assert sample_grid(at_cap, 0.5, 1.0, [2.0], [1.0])[0][2] == 2.0**9
+        [(_, _, value, _)] = sample_grid(at_cap, 0.5, 1.0, [2.0], [1.0])
+        assert value == 2.0**9
         over = WaveSolution(MPoly(("x", "t"), {(10, 9): 1, (0, 0): 1}), CE_ONE, None, "direct-binomial")
         with pytest.raises(ValueError, match="110 table cells, more than 100"):
             sample_grid(over, 0.5, 1.0, [0.0], [0.0])
@@ -708,8 +775,7 @@ class TestSampleGrid:
 
     def test_validity_flag_degrades_outside_range(self):
         ws = named_wave("cos_q", "-", Fraction(1), 6)
-        rows = sample_grid(ws, 0.5, 1.0, [0.1, 25.0], [0.0])
-        near, far = rows[0], rows[1]
+        near, far = sample_grid(ws, 0.5, 1.0, [0.1, 25.0], [0.0])
         assert near[3] is True or near[3] == 1
         assert not far[3]
 
@@ -746,14 +812,14 @@ class TestSampleGrid:
     # t = 0.5 but not at t = -1, so a row bound taken at max(t) would pass it
     @example(_SIGNED, 0.5, 1.0, [7e-7], [-1.0, 0.5])
     def test_bit_identical_to_the_two_horner_kernel(self, wave, q, c, xs, ts):
-        assert sample_grid(wave, q, c, xs, ts) == _sample_grid_two_horner(wave, q, c, xs, ts)
+        assert list(sample_grid(wave, q, c, xs, ts)) == _sample_grid_two_horner(wave, q, c, xs, ts)
 
     def test_rows_with_and_without_a_tail_bound_match_the_two_horner_kernel(self):
         wave = _cos_sin_wave(20)
         # at q = 0.5 the band over t in [0, 1] is within 1e-6 on the rows near
         # x = 0 and not on the rows near |x| = 1
         xs, ts = [k / 20 for k in range(-20, 21)], [k / 4 for k in range(5)]
-        rows = sample_grid(wave, 0.5, 1.0, xs, ts)
+        rows = list(sample_grid(wave, 0.5, 1.0, xs, ts))
         assert rows == _sample_grid_two_horner(wave, 0.5, 1.0, xs, ts)
         assert {r[3] for r in rows} == {True, False}
 
@@ -761,7 +827,7 @@ class TestSampleGrid:
         body = MPoly(("x", "t"), {(2, 0): 1, (1, 1): -3, (0, 3): 2})
         wave = WaveSolution(body, CE_ONE, None, "direct-binomial")
         xs, ts = [-2.0, -0.5, 0.0, 1.5, 40.0], [-3.0, 0.0, 2.5]
-        rows = sample_grid(wave, 0.5, 1.0, xs, ts)
+        rows = list(sample_grid(wave, 0.5, 1.0, xs, ts))
         assert rows == _sample_grid_two_horner(wave, 0.5, 1.0, xs, ts)
         assert all(r[3] is True for r in rows)
 
@@ -770,7 +836,7 @@ class TestSampleGrid:
         wave = _cos_sin_wave(20)
         # (0, 0) is inside the truncation's validity and (x, 6) outside it
         xs, ts = [-1.0, -0.35, 0.0, 0.2, 1.0], [-6.0, -0.5, 0.0, 0.3, 1.0, 6.0]
-        rows = sample_grid(wave, q, 1.0, xs, ts)
+        rows = list(sample_grid(wave, q, 1.0, xs, ts))
         assert rows == _sample_grid_two_horner(wave, q, 1.0, xs, ts)
         assert {r[3] for r in rows} == {True, False}
 
@@ -825,15 +891,8 @@ class TestSampleGrid:
         expected = _sample_grid_two_horner(_MIXED, 0.5, 1.0, _MIXED_XS, _MIXED_TS)
         assert {r[3] for r in expected} == {True, False}
         assert len(rows) == len(expected) == 12
-        assert _bits(iter(rows)) == _bits(expected)
-        assert _bits(rows[i] for i in range(-12, 12)) == _bits(expected + expected)
-        for index in (12, -13):
-            with pytest.raises(IndexError):
-                rows[index]
-        assert rows == expected and expected == rows
-        assert rows != expected[:-1] and expected[:-1] != rows
-        assert rows != expected[::-1] and expected[::-1] != rows
-        assert rows == sample_grid(_MIXED, 0.5, 1.0, _MIXED_XS, _MIXED_TS)
+        # x-major iteration, the same on a second pass
+        assert _bits(rows) == _bits(rows) == _bits(expected)
 
     def test_certified_row_names_its_first_non_finite_point(self):
         # a polynomial body certifies every row; x t^2 leaves the float range
