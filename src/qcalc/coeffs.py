@@ -52,14 +52,15 @@ The q-combinatorics live here too, below the tower they are built from:
 q-integers, q-factorials, their ratios and Gaussian binomial coefficients
 are step-2 LaurentPoly values (exponents even), each table one public function
 under functools.lru_cache, the package's one cache idiom, caching only the
-entries asked for.  Past q_int, each table is one call of _q_products, a
-product of factors (1 - q**a) / (1 - q**b) by two-term steps on one int
-list in q, so nothing recurses and nothing below the entry is built.  They
-serve elsewhere as exact common-denominator multipliers.
+entries asked for.  Past q_int, each table is the last partial product of
+one _q_products pass, factors (1 - q**a) / (1 - q**b) by two-term steps on
+one int list in q, and a table row (q-binomial weights, a q-Hermite
+polynomial) is read off the partials of one pass, so nothing recurses.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -1022,13 +1023,14 @@ def q_int_reciprocal(n: int) -> LaurentPoly:
     return q_int(n).invert_s()
 
 
-def _q_products(tops, bottoms) -> LaurentPoly:
-    """prod(1 - q**a) / prod(1 - q**b) over zip(tops, bottoms), a, b >= 1, each
-    partial product a polynomial in q, on one int list: times 1 - q**a is a
-    shifted subtraction, over 1 - q**b is c[j] = p[j] + c[j - b], whose top b
-    entries are the remainder (ArithmeticError unless they are zero).  The
-    list in q is the step-2 value's stored vector as it stands."""
+def _q_products(tops, bottoms):
+    """Yield the partial products of prod(1 - q**a) / prod(1 - q**b) over zip(tops,
+    bottoms), a, b >= 1, from 1 to the whole, each a polynomial in q, on one int
+    list: times 1 - q**a is a shifted subtraction, over 1 - q**b is c[j] = p[j] +
+    c[j - b], whose top b entries are the remainder (ArithmeticError unless they are
+    zero).  Each list is its partial's step-2 stored vector, never changed after."""
     c = [1]
+    yield LP_ONE
     for a, b in zip(tops, bottoms):
         p = c + [0] * a
         p[a:] = map(sub, p[a:], c)
@@ -1037,7 +1039,7 @@ def _q_products(tops, bottoms) -> LaurentPoly:
         if any(p[-b:]):
             raise ArithmeticError(f"1 - q**{b} leaves a remainder")
         c = p[:-b]
-    return _canonical(0, 1, c, None, 2)
+        yield _canonical(0, 1, c, None, 2)
 
 
 @lru_cache(maxsize=None)
@@ -1045,7 +1047,7 @@ def q_factorial(n: int) -> LaurentPoly:
     """Product of the q-integers 1..n; q_factorial(0) = 1."""
     if n < 0:
         raise UnsupportedOrderError("q-factorials are defined for n >= 0 only")
-    return _q_products(range(1, n + 1), repeat(1))
+    return deque(_q_products(range(1, n + 1), repeat(1)), maxlen=1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -1054,7 +1056,7 @@ def factorial_ratio(n: int, k: int) -> LaurentPoly:
     the q-integers k+1 .. n, each (1 - q**j) / (1 - q)."""
     if not 0 <= k <= n:
         raise UnsupportedOrderError("factorial_ratio needs 0 <= k <= n")
-    return _q_products(range(k + 1, n + 1), repeat(1))
+    return deque(_q_products(range(k + 1, n + 1), repeat(1)), maxlen=1)[0]
 
 
 @lru_cache(maxsize=None)
@@ -1065,4 +1067,4 @@ def gauss_binomial(n: int, k: int) -> LaurentPoly:
     if not 0 <= k <= n:
         raise UnsupportedOrderError("gauss_binomial needs 0 <= k <= n")
     k = min(k, n - k)
-    return _q_products(range(n, n - k, -1), range(1, k + 1))
+    return deque(_q_products(range(n, n - k, -1), range(1, k + 1)), maxlen=1)[0]

@@ -2,10 +2,10 @@
 
 Every family is built from its closed form, the sum read off the generating
 function e_q(-t^2) e_q([2]_q t x): the coefficient of x^(n-2k) is
-(-1)^k [n]_q! [2]_q^(n-2k) / ([k]_q! [n-2k]_q!), one _q_products call.  The
-classical family is the same sum in integers at q = 1, and the dual family is
-read off the q-family coefficient by coefficient.  The recurrences are
-exercised in the test suite rather than used to build.
+(-1)^k [n]_q! [2]_q^(n-2k) / ([k]_q! [n-2k]_q!), every third partial of one
+_q_products pass.  The classical family is the same sum in integers at q = 1,
+and the dual family is read off the q-family coefficient by coefficient.  The
+recurrences are exercised in the test suite rather than used to build.
 
 Every family is one public function cached with functools.lru_cache, the
 package's one cache idiom, caching only the entry asked for, and every
@@ -15,7 +15,7 @@ returned value is immutable.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import factorial
 
 from .coeffs import CE_ZERO, CoefExpr, UnsupportedOrderError, _q_products, factorial_ratio
@@ -55,14 +55,12 @@ def q_hermite(n: int) -> MPoly:
     """
     if n < 0:
         raise UnsupportedOrderError("Hermite degree must be >= 0")
-    terms = {}
-    for k in range(n // 2 + 1):
-        d = n - 2 * k
-        # [d+k choose k], then times [m]_q for m = d+k+1 .. n, then times
-        # [2]_q = (1 - q**2)/(1 - q) d times: every partial product a polynomial
-        tops = chain(range(d + 1, n + 1), repeat(2, d))
-        coef = _q_products(tops, chain(range(1, k + 1), repeat(1)))
-        terms[(d,)] = CoefExpr(-coef if k % 2 else coef)
+    # [2]_q^n = ((1 - q**2)/(1 - q))^n, then coefficient k from k - 1, d = n - 2k + 2, by
+    # (1 - q**d)/(1 - q**2), (1 - q**(d-1))/(1 - q**2), (1 - q)/(1 - q**k), all partials polynomials
+    tops = chain(repeat(2, n), *((d, d - 1, 1) for d in range(n, 1, -2)))
+    bottoms = chain(repeat(1, n), *((2, 2, k) for k in range(1, n // 2 + 1)))
+    coefs = islice(_q_products(tops, bottoms), n, None, 3)
+    terms = {(n - 2 * k,): CoefExpr(-c if k % 2 else c) for k, c in enumerate(coefs)}
     return MPoly._raw(("x",), terms)
 
 

@@ -21,8 +21,8 @@ double-q-analytic check builds each (z + i w)_q^n once, and reuses it at the
 next n as the lowered power.
 
 Series identities are checked coefficient-by-coefficient with sums brought
-over the common denominator [n]_q! using the cached Gaussian-binomial and
-factorial-ratio tables (exact polynomial multipliers, no folding blowup).
+over the common denominator [n]_q! using the cached q-binomial weight rows
+and q-factorial tables (exact polynomial multipliers, no folding blowup).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .polys import (
     q_binomial_weights,
     q_laplacian,
 )
-from .qcore import gauss_binomial, q_factorial, q_int
+from .qcore import q_factorial, q_int
 from .qwave import SYMBOLIC_SPEED, q_binomial_substitute, speed_poly
 
 __all__ = [
@@ -265,25 +265,25 @@ def verify_exp_product(order: int, q_samples=None):
     order, plus exact spot checks at each rational q of q_samples (default 1/2, 3/4, 2)."""
     one_minus_q = LaurentPoly({0: 1, 2: -1})
     one_plus_q = q_int(2)
-    lhs_all, rhs_all = [], []
+    sides = []
     for n in range(order + 1):
-        num = sum((gauss_binomial(n, k) * (-1) ** (n - k) for k in range(n + 1)), LP_ZERO)
+        weights = enumerate(q_binomial_weights(n))  # weight_k = gauss(n, k) q^(k(k-1)/2)
+        num = sum((w.shift(-k * (k - 1)) * (-1) ** (n - k) for k, w in weights), LP_ZERO)
         lhs = CoefExpr(num, q_factorial(n))
         if n % 2:
             rhs = CoefExpr.of(0)
         else:
             m = n // 2
             rhs = CoefExpr(one_minus_q**m, one_plus_q**m * q_factorial(m).stretch(2))
-        lhs_all.append(lhs)
-        rhs_all.append(rhs)
+        sides.append((lhs, rhs))
         if lhs != rhs:
             yield lhs - rhs, f"coefficient of x^{n} differs"
     for q in (Fraction(1, 2), Fraction(3, 4), Fraction(2)) if q_samples is None else q_samples:
         q = Fraction(q)
         if q == -1:
             raise PoleError("q = -1 is a pole of (1-q)/(1+q); sample rejected")
-        for n in range(order + 1):
-            if lhs_all[n].eval_q(q) != rhs_all[n].eval_q(q):
+        for n, (lhs, rhs) in enumerate(sides):
+            if lhs.eval_q(q) != rhs.eval_q(q):
                 yield None, f"spot check failed at q={q}, x^{n}"
 
 

@@ -31,8 +31,8 @@ from .coeffs import (
     LaurentPoly,
     PoleError,
     UnsupportedOrderError,
+    _q_products,
     factorial_ratio,
-    gauss_binomial,
     power,
     q_int,
 )
@@ -66,10 +66,12 @@ def coef_to_complex(c: CoefExpr, q_value: float, dens: dict | None = None) -> co
     """Floating-point image of an exact coefficient at numeric q > 0.
 
     The only place where symbolic values meet floats; used by grid sampling.
-    dens memoizes denominator images; it belongs to one sampling pass, at one
-    q, so each distinct denominator of the pass is converted once.
-    Raises OverflowError when the value itself is out of float range.
+    dens memoizes denominator images; it belongs to one sampling pass, at one q,
+    so each distinct denominator of the pass is converted once.  Raises
+    ValueError unless q is finite and > 0, OverflowError for a value out of float range.
     """
+    if not 0 < q_value < float("inf"):  # nan fails both
+        raise ValueError(f"numeric evaluation needs a finite q > 0, not {q_value!r}")
     if dens is None:
         dens = {}
     s = q_value**0.5
@@ -385,10 +387,12 @@ class MPoly:
 @lru_cache(maxsize=None)
 def q_binomial_weights(n: int) -> tuple[LaurentPoly, ...]:
     """Weights gauss(n, k) * q^(k(k-1)/2), k = 0..n, of the closed form
-    (a + b)(a + qb)...(a + q^(n-1) b) = sum_k weight_k a^(n-k) b^k."""
+    (a + b)(a + qb)...(a + q^(n-1) b) = sum_k weight_k a^(n-k) b^k; gauss(n, k) is
+    a partial of one _q_products pass for k <= n/2 and the mirror of one past it."""
     if n < 0:
         raise UnsupportedOrderError("q-binomial weights need n >= 0")
-    return tuple(gauss_binomial(n, k).shift(k * (k - 1)) for k in range(n + 1))
+    half = list(_q_products(range(n, n - n // 2, -1), range(1, n // 2 + 1)))
+    return tuple(half[min(k, n - k)].shift(k * (k - 1)) for k in range(n + 1))
 
 
 def q_binomial_expand(p: MPoly, var: str, b: MPoly) -> MPoly:

@@ -13,8 +13,10 @@ from __future__ import annotations
 from .coeffs import (
     CoefExpr,
     LP_ONE,
+    LP_ZERO,
     LaurentPoly,
     UnsupportedOrderError,
+    _q_products,
     factorial_ratio,
     gauss_binomial,
     q_factorial,
@@ -56,7 +58,6 @@ def q_trig_series(kind: str, order: int) -> MPoly:
     """q-cosine / q-sine series through degree order, as an MPoly in x,
     normalised so that the q-derivative of sin is cos and the q-derivative of
     cos is -sin, degree by degree."""
-    kind = {"cos_q": "cos", "sin_q": "sin"}.get(kind, kind)
     if kind not in ("cos", "sin"):
         raise ValueError("q-trigonometric kind must be 'cos' or 'sin'")
     if order < 0:
@@ -71,8 +72,8 @@ def q_trig_series(kind: str, order: int) -> MPoly:
 
 def q_euler_number(order: int) -> CoefExpr:
     """Partial sum of reciprocal q-factorials 0..order as a single fraction
-    over the common denominator [order]_q!."""
+    over the common denominator [order]_q!, all from the partials of one pass."""
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
-    num = sum((factorial_ratio(order, n) for n in range(order)), LP_ONE)  # n = order: 1
-    return CoefExpr(num, q_factorial(order))
+    partials = list(_q_products(range(order, 0, -1), [1] * order))  # [order]_q!/[n]_q!, n <= order
+    return CoefExpr(sum(partials, LP_ZERO), partials[-1])

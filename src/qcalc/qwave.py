@@ -269,7 +269,7 @@ def named_source(name: str, order: int) -> tuple[MPoly, int]:
     if order < 0:
         raise UnsupportedOrderError("order must be >= 0")
     if name in ("cos_q", "sin_q"):
-        return q_trig_series(name, order), order
+        return q_trig_series(name.removesuffix("_q"), order), order
     if name == "q-gaussian":
         source = MPoly(
             ("x",),
@@ -371,7 +371,7 @@ def sample_grid(u: WaveSolution, q_value, c_value, x_grid, t_grid):
             monomial = "*".join(f"{name}^{k}" for name, k in exps.items() if k) or "1"
             message = f"coefficient of {monomial} at q={q_value!r} is out of float range"
             raise OverflowError(message) from None
-        v = complex(z) * c_power
+        v = z * c_power
         terms.append((exps.get("x", 0), exps.get("t", 0), v))
     width = 1 + max((a for a, _, _ in terms), default=0)
     height = 1 + max((b for _, b, _ in terms), default=0)

@@ -1,7 +1,9 @@
 """Hermite family tests: printed values, recurrences, limits, expansions."""
 
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import chain, repeat
 
 import pytest
 
@@ -11,6 +13,7 @@ from qcalc.coeffs import (
     LaurentPoly,
     LP_ONE,
     UnsupportedOrderError,
+    _q_products,
 )
 from qcalc.hermite import (
     hermite_classical,
@@ -33,6 +36,19 @@ def _classical_oracle(n):
             math.factorial(m) * math.factorial(d),
         )
         terms[(d,)] = coef
+    return MPoly(("x",), terms)
+
+
+def _q_hermite_per_coefficient(n):
+    """q_hermite(n) by one kernel pass per coefficient, an independent order
+    of the same factors: [d+k choose k], times [m]_q for m = d+k+1 .. n,
+    times [2]_q = (1 - q**2)/(1 - q) d times."""
+    terms = {}
+    for k in range(n // 2 + 1):
+        d = n - 2 * k
+        tops = chain(range(d + 1, n + 1), repeat(2, d))
+        coef = deque(_q_products(tops, chain(range(1, k + 1), repeat(1))), maxlen=1)[0]
+        terms[(d,)] = -coef if k % 2 else coef
     return MPoly(("x",), terms)
 
 
@@ -76,6 +92,11 @@ class TestQHermite:
                 coef = gauss_binomial(n, 2 * k) * factorial_ratio(2 * k, k) * two**d
                 terms[(d,)] = -coef if k % 2 else coef
             assert q_hermite(n) == MPoly(("x",), terms)
+
+    def test_against_per_coefficient_passes(self):
+        for n in range(31):
+            assert q_hermite(n) == _q_hermite_per_coefficient(n), n
+            assert list(q_hermite(n).terms) == list(_q_hermite_per_coefficient(n).terms)
 
     def test_printed_low_degrees(self):
         two = q_int(2)

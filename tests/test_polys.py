@@ -30,7 +30,7 @@ from qcalc.polys import (
     q_binomial_weights,
     q_laplacian,
 )
-from qcalc.qcore import q_factorial, q_int, q_int_reciprocal
+from qcalc.qcore import gauss_binomial, q_factorial, q_int, q_int_reciprocal
 from qcalc.qwave import SYMBOLIC_SPEED, q_binomial_substitute
 from qcalc.serialize import mpoly_to_json
 
@@ -391,6 +391,15 @@ class TestQBinomialPower:
                 q_binomial_weights(n)
         assert q_binomial_weights(0) == (LaurentPoly.const(1),)
 
+    def test_weights_row_against_gauss_binomial(self):
+        # the row is one pass's partials and their mirror; gauss_binomial
+        # builds each entry by a pass of its own
+        for n in range(41):
+            weights = q_binomial_weights(n)
+            assert len(weights) == n + 1
+            for k, w in enumerate(weights):
+                assert w == gauss_binomial(n, k).shift(k * (k - 1)), (n, k)
+
 
 class TestPairOperators:
     def test_dbar_examples(self):
@@ -653,6 +662,15 @@ class TestCoefToComplex:
         c = CoefExpr(q_factorial(20), q_factorial(19))
         for q in (100.0, 0.01):
             assert coef_to_complex(c, q) == pytest.approx((q**20 - 1) / (q - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, -0.0, float("inf"), float("-inf"), float("nan")])
+    def test_refuses_q_not_finite_and_positive(self, q):
+        # one line, as sample_grid refuses them, and never a TypeError or an inf/nan value
+        c = CoefExpr(q_factorial(3), q_int(2))
+        with pytest.raises(ValueError) as raised:
+            coef_to_complex(c, q)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"numeric evaluation needs a finite q > 0, not {q!r}"
 
 
 @pytest.mark.parametrize(

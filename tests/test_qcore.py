@@ -7,12 +7,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from functools import lru_cache
+from itertools import repeat
 
 import pytest
 
 import qcalc
+from qcalc import coeffs, hermite, polys, qcore
 from qcalc.coeffs import CoefExpr, GaussianRational, LaurentPoly, LP_ONE, _q_products
-from qcalc.polys import MPoly
+from qcalc.hermite import q_hermite
+from qcalc.polys import MPoly, q_binomial_weights
 from qcalc.qcore import (
     factorial_ratio,
     gauss_binomial,
@@ -82,9 +85,32 @@ class TestProductKernel:
                 assert factorial_ratio(n, k) == expected, (n, k)
 
     def test_remainder_raises(self):
-        # (1 - q^3) / (1 - q^2) is not a polynomial
+        # (1 - q^3) / (1 - q^2) is not a polynomial; the pass is lazy, so the
+        # remainder shows when the step is taken
         with pytest.raises(ArithmeticError):
-            _q_products((3,), (2,))
+            list(_q_products((3,), (2,)))
+
+    def test_partials_are_the_running_products(self):
+        partials = list(_q_products(range(1, 9), repeat(1)))
+        assert partials == _running_products(0, 8)
+        assert partials[0] is LP_ONE
+
+    def test_one_pass_per_row(self, monkeypatch):
+        # the q-binomial weights and a q-Hermite polynomial each read their
+        # whole row off the partials of one kernel pass
+        passes = []
+
+        def counted(tops, bottoms):
+            passes.append((tops, bottoms))
+            return _q_products(tops, bottoms)
+
+        for module in (coeffs, polys, hermite, qcore):
+            monkeypatch.setattr(module, "_q_products", counted)
+        for row in (q_binomial_weights, q_hermite):
+            for n in (0, 1, 2, 9, 24):
+                passes.clear()
+                row.__wrapped__(n)  # past the cache
+                assert len(passes) == 1, (row.__name__, n, len(passes))
 
 
 class TestQInt:
@@ -349,8 +375,11 @@ class TestTruncSeries:
          "factorial_ratio needs 0 <= k <= n"),
         (lambda: q_trig_series("tan", 3), ValueError,
          "q-trigonometric kind must be 'cos' or 'sin'"),
+        # the CLI's datum names are named_source's spelling, not the series'
+        (lambda: q_trig_series("cos_q", 3), ValueError,
+         "q-trigonometric kind must be 'cos' or 'sin'"),
     ],
-    ids=["q-factorial", "factorial-ratio", "trig-kind"],
+    ids=["q-factorial", "factorial-ratio", "trig-kind", "trig-datum-name"],
 )
 def test_refusals(call, error, message):
     with pytest.raises(error) as raised:
