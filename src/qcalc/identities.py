@@ -14,11 +14,12 @@ The four Hermite-expansion identities (the classical binomial, the xi forms,
 the q-binomial and the traveling wave) build their right sides through one
 pair sum, _pair_sum, in the q family or its classical limit, over lists of
 Hermite polynomials each substituted directly at a one-term argument (_at):
-every pair's numerator products go straight into one dict of Laurent sums,
-with no MPoly made per pair, and only the surviving sums become CoefExpr
-values, each form's own scale joining the final two^-n in that pass.  The
-double-q-analytic check builds each (z + i w)_q^n once, and reuses it at the
-next n as the lowered power.
+every pair's numerator products go straight into one polys._sum_into of
+Laurent sums, with no MPoly made per pair, and only the surviving sums become
+CoefExpr values, each form's own scale joining the final two^-n in that pass.
+The operator exponentials of the q-Laplacian check (_exp_sum) go through the
+same cancelling sum in one pass.  The double-q-analytic check builds each
+(z + i w)_q^n once, and reuses it at the next n as the lowered power.
 
 Series identities are checked coefficient-by-coefficient with sums brought
 over the common denominator [n]_q! using the cached q-binomial weight rows
@@ -51,6 +52,7 @@ from .polys import (
     MPoly,
     _map_var,
     _q_derivative_op,
+    _sum_into,
     d_operator,
     dbar_operator,
     q_binomial_power,
@@ -171,33 +173,28 @@ def _pair_sum(n: int, h_a: list, h_b: list, q: bool, scale=1) -> MPoly:
     Every coefficient of the lists is over LP_ONE, as _at makes them, so
     the pairs multiply numerators: each one of the factor with fewer terms,
     times w_k i^k (fewer coefficient products than weighting the pair's
-    product), times each one of the other, into one dict of Laurent sums
-    that a monomial leaves as soon as its sum cancels.  Only the surviving
-    sums become CoefExpr values, each times the scale and two^-n."""
+    product), times each one of the other, into one polys._sum_into of
+    Laurent sums.  Only the surviving sums become CoefExpr values, each
+    times the scale and two^-n."""
     if q:
         weights, two = q_binomial_weights(n), q_int(2)
     else:
         weights, two = [LaurentPoly.const(math.comb(n, k)) for k in range(n + 1)], 2
-    out: dict[tuple[int, ...], LaurentPoly] = {}
-    for k, weight in enumerate(weights):
-        a, b = h_a[n - k].terms, h_b[k].terms
-        if len(a) > len(b):
-            a, b = b, a
-        w = weight * _I_POWERS[k % 4]
-        for ea, ca in a.items():
-            ca = ca.num * w
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                v = ca * cb.num
-                prev = out.get(e)
-                if prev is not None:
-                    v = prev + v
-                if v.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = v
+
+    def products():
+        for k, weight in enumerate(weights):
+            a, b = h_a[n - k].terms, h_b[k].terms
+            if len(a) > len(b):
+                a, b = b, a
+            w = weight * _I_POWERS[k % 4]
+            for ea, ca in a.items():
+                ca = ca.num * w
+                for eb, cb in b.items():
+                    yield tuple(map(add, ea, eb)), ca * cb.num
+
     c = CoefExpr.of(scale) / two**n
-    return MPoly._raw(h_a[0].vars, {e: CoefExpr(v) * c for e, v in out.items()})
+    sums = _sum_into({}, products())
+    return MPoly._raw(h_a[0].vars, {e: CoefExpr(v) * c for e, v in sums.items()})
 
 
 @_verifier("hermite-binomial", "n_max", 12)
@@ -293,10 +290,10 @@ def verify_exp_factorization(order: int):
     and the corollary that e_q(-t^2) e_{1/q}(t^2) collapses to 1."""
     vs = ("x", "y")
     for n in range(order + 1):
-        for k in range(n + 1):
+        for k, weight in enumerate(q_binomial_weights(n)):
             a, b = n - k, k
             lhs = CoefExpr(LaurentPoly.term(b * (b - 1)), q_factorial(a) * q_factorial(b))
-            rhs = CoefExpr(q_binomial_weights(n)[k], q_factorial(n))
+            rhs = CoefExpr(weight, q_factorial(n))
             if lhs != rhs:
                 res = MPoly(vs, {(a, b): lhs - rhs})
                 yield res, f"coefficient x^{a} y^{b} differs"
@@ -327,8 +324,10 @@ def verify_double_q_analytic(n_max: int):
 
 def _exp_sum(weights: list, images: list) -> MPoly:
     """sum_j weights[j] images[j], images[j] the j-fold image of one polynomial
-    under an operator, read while both lists last: that operator's exponential."""
-    return sum((image.scale(w) for w, image in zip(weights, images)), MPoly.zero(images[0].vars))
+    under an operator, read while both lists last: that operator's exponential,
+    in one _sum_into pass over the weighted terms."""
+    terms = ((e, c * w) for w, image in zip(weights, images) for e, c in image.terms.items())
+    return MPoly._raw(images[0].vars, _sum_into({}, terms))
 
 
 @_verifier("q-laplacian", "n_max", 8)

@@ -13,6 +13,11 @@ and the wave substitution in qwave) are calls with one operator; the
 holomorphic-pair operators on (z, w), the q-Laplacian family and
 qwave.qwave_operator are calls with two.  The Jackson integral enters the
 solver only in exact form, as the antiderivative.
+
+One cancelling sum, _sum_into, adds terms into a dict and drops a monomial
+as soon as its coefficients cancel.  MPoly sums and products, _map_var and
+the pair and exponential sums of identities each generate their terms and
+leave the adding to it.
 """
 
 from __future__ import annotations
@@ -109,6 +114,24 @@ def _distinct_names(variables) -> tuple[str, ...]:
     return names
 
 
+def _sum_into(out: dict, items) -> dict:
+    """Add each (key, value) of items into out and return out: the one
+    cancelling sum behind every sum of terms.  A key is dropped from out as
+    soon as its sum is zero, so no zero is ever stored and cancelling parts of
+    a sum are never held at once; a key that cancels and comes back is added
+    anew."""
+    get, pop = out.get, out.pop
+    for key, v in items:
+        prev = get(key)
+        if prev is not None:
+            v = prev + v
+        if v.is_zero():
+            pop(key, None)
+        else:
+            out[key] = v
+    return out
+
+
 class MPoly:
     """Sparse polynomial in named variables with CoefExpr coefficients."""
 
@@ -197,18 +220,7 @@ class MPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del out[e]
-                else:
-                    out[e] = v
-        return MPoly._raw(self.vars, out)
+        return MPoly._raw(self.vars, _sum_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -228,26 +240,11 @@ class MPoly:
             return self.scale(other)
         self._check_vars(other)
         a, b = self.terms, other.terms
-        if not a or not b:
-            return MPoly._raw(self.vars, {})
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], CoefExpr] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                p = ca * cb
-                v = out.get(e)
-                if v is None:
-                    if not p.is_zero():
-                        out[e] = p
-                else:
-                    v = v + p
-                    if v.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = v
-        return MPoly._raw(self.vars, out)
+        products = ((tuple(map(add, ea, eb)), ca * cb)
+                    for ea, ca in a.items() for eb, cb in b.items())
+        return MPoly._raw(self.vars, _sum_into({}, products))
 
     __rmul__ = __mul__
 
@@ -421,11 +418,9 @@ def _map_var(p: MPoly, ops) -> MPoly:
     coef * w * var**(n-k) * b**k * rest.
 
     Each b is a one-term polynomial over p's variables; a zero b is the term 0.
-    Each term of p goes through every operator into one sum, which a monomial
-    leaves as soon as its coefficients cancel, so cancelling parts of the
-    result are never held at once.  The powers b**k are built once per
-    operator.  When b's coefficient is 1 each output term costs one multiply,
-    and none when its weight is LP_ONE.
+    Each term of p goes through every operator into one _sum_into.  The
+    powers b**k are built once per operator.  When b's coefficient is 1 each
+    output term costs one multiply, and none when its weight is LP_ONE.
     """
     zero = (0,) * len(p.vars)
     prepared = []
@@ -438,26 +433,19 @@ def _map_var(p: MPoly, ops) -> MPoly:
         step = step[:i] + (step[i] - 1,) + step[i + 1 :]  # var**-1 * b
         powers = [(zero, CE_ONE)]  # var**-k * b**k as (exponent shift, coefficient)
         prepared.append((i, pairs, step, b_coef, b_coef == CE_ONE, powers))
-    out: dict[tuple[int, ...], CoefExpr] = {}
-    for e, coef in p.terms.items():
-        for i, pairs, step, b_coef, unit, powers in prepared:
-            for k, w in pairs(e[i]):
-                while len(powers) <= k:
-                    shift, c = powers[-1]
-                    powers.append((tuple(map(add, shift, step)), c * b_coef))
-                shift, c = powers[k]
-                key = tuple(map(add, e, shift))
-                v = coef if w is LP_ONE else coef * w
-                if not unit:
-                    v = v * c
-                prev = out.get(key)
-                if prev is not None:
-                    v = prev + v
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return MPoly._raw(p.vars, out)
+
+    def images():
+        for e, coef in p.terms.items():
+            for i, pairs, step, b_coef, unit, powers in prepared:
+                for k, w in pairs(e[i]):
+                    while len(powers) <= k:
+                        shift, c = powers[-1]
+                        powers.append((tuple(map(add, shift, step)), c * b_coef))
+                    shift, c = powers[k]
+                    v = coef if w is LP_ONE else coef * w
+                    yield tuple(map(add, e, shift)), v if unit else v * c
+
+    return MPoly._raw(p.vars, _sum_into({}, images()))
 
 
 def _q_derivative_op(variables, name: str, direction: str, order: int = 1, b=None, scale=None):

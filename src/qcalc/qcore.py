@@ -5,10 +5,14 @@ coeffs (MPoly needs them, so they sit below polys) and re-exported here.
 
 A truncated series is a univariate MPoly over ("x",) of degree <= order;
 the order travels beside it (InitialData.order, WaveSolution.order), since
-the polynomial alone cannot say where its truncation lies.
+the polynomial alone cannot say where its truncation lies.  Each series
+reads its q-factorials [0]_q! .. [order]_q! off the partials of one
+_q_products pass.
 """
 
 from __future__ import annotations
+
+from itertools import islice, repeat
 
 from .coeffs import (
     CoefExpr,
@@ -48,9 +52,9 @@ def q_exp_series(kind: str, order: int) -> MPoly:
     if order < 0:
         raise UnsupportedOrderError("series order must be >= 0")
     terms = {}
-    for n in range(order + 1):
+    for n, factorial in enumerate(_q_products(range(1, order + 1), repeat(1))):
         num = LP_ONE if kind == "e" else LaurentPoly.term(n * (n - 1))
-        terms[(n,)] = CoefExpr(num, q_factorial(n))
+        terms[(n,)] = CoefExpr(num, factorial)
     return MPoly(("x",), terms)
 
 
@@ -64,9 +68,10 @@ def q_trig_series(kind: str, order: int) -> MPoly:
         raise UnsupportedOrderError("series order must be >= 0")
     parity = 0 if kind == "cos" else 1
     terms = {}
-    for n in range(parity, order + 1, 2):
+    factorials = enumerate(_q_products(range(1, order + 1), repeat(1)))  # (n, [n]_q!)
+    for n, factorial in islice(factorials, parity, None, 2):
         sign = LP_ONE if n // 2 % 2 == 0 else LaurentPoly.const(-1)
-        terms[(n,)] = CoefExpr(sign, q_factorial(n))
+        terms[(n,)] = CoefExpr(sign, factorial)
     return MPoly(("x",), terms)
 
 

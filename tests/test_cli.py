@@ -1,9 +1,11 @@
 """Command-line contract tests: exit codes, JSON payloads, CSV sampling."""
 
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import stat
 import threading
 import time
@@ -1283,3 +1285,35 @@ class TestStreamedJson:
         # one write per term, and one each for the head, the tail and "\n"
         assert len(writes) == len(json.loads(expected)["terms"]) + 3
         assert "".join(writes) == expected
+
+
+# sha256 of the stdout of small commands, the elapsed "ms" of each verdict set
+# to 0: a change meant to keep the output must keep these bytes
+_PINNED_STDOUT = {
+    "solve --f-named cos_q --g-named sin_q --c 5/7 --order 20":
+        "799b54788315f003744e50dcf31cf7f42e6670c624b1e9bd23baec843b0b58e6",
+    "solve --f 0,0,1 --g-named neg-2q-cx --c -3/2":
+        "894a4a2e0c6b33f8cf18ce1b8c71f869742fa6da1f22e2f4e44498b775666f0d",
+    "solve --f 1/3,-2/7,5/11 --g 3/4,1/9 --c 7/3":
+        "9b98ab62fa39deff00c38469d7f72004231aa30f9900d6f918b180ec7e324196",
+    "solve --f-named q-gaussian --g-named sin_q --c 3/4 --order 6":
+        "2d491d4e3f621267bb38f03c16a30c90c4bda0b226df0de058a5025be5711c71",
+    "hermite --n 20": "82658325e10e39008b6f35c2b4b41992784ed14a439e7c65fa9913a0dd8e7367",
+    "hermite --n 20 --kind inverse-q":
+        "4d8871ffe242e5daf7b52f1cf96a6d5db9a16a92212e0c24af3409268d04e2a2",
+    "hermite --n 20 --kind classical":
+        "35f6ccf6953bd41d3757137c5782f06d4bd3e410a5ac7d7aa8ff3116c2c9c5e4",
+    "expand --binomial z+iw --n 20":
+        "0478f2bb9fb33304e9af6320a1549b1bc876bc4ffcb15c4910b79f3e03ce69f7",
+    "expand --binomial x+ct --n 20":
+        "d5ff5db31059682c134f56e64901d1242be66f4677589b5bd7ab77a4e71438c5",
+    "verify --identity all": "1e0ce586e9a3f3550aad7adfa7f8a54080dcf62cb70eddaaefb0f0b2d85f819b",
+}
+
+
+@pytest.mark.parametrize("command", _PINNED_STDOUT)
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    out = re.sub(r'"ms":[0-9.eE+-]+', '"ms":0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[command]

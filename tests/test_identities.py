@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcalc import identities
 from qcalc.coeffs import CoefExpr, GR_I, LP_ONE, PoleError, UnsupportedOrderError
@@ -28,6 +30,7 @@ from qcalc.qcore import gauss_binomial, q_factorial, q_int
 from qcalc.coeffs import LaurentPoly
 from qcalc.qwave import q_binomial_substitute
 from qcalc.serialize import coef_from_json, mpoly_from_json, verdict_to_json
+from test_polys import _ZW_COEFS, _zw_polys
 
 
 def test_all_verifiers_pass_at_small_ranges():
@@ -236,6 +239,25 @@ def test_pair_sum_matches_the_composed_route():
                 # (z + i w)^n: the lower degrees of every H_{n-k} H_k cancel
                 assert {sum(e) for e in got.terms} == {n}
                 assert n < 2 or min(map(sum, h_a[n].terms)) < n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_ZW_COEFS, _zw_polys()), min_size=1, max_size=4), st.booleans())
+@example([(CoefExpr.of(1), q_binomial_power("z", GR_I, "w", 3))], True)
+def test_exp_sum_matches_the_sum_of_scaled_images(pairs, cancel):
+    """_exp_sum in one pass against MPoly sums of the scaled images; with
+    cancel, the last image comes back negated under the same weight, so
+    every key the last image holds cancels."""
+    if cancel:
+        pairs = pairs + [(pairs[-1][0], -pairs[-1][1])]
+    weights, images = zip(*pairs)
+    got = identities._exp_sum(list(weights), list(images))
+    want = MPoly.zero(("z", "w"))
+    for w, image in pairs:
+        want = want + image.scale(w)
+    assert got == want
+    assert got.vars == ("z", "w")
+    assert not any(c.is_zero() for c in got.terms.values())
 
 
 def _composed_at(h, a):

@@ -16,12 +16,14 @@ from qcalc.coeffs import (
     LaurentPoly,
     LP_ONE,
     LP_Q,
+    LP_ZERO,
     UnsupportedOrderError,
 )
 from qcalc.polys import (
     MPoly,
     _map_var,
     _q_derivative_op,
+    _sum_into,
     coef_to_complex,
     d_operator,
     dbar_operator,
@@ -654,6 +656,68 @@ class TestKernelOperatorSums:
         got = _map_var(p, [dx, minus_one])
         assert got.terms == {(1, 0): CoefExpr.of(q_int(2)), (0, 0): CE_ONE}
         assert got == _map_var(p, [dx]) + _map_var(p, [minus_one])
+
+
+def _sum_by_key(start: dict, items) -> dict:
+    """The oracle for _sum_into: sum every key's values, start included, then
+    drop the keys whose sums are zero."""
+    totals = dict(start)
+    for key, v in items:
+        totals[key] = totals[key] + v if key in totals else v
+    return {key: v for key, v in totals.items() if not v.is_zero()}
+
+
+def _sum_values(values):
+    pair = st.tuples(st.integers(0, 3), values)
+    return st.tuples(
+        st.lists(pair, max_size=3).map(lambda ps: {k: v for k, v in ps if not v.is_zero()}),
+        # each drawn item is followed by its negative or not: keys cancel, and
+        # over four keys some come back after cancelling
+        st.lists(st.tuples(pair, st.booleans()), max_size=8).map(
+            lambda ps: [item for (k, v), neg in ps for item in [(k, v), (k, -v)][: 1 + neg]]),
+    )
+
+
+_LAURENT_VALUES = st.dictionaries(
+    st.integers(-3, 3), st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2)),
+    max_size=3,
+).map(LaurentPoly)
+
+
+class TestSumInto:
+    """The one cancelling sum against summing per key and dropping zeros, over
+    both coefficient types it adds, and the sums that go through it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_sum_values(_LAURENT_VALUES) | _sum_values(_coef.map(CoefExpr.of)))
+    @example(({}, [(0, LP_Q), (0, -LP_Q), (0, LP_ONE)]))  # cancels, then comes back
+    @example(({1: CE_ONE}, [(1, -CE_ONE), (0, CE_ONE), (0, -CE_ONE)]))  # all cancel
+    @example(({2: LP_Q}, []))  # nothing to add
+    @example(({}, [(0, LP_ZERO)]))  # a zero item is never stored
+    def test_against_sum_per_key(self, case):
+        start, items = case
+        out = dict(start)
+        got = _sum_into(out, items)
+        assert got is out
+        assert got == _sum_by_key(start, items)
+        assert not any(v.is_zero() for v in got.values())
+
+    def test_a_key_that_comes_back_is_added_anew(self):
+        got = _sum_into({}, [(0, LP_Q), (1, LP_ONE), (0, -LP_Q), (0, LP_ONE)])
+        assert list(got.items()) == [(1, LP_ONE), (0, LP_ONE)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_polys(_XTC), _polys(_XTC))
+    @example(MPoly(_XTC, {(1, 0, 0): 1, (0, 1, 0): 1}), MPoly(_XTC, {(1, 0, 0): 1, (0, 1, 0): -1}))
+    def test_mpoly_sums_and_products(self, p, r):
+        products = [(tuple(map(sum, zip(ea, eb))), ca * cb)
+                    for ea, ca in p.terms.items() for eb, cb in r.terms.items()]
+        assert (p * r).terms == _sum_by_key({}, products)
+        assert (p + r).terms == _sum_by_key(p.terms, r.terms.items())
+        # (p + r)(p - r): the cross products cancel inside one product
+        for got in (p + r, p - r, p + (-p), (p + r) * (p - r), p * r):
+            assert not any(c.is_zero() for c in got.terms.values())
+        assert (p + (-p)).is_zero()
 
 
 class TestCoefToComplex:

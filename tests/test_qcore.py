@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import pytest
@@ -96,8 +96,8 @@ class TestProductKernel:
         assert partials[0] is LP_ONE
 
     def test_one_pass_per_row(self, monkeypatch):
-        # the q-binomial weights and a q-Hermite polynomial each read their
-        # whole row off the partials of one kernel pass
+        # the q-binomial weights, a q-Hermite polynomial and each q-series
+        # read their whole row off the partials of one kernel pass
         passes = []
 
         def counted(tops, bottoms):
@@ -106,11 +106,16 @@ class TestProductKernel:
 
         for module in (coeffs, polys, hermite, qcore):
             monkeypatch.setattr(module, "_q_products", counted)
-        for row in (q_binomial_weights, q_hermite):
+        # a per-entry q-factorial would show as a pass of its own, cached or not
+        monkeypatch.setattr(qcore, "q_factorial", q_factorial.__wrapped__)
+        rows = [q_binomial_weights.__wrapped__, q_hermite.__wrapped__]  # past the caches
+        rows += [partial(q_trig_series, kind) for kind in ("cos", "sin")]
+        rows += [partial(q_exp_series, kind) for kind in ("e", "E")]
+        for row in rows:
             for n in (0, 1, 2, 9, 24):
                 passes.clear()
-                row.__wrapped__(n)  # past the cache
-                assert len(passes) == 1, (row.__name__, n, len(passes))
+                row(n)
+                assert len(passes) == 1, (row, n, len(passes))
 
 
 class TestQInt:
